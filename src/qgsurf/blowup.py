@@ -46,6 +46,8 @@ def parse_blowups(raw) -> tuple[BlowupStep, ...]:
             raise SchemaError(f"blowups[]: unknown field(s) {sorted(extra)}")
         if "branches" not in item:
             raise SchemaError("blowups[]: missing 'branches'")
+        if not isinstance(item["branches"], list):
+            raise SchemaError("blowups[].branches: expected an array")
         branches = []
         for b in item["branches"]:
             if not isinstance(b, list) or len(b) != 2:

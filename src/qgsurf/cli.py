@@ -16,9 +16,9 @@ import sys
 from . import config as config_mod
 from . import corpus
 from .blowup import apply_blowups
-from .errors import QgsurfError
+from .errors import PlanInvalidError, QgsurfError
 from .fibration import euler_sum_check, i9_forces_i1_lint, two_section_incidence_check
-from .smoothing import build_report, validate_plan
+from .smoothing import build_report
 from .wahl import (
     as_chain,
     canonical_order,
@@ -126,10 +126,11 @@ def _pipeline(doc, out, as_json: bool) -> int:
         final = apply_blowups(base, doc.blowups)
         failures.extend(str(v) for v in config_mod.validate(final))
         if doc.plan is not None:
-            plan_violations = validate_plan(final, doc.plan)
-            failures.extend(str(v) for v in plan_violations)
-            if not plan_violations:
+            try:
                 report = build_report(final, doc.plan)
+            except PlanInvalidError as exc:
+                failures.extend(str(v) for v in exc.violations)
+            else:
                 if not report.ample.verdict:
                     failures.append("ampleness certificate has a non-positive entry")
 

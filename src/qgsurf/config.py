@@ -134,6 +134,12 @@ def _no_extras(mapping: dict, allowed: set, where: str):
         raise SchemaError(f"{where}: unknown field(s) {sorted(extra)}")
 
 
+def _array(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected an array, got {value!r}")
+    return value
+
+
 def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{where}: expected an integer, got {value!r}")
@@ -240,10 +246,12 @@ def parse_unvalidated(document) -> Document:
     for i, c in enumerate(curves):
         grid[i][i] = c.self_int
     seen_pairs = set()
-    for item in document.get("pairing", []):
+    for item in _array(document.get("pairing", []), "pairing"):
         if not isinstance(item, list) or len(item) != 3:
             raise SchemaError("pairing: entries are [nameA, nameB, value]")
         a, b, value = item
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise SchemaError(f"pairing: curve names must be strings, got {a!r}, {b!r}")
         value = _as_int(value, f"pairing {a}.{b}")
         for nm in (a, b):
             if nm not in idx:
@@ -259,11 +267,13 @@ def parse_unvalidated(document) -> Document:
 
     points = []
     point_names = set()
-    for item in document.get("points", []):
+    for item in _array(document.get("points", []), "points"):
         if not isinstance(item, dict):
             raise SchemaError("points[]: expected an object")
         _no_extras(item, _POINT_KEYS, "points[]")
         pname = _need(item, "name", "points[]")
+        if not isinstance(pname, str):
+            raise SchemaError(f"points[].name: expected a string, got {pname!r}")
         if pname in point_names:
             raise SchemaError(f"points: duplicate point name {pname!r}")
         point_names.add(pname)
@@ -289,7 +299,12 @@ def parse_unvalidated(document) -> Document:
     blowups = parse_blowups(document.get("blowups", []))
     plan = parse_plan(document["plan"]) if "plan" in document else None
     name = document.get("name")
-    notes = tuple(document.get("notes", []))
+    if name is not None and not isinstance(name, str):
+        raise SchemaError(f"name: expected a string, got {name!r}")
+    notes = _array(document.get("notes", []), "notes")
+    if any(not isinstance(n, str) for n in notes):
+        raise SchemaError("notes: expected an array of strings")
+    notes = tuple(notes)
     return Document(configuration=configuration, blowups=blowups, plan=plan, name=name, notes=notes)
 
 

@@ -129,6 +129,13 @@ _FIBRATION_KEYS = {"fibers", "two_sections", "multiple_fiber_disjoint_from",
 _FIBER_KEYS = {"type", "multiplicity", "components"}
 
 
+def _curve_names(obj: dict, key: str) -> list:
+    names = obj.get(key, [])
+    if not isinstance(names, list) or any(not isinstance(c, str) for c in names):
+        raise SchemaError(f"fibration.{key}: expected an array of curve names")
+    return names
+
+
 def parse_fibration(obj, known_curves: set[str]) -> FibrationData:
     if not isinstance(obj, dict):
         raise SchemaError("fibration: expected an object")
@@ -136,7 +143,10 @@ def parse_fibration(obj, known_curves: set[str]) -> FibrationData:
     if extra:
         raise SchemaError(f"fibration: unknown field(s) {sorted(extra)}")
     fibers = []
-    for raw in obj.get("fibers", []):
+    raw_fibers = obj.get("fibers", [])
+    if not isinstance(raw_fibers, list):
+        raise SchemaError("fibration.fibers: expected an array")
+    for raw in raw_fibers:
         if not isinstance(raw, dict):
             raise SchemaError("fibration.fibers[]: expected an object")
         extra = set(raw) - _FIBER_KEYS
@@ -154,15 +164,17 @@ def parse_fibration(obj, known_curves: set[str]) -> FibrationData:
         if not isinstance(components, list):
             raise SchemaError("fibration.fibers[].components: expected a list")
         for c in components:
+            if not isinstance(c, str):
+                raise SchemaError(f"fibration.fibers[].components: expected curve names, got {c!r}")
             if c not in known_curves:
                 raise UnknownCurveError(f"fiber component {c!r} is not a declared curve")
         fibers.append(FiberSpec(type=reduced, multiplicity=mult,
                                 components=tuple(components)))
-    two_sections = obj.get("two_sections", [])
+    two_sections = _curve_names(obj, "two_sections")
     for c in two_sections:
         if c not in known_curves:
             raise UnknownCurveError(f"two-section {c!r} is not a declared curve")
-    disjoint = obj.get("multiple_fiber_disjoint_from", [])
+    disjoint = _curve_names(obj, "multiple_fiber_disjoint_from")
     for c in disjoint:
         if c not in known_curves:
             raise UnknownCurveError(f"{c!r} in multiple_fiber_disjoint_from is not a declared curve")

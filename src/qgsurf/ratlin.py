@@ -154,7 +154,9 @@ def determinant(matrix: RatMatrix) -> Fraction:
 def solve_unique(matrix: RatMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
     """Exact solution of M x = v for square nonsingular M.
 
-    Raises SingularMatrixError when det M = 0.
+    Raises SingularMatrixError when det M = 0.  The package computes chain
+    discrepancies in closed form (``wahl.discrepancies``); this general
+    solve is the tests' independent oracle for that formula.
     """
     if not matrix.is_square():
         raise ValueError("solve_unique needs a square matrix")

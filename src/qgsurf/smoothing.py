@@ -12,6 +12,10 @@ The ampleness certificate evaluates (f* K_X).C = K.C + sum_p D_p.C for every
 non-contracted curve with the exact discrepancy divisors D_p; positivity on
 the tracked model is necessary but deliberately partial (curves outside the
 model need geometric arguments the data cannot see).
+
+``plan_chains`` validates a plan once and computes each chain's entries,
+class-T data, discrepancies and contribution once; the report and the
+public invariant functions are all read off that one tuple of ``ChainData``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     SchemaError,
     UnknownCurveError,
 )
-from .wahl import discrepancies, k2_contribution, recognize_class_T
+from .wahl import ClassTData, discrepancies, k2_contribution, recognize_class_T
 
 PI1_SATISFIED = "criterion-satisfied"
 PI1_INCONCLUSIVE = "inconclusive"
@@ -122,14 +126,41 @@ def validate_plan(config: Configuration, plan: ContractionPlan) -> list[Violatio
     return out
 
 
-def contract_invariants(config: Configuration, plan: ContractionPlan):
-    """(K^2 of X_t, chi, p_g); requires a violation-free plan."""
+@dataclass(frozen=True)
+class ChainData:
+    """One chain of a validated plan, with everything the report reads."""
+
+    names: tuple[str, ...]
+    entries: tuple[int, ...]
+    class_t: ClassTData
+    discrepancies: tuple[Fraction, ...]
+    contribution: Fraction
+
+
+def plan_chains(config: Configuration, plan: ContractionPlan) -> tuple[ChainData, ...]:
+    """Validate the plan once, then compute each chain's data once."""
     violations = validate_plan(config, plan)
     if violations:
         raise PlanInvalidError(violations)
+    out = []
+    for names in plan.chains:
+        entries = chain_entries(config, names)
+        out.append(ChainData(names=names, entries=entries,
+                             class_t=recognize_class_T(entries),
+                             discrepancies=discrepancies(entries),
+                             contribution=k2_contribution(entries)))
+    return tuple(out)
+
+
+def contract_invariants(config: Configuration, plan: ContractionPlan):
+    """(K^2 of X_t, chi, p_g); requires a violation-free plan."""
+    return _invariants(config, plan, plan_chains(config, plan))
+
+
+def _invariants(config: Configuration, plan: ContractionPlan, chains: tuple[ChainData, ...]):
     k2 = Fraction(config.ambient_K2)
-    for chain in plan.chains:
-        k2 += k2_contribution(chain_entries(config, chain))
+    for chain in chains:
+        k2 += chain.contribution
     chi = config.surface.chi
     p_g = chi - 1 + plan.declared_q
     return k2, chi, p_g
@@ -143,23 +174,24 @@ def pullback_degree(config: Configuration, plan: ContractionPlan, curve: str) ->
     """Exact degree of the pulled-back canonical class on a model curve.
 
     K.C plus, for every chain, the pairing of C with the chain weighted by
-    the negated discrepancies.
+    the negated discrepancies; requires a violation-free plan.
     """
     if not config.has_curve(curve):
         raise UnknownCurveError(curve)
     if curve in _contracted_set(plan):
         raise CurveContractedError(curve)
-    value = Fraction(config.curve(curve).K_deg)
-    value += _dp_term(config, plan, curve)
-    return value
+    chains = plan_chains(config, plan)
+    return Fraction(config.curve(curve).K_deg) + _dp_term(config, chains, curve)
 
 
-def _dp_term(config: Configuration, plan: ContractionPlan, curve: str) -> Fraction:
+def _dp_term(config: Configuration, chains: tuple[ChainData, ...], curve: str) -> Fraction:
+    col = config.index_of(curve)
     total = Fraction(0)
-    for chain in plan.chains:
-        disc = discrepancies(chain_entries(config, chain))
-        for name, a in zip(chain, disc):
-            total += -a * config.pairing_of(name, curve)
+    for chain in chains:
+        for name, a in zip(chain.names, chain.discrepancies):
+            meets = config.pairing[config.index_of(name)][col]
+            if meets:
+                total -= a * meets
     return total
 
 
@@ -183,15 +215,17 @@ class AmplenessCertificate:
 
 
 def ampleness_certificate(config: Configuration, plan: ContractionPlan) -> AmplenessCertificate:
-    violations = validate_plan(config, plan)
-    if violations:
-        raise PlanInvalidError(violations)
+    return _ampleness(config, plan, plan_chains(config, plan))
+
+
+def _ampleness(config: Configuration, plan: ContractionPlan,
+               chains: tuple[ChainData, ...]) -> AmplenessCertificate:
     contracted = _contracted_set(plan)
     entries = []
     for c in config.curves:
         if c.name in contracted:
             continue
-        dp = _dp_term(config, plan, c.name)
+        dp = _dp_term(config, chains, c.name)
         entries.append(AmpleEntry(curve=c.name, K_deg=c.K_deg, dp_term=dp,
                                   value=Fraction(c.K_deg) + dp))
     verdict = all(e.value > 0 for e in entries)
@@ -212,13 +246,11 @@ def pi1_criterion(config: Configuration, plan: ContractionPlan) -> Pi1Criterion:
     multiset) certify the criterion; anything else is inconclusive and left
     to non-computational arguments.
     """
-    violations = validate_plan(config, plan)
-    if violations:
-        raise PlanInvalidError(violations)
-    indices = tuple(
-        recognize_class_T(chain_entries(config, chain)).index
-        for chain in plan.chains
-    )
+    return _pi1(config, plan_chains(config, plan))
+
+
+def _pi1(config: Configuration, chains: tuple[ChainData, ...]) -> Pi1Criterion:
+    indices = tuple(chain.class_t.index for chain in chains)
     g = 0
     for i in indices:
         g = gcd(g, i)
@@ -363,11 +395,11 @@ class SingularSurfaceReport:
 
 
 def build_report(config: Configuration, plan: ContractionPlan) -> SingularSurfaceReport:
-    """Run every invariant computation for a validated plan."""
-    k2, chi, p_g = contract_invariants(config, plan)
-    crit = pi1_criterion(config, plan)
-    ample = ampleness_certificate(config, plan)
-    chains = tuple(chain_entries(config, ch) for ch in plan.chains)
+    """Run every invariant computation for a plan; PlanInvalidError if invalid."""
+    data = plan_chains(config, plan)
+    k2, chi, p_g = _invariants(config, plan, data)
+    crit = _pi1(config, data)
+    ample = _ampleness(config, plan, data)
     moduli = None
     if k2.denominator == 1:
         moduli = moduli_dimension(chi, int(k2))
@@ -380,7 +412,7 @@ def build_report(config: Configuration, plan: ContractionPlan) -> SingularSurfac
         chi=chi,
         p_g=p_g,
         q=plan.declared_q,
-        chains=chains,
+        chains=tuple(chain.entries for chain in data),
         indices=crit.indices,
         gcd_indices=crit.gcd,
         pi1_verdict=crit.verdict,

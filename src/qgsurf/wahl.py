@@ -5,8 +5,17 @@ of smooth rational curves (bi >= 2, consecutive curves meeting once).  This
 module evaluates its minus continued fraction, recognizes the chains whose
 contraction admits a rational one-parameter smoothing (cyclic quotient of
 order d*n^2 with rotation d*n*a - 1), generates that family recursively as an
-independent oracle, and solves for discrepancies and the contraction's
+independent oracle, and computes the discrepancies and the contraction's
 contribution to the selfintersection of the canonical class.
+
+Discrepancies come from the Hirzebruch-Jung closed form
+
+    a_i = -1 + (L_{i-1} + R_{r-i}) / m,
+
+where L_k and R_k are the continuants of the first and of the last k
+entries (x_0 = 1, x_k = b * x_{k-1} - x_{k-2}) and m = L_r.  The exact
+Gaussian solve of Gram . a = (b_i - 2) (``ratlin.solve_unique`` on
+``chain_gram``) is kept only as the test oracle for this formula.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from math import gcd
 
 from . import kernel
 from .errors import InvalidFractionError, NotClassTError
-from .ratlin import RatMatrix, solve_unique
+from .ratlin import RatMatrix
 
 Chain = tuple[int, ...]
 
@@ -56,13 +65,20 @@ class ClassTData:
         return self.n
 
 
+def _continuants(chain) -> list[int]:
+    """[x_0, ..., x_r] with x_0 = 1 and x_k = b_k * x_{k-1} - x_{k-2}."""
+    xs = [1]
+    prev = 0
+    for b in chain:
+        xs.append(b * xs[-1] - prev)
+        prev = xs[-2]
+    return xs
+
+
 def hj_value(entries) -> Fraction:
     """Value of b1 - 1/(b2 - 1/(... - 1/bl)) in lowest terms."""
-    chain = as_chain(entries)
-    m, q = chain[-1], 1
-    for b in reversed(chain[:-1]):
-        m, q = b * m - q, m
-    return Fraction(m, q)
+    xs = _continuants(reversed(as_chain(entries)))
+    return Fraction(xs[-1], xs[-2])
 
 
 def chain_from_fraction(m: int, q: int) -> Chain:
@@ -157,30 +173,39 @@ def chain_gram(entries) -> RatMatrix:
     )
 
 
-def discrepancies(entries) -> tuple[Fraction, ...]:
-    """Coefficients a with Gram . a = (b1-2, ..., bl-2), solved exactly.
+def _numerators(chain: Chain) -> tuple[list[int], int]:
+    """(L_{i-1} + R_{r-i} - m for each i, m): the discrepancies times m."""
+    left = _continuants(chain)
+    right = _continuants(reversed(chain))
+    m = left[-1]
+    r = len(chain)
+    return [left[i] + right[r - 1 - i] - m for i in range(r)], m
 
-    The chain Gram matrix is negative definite, hence nonsingular, so the
-    solution exists and is unique; for smoothable chains every coefficient
-    lies in (-1, 0).
+
+def discrepancies(entries) -> tuple[Fraction, ...]:
+    """Coefficients a with Gram . a = (b1-2, ..., bl-2), in closed form.
+
+    a_i = -1 + (L_{i-1} + R_{r-i}) / m from the continuants of the chain's
+    ends (see the module docstring); m >= 2 since every entry is >= 2, and
+    the chain Gram matrix is negative definite, so this is the unique
+    solution.  ``ratlin.solve_unique(chain_gram(c), [b - 2 for b in c])`` is
+    its oracle in the tests.  For smoothable chains every coefficient lies
+    in (-1, 0).
     """
-    chain = as_chain(entries)
-    rhs = [Fraction(b - 2) for b in chain]
-    return solve_unique(chain_gram(chain), rhs)
+    nums, m = _numerators(as_chain(entries))
+    return tuple(Fraction(x, m) for x in nums)
 
 
 def k2_contribution(entries) -> Fraction:
     """Gain of the canonical self-intersection when the chain is contracted.
 
-    Equals -a . k for a = discrepancies, k = (b1-2, ..., bl-2); nonnegative,
-    and equal to l + 1 - d on recognized chains.
+    Equals -a . k for a = discrepancies, k = (b1-2, ..., bl-2), computed as
+    -sum (L_{i-1} + R_{r-i} - m)(b_i - 2) / m from the integer continuants;
+    nonnegative, and equal to l + 1 - d on recognized chains.
     """
     chain = as_chain(entries)
-    disc = discrepancies(chain)
-    return -sum(
-        (a * (b - 2) for a, b in zip(disc, chain)),
-        Fraction(0),
-    )
+    nums, m = _numerators(chain)
+    return Fraction(-sum(x * (b - 2) for x, b in zip(nums, chain)), m)
 
 
 def exhaustive_scan(max_len: int, max_entry: int):

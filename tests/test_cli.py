@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from qgsurf.cli import run
 from qgsurf.config import to_document
 from qgsurf.corpus import builtin
@@ -154,3 +156,38 @@ def test_example_json_mode():
     assert blob["report"]["K2_X"] == "4"
     assert blob["report"]["indices"] == [19, 73]
     assert blob["report"]["topology"]["homeomorphism_target"] == "3CP2#11CP2bar"
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+def _set_two_sections(doc):
+    doc["fibration"]["two_sections"] = "S1"
+
+
+def _set_blowup_branches(doc):
+    doc["blowups"][0]["branches"] = 5
+
+
+@pytest.mark.parametrize("edit", [
+    _set("pairing", 5),
+    _set("pairing", "G1"),
+    _set("pairing", [[["G1"], "G2", 1]]),
+    _set("notes", "hi"),
+    _set("name", 5),
+    _set_two_sections,
+    _set_blowup_branches,
+], ids=["pairing-int", "pairing-string", "pairing-list-name", "notes-string",
+        "name-int", "two-sections-string", "blowup-branches-int"])
+def test_verify_malformed_document_exits_two(tmp_path, capsys, edit):
+    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, text = invoke("verify", str(path))
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: ")

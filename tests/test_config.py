@@ -315,3 +315,50 @@ def test_independence_invariant_under_curve_reorder(corpus_results):
     a = independence_certificate(cfg, cands)
     b = independence_certificate(permuted, cands)
     assert (a.rank, a.verdict) == (b.rank, b.verdict)
+
+
+def test_parse_rejects_string_notes():
+    with pytest.raises(SchemaError, match="notes"):
+        parse(doc_with(notes="hi"))
+
+
+def test_parse_rejects_non_string_note():
+    with pytest.raises(SchemaError, match="notes"):
+        parse(doc_with(notes=["ok", 5]))
+
+
+def test_parse_rejects_non_string_name():
+    with pytest.raises(SchemaError, match="name"):
+        parse(doc_with(name=5))
+
+
+def test_parse_rejects_string_two_sections():
+    doc = builtin("enriques-k1").document
+    bad = json.loads(json.dumps(doc))
+    bad["fibration"]["two_sections"] = "S1"
+    with pytest.raises(SchemaError, match="two_sections"):
+        parse(bad)
+
+
+@pytest.mark.parametrize("pairing", [5, "G1", {"G1": 1}, [[["G1"], "G1", 1]]],
+                         ids=["int", "string", "object", "list-name"])
+def test_parse_rejects_malformed_pairing(pairing):
+    with pytest.raises(SchemaError, match="pairing"):
+        parse(doc_with(pairing=pairing))
+
+
+@pytest.mark.parametrize("points", [5, [{"name": ["p"], "branches": [["G1", 1]]}]],
+                         ids=["int", "list-name"])
+def test_parse_rejects_malformed_points(points):
+    with pytest.raises(SchemaError, match="points"):
+        parse(doc_with(points=points))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("fibers", 5),
+    ("fibers", [{"type": "I2", "components": [["G1"]]}]),
+    ("multiple_fiber_disjoint_from", "G1"),
+], ids=["fibers-int", "component-list", "disjoint-string"])
+def test_parse_rejects_malformed_fibration(key, value):
+    with pytest.raises(SchemaError, match=key.split("_")[0]):
+        parse(doc_with(fibration={key: value}))

@@ -7,6 +7,7 @@ from qgsurf.errors import CurveContractedError, DomainError, PlanInvalidError
 from qgsurf.smoothing import (
     ContractionPlan,
     ampleness_certificate,
+    build_report,
     contract_invariants,
     moduli_dimension,
     pi1_criterion,
@@ -128,8 +129,8 @@ def test_pullback_additive_over_chains(corpus_results):
     # dropping one chain removes exactly its own discrepancy term
     partial_plan = ContractionPlan(chains=plan.chains[1:], declared_q=plan.declared_q)
     partial = pullback_degree(final, partial_plan, "e5")
-    from qgsurf.smoothing import _dp_term
-    only_first = _dp_term(final, ContractionPlan(chains=plan.chains[:1]), "e5")
+    first_plan = ContractionPlan(chains=plan.chains[:1])
+    only_first = pullback_degree(final, first_plan, "e5") - final.curve("e5").K_deg
     assert full == partial + only_first
 
 
@@ -276,3 +277,28 @@ def test_pullback_degrees_match_frozen_oracle(corpus_results):
         report = corpus_results[name].report
         got = {e.curve: e.value for e in report.ample.entries}
         assert got == expected, name
+
+
+def test_public_views_agree_with_report(corpus_results):
+    for name, result in corpus_results.items():
+        final, plan, report = result.final, result.document.plan, result.report
+        assert contract_invariants(final, plan) == (report.K2_X, report.chi, report.p_g), name
+        crit = pi1_criterion(final, plan)
+        assert (crit.indices, crit.gcd, crit.verdict) == (
+            report.indices, report.gcd_indices, report.pi1_verdict), name
+        assert ampleness_certificate(final, plan) == report.ample, name
+        for entry in report.ample.entries:
+            assert pullback_degree(final, plan, entry.curve) == entry.value, name
+
+
+def test_build_report_raises_plan_violations():
+    cfg = chain_config([5])
+    with pytest.raises(PlanInvalidError) as info:
+        build_report(cfg, ContractionPlan(chains=(("Z0",),)))
+    assert [v.kind for v in info.value.violations] == ["plan-smoothability"]
+
+
+def test_pullback_requires_valid_plan():
+    cfg = chain_config([5], extra=[("C", -2, 0, 0)], extra_pairs=[("C", "Z0", 1)])
+    with pytest.raises(PlanInvalidError):
+        pullback_degree(cfg, ContractionPlan(chains=(("Z0",),)), "C")

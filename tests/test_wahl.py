@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 from itertools import product
 
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgsurf import cli, corpus, ratlin, wahl
 from qgsurf.errors import InvalidFractionError, NotClassTError
-from qgsurf.ratlin import is_negative_definite
+from qgsurf.ratlin import is_negative_definite, solve_unique
 from qgsurf.wahl import (
     canonical_order,
     chain_from_fraction,
@@ -193,3 +195,39 @@ def test_discrepancies_long_chains_frozen():
                                    -136, -132, -128, -124, -93, -62, -31))
     assert discrepancies([9, 2, 2, 2, 2, 2]) == tuple(
         Fraction(n, 7) for n in (-6, -5, -4, -3, -2, -1))
+
+
+def oracle_discrepancies(chain):
+    return solve_unique(chain_gram(chain), [b - 2 for b in chain])
+
+
+@given(st.lists(st.integers(min_value=2, max_value=15), min_size=1, max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_closed_form_matches_gaussian_oracle(entries):
+    chain = tuple(entries)
+    oracle = oracle_discrepancies(chain)
+    assert discrepancies(chain) == oracle
+    assert k2_contribution(chain) == -sum(
+        (a * (b - 2) for a, b in zip(oracle, chain)), Fraction(0))
+
+
+def test_closed_form_matches_oracle_on_generated_set():
+    for chain in generate_class_T(8, 12):
+        oracle = oracle_discrepancies(chain)
+        assert discrepancies(chain) == oracle, chain
+        assert k2_contribution(chain) == -sum(
+            (a * (b - 2) for a, b in zip(oracle, chain)), Fraction(0)), chain
+
+
+def test_report_paths_never_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_unique called off the test oracle")
+
+    monkeypatch.setattr(ratlin, "solve_unique", refuse)
+    monkeypatch.setattr(wahl, "solve_unique", refuse, raising=False)
+    results = corpus.verify_all()
+    assert [r.name for r in results if not r.passed] == []
+    assert all(r.report is not None for r in results)
+    code = cli.run(["enumerate-classT", "--max-len", "6", "--max-entry", "9"],
+                   out=io.StringIO())
+    assert code == 0
