@@ -147,12 +147,18 @@ def blow_up(config: Configuration, step: BlowupStep) -> Configuration:
     )
 
 
-def apply_blowups(config: Configuration, steps: Sequence[BlowupStep]) -> Configuration:
-    """Sequential composition of blow_up; failures name the offending step."""
-    current = config
+def replay(config: Configuration, steps: Sequence[BlowupStep]) -> tuple[Configuration, ...]:
+    """Every configuration of a blow-up sequence: element k is the
+    configuration after k steps.  Failures name the offending step."""
+    stages = [config]
     for i, step in enumerate(steps):
         try:
-            current = blow_up(current, step)
+            stages.append(blow_up(stages[-1], step))
         except Exception as exc:
             raise type(exc)(f"step {i} ({step.label or 'auto'}): {exc}") from None
-    return current
+    return tuple(stages)
+
+
+def apply_blowups(config: Configuration, steps: Sequence[BlowupStep]) -> Configuration:
+    """Sequential composition of blow_up: the last configuration of replay."""
+    return replay(config, steps)[-1]

@@ -2,7 +2,8 @@
 
 Subcommands: verify FILE, example NAME, verify-all, chain B1,B2,...,
 enumerate-classT, export-dot FILE.  Exit status: 0 all checks pass,
-1 verification failure (violations or certificate failure), 2 input or
+1 verification failure (what fails is decided in ``qgsurf.pipeline``;
+``example`` and ``verify-all`` add the corpus expectations), 2 input or
 schema error.  Output is deterministic; --output json mirrors the report
 structures.
 """
@@ -14,11 +15,8 @@ import json
 import sys
 
 from . import config as config_mod
-from . import corpus
-from .blowup import apply_blowups
-from .errors import PlanInvalidError, QgsurfError
-from .fibration import euler_sum_check, i9_forces_i1_lint, two_section_incidence_check
-from .smoothing import build_report
+from . import corpus, pipeline
+from .errors import QgsurfError
 from .wahl import (
     as_chain,
     canonical_order,
@@ -102,64 +100,36 @@ def _load_document(path: str):
     return config_mod.parse_unvalidated(text)
 
 
-def _pipeline(doc, out, as_json: bool) -> int:
-    """Shared verify pipeline: validation, lints, blow-ups, plan report."""
-    failures = []
-    violations = config_mod.validate(doc.configuration)
-    failures.extend(str(v) for v in violations)
-
-    base = doc.configuration
+def _cmd_verify(args, out) -> int:
+    # input errors, blow-up steps that cannot be applied included, exit 2 in run()
+    result = pipeline.run(_load_document(args.path))
     lint_lines = []
-    if base.fibration is not None:
-        euler = euler_sum_check(base.fibration, base.surface.chi)
+    euler = result.euler
+    if euler is not None:
         lint_lines.append(
             f"euler_sum={euler.total} target={euler.target} deficit={euler.deficit}"
             + (f" note={euler.note}" if euler.note else ""))
-        if euler.deficit < 0:
-            failures.append("declared fibers exceed 12*chi")
-        failures.extend(str(v) for v in two_section_incidence_check(base))
-        for advisory in i9_forces_i1_lint(base.fibration, base.surface.kind):
-            lint_lines.append(f"advisory={advisory}")
+    lint_lines.extend(f"advisory={a}" for a in result.advisories)
+    failures = [str(f) for f in result.failures]
+    status = "pass" if result.passed else "fail"
 
-    report = None
-    if not violations:
-        final = apply_blowups(base, doc.blowups)
-        failures.extend(str(v) for v in config_mod.validate(final))
-        if doc.plan is not None:
-            try:
-                report = build_report(final, doc.plan)
-            except PlanInvalidError as exc:
-                failures.extend(str(v) for v in exc.violations)
-            else:
-                if not report.ample.verdict:
-                    failures.append("ampleness certificate has a non-positive entry")
-
-    if as_json:
+    if args.output == "json":
         blob = {
             "violations": failures,
             "lints": lint_lines,
-            "report": None if report is None else report.to_json(),
-            "status": "pass" if not failures else "fail",
+            "report": None if result.report is None else result.report.to_json(),
+            "status": status,
         }
         print(json.dumps(blob, indent=1), file=out)
     else:
         for line in lint_lines:
             print(line, file=out)
-        if report is not None:
-            print(report.to_text(), file=out)
+        if result.report is not None:
+            print(result.report.to_text(), file=out)
         for f in failures:
             print(f"violation={f}", file=out)
-        print(f"status={'pass' if not failures else 'fail'}", file=out)
-    return EXIT_OK if not failures else EXIT_FAIL
-
-
-def _cmd_verify(args, out) -> int:
-    try:
-        doc = _load_document(args.path)
-    except QgsurfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    return _pipeline(doc, out, args.output == "json")
+        print(f"status={status}", file=out)
+    return EXIT_OK if result.passed else EXIT_FAIL
 
 
 def _cmd_example(args, out) -> int:

@@ -93,9 +93,6 @@ class Configuration:
     def pairing_of(self, a: str, b: str) -> int:
         return self.pairing[self.index_of(a)][self.index_of(b)]
 
-    def pairing_matrix(self) -> RatMatrix:
-        return RatMatrix(self.pairing)
-
     @property
     def ambient_K2(self) -> int:
         return self.surface.K2 - self.blowup_count

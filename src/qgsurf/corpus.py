@@ -7,7 +7,7 @@ Six constructions ship with the package, named
 
 Each pairs a JSON document (configuration + blow-ups + contraction plan)
 with the externally known values it must reproduce; ``verify_example`` runs
-the full pipeline and diffs every expectation.
+the verification pipeline (``qgsurf.pipeline``) and diffs every expectation.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from importlib import resources
 from typing import Optional
 
 from . import config as config_mod
-from .blowup import apply_blowups
+from . import pipeline
 from .config import Configuration, Document, independence_certificate, snc_certificate
-from .errors import PlanInvalidError, UnknownExampleError
-from .fibration import euler_sum_check, i9_forces_i1_lint, two_section_incidence_check
-from .smoothing import SingularSurfaceReport, build_report
+from .errors import UnknownExampleError
+from .smoothing import SingularSurfaceReport
 
 EXAMPLE_NAMES = (
     "enriques-k1",
@@ -159,13 +158,29 @@ def builtin(name: str) -> NamedExample:
 @dataclass
 class ExampleResult:
     name: str
-    passed: bool
     failures: list[str]
-    report: Optional[SingularSurfaceReport]
-    document: Optional[Document] = None
-    final: Optional[Configuration] = None
+    run: pipeline.RunResult
     independence_rank: Optional[int] = None
-    euler_deficit: Optional[int] = None
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    @property
+    def report(self) -> Optional[SingularSurfaceReport]:
+        return self.run.report
+
+    @property
+    def document(self) -> Document:
+        return self.run.document
+
+    @property
+    def final(self) -> Optional[Configuration]:
+        return self.run.final
+
+    @property
+    def euler_deficit(self) -> Optional[int]:
+        return None if self.run.euler is None else self.run.euler.deficit
 
 
 def extract_chains(config: Configuration, members: set[str]) -> list[tuple[str, ...]]:
@@ -210,85 +225,66 @@ def extract_chains(config: Configuration, members: set[str]) -> list[tuple[str, 
 
 
 def verify_example(name: str) -> ExampleResult:
-    """Full pipeline for one example, diffed against its expectations."""
+    """The verification pipeline on one example, diffed against its expectations.
+
+    On top of the pipeline's own failures, a shipped document must sum its
+    fibers to exactly 12*chi, raise no advisory, pass its staged
+    certificates and reproduce every expected value.
+    """
     example = builtin(name)
     expected = example.expected
-    failures: list[str] = []
+    result = pipeline.run(config_mod.parse_unvalidated(example.document))
+    failures = [f"{f.stage}: {f}" for f in result.failures]
 
-    doc = config_mod.parse(example.document)
-    base = doc.configuration
+    euler = result.euler
+    if euler is not None and euler.deficit != 0:
+        failures.append(f"euler sum {euler.total} != {euler.target}")
+    failures.extend(f"advisory: {a}" for a in result.advisories)
 
-    # fibration lints on the base configuration
-    euler = None
-    if base.fibration is not None:
-        euler = euler_sum_check(base.fibration, base.surface.chi)
-        if not euler.verdict:
-            failures.append(f"euler sum {euler.total} != {euler.target}")
-        failures.extend(str(v) for v in two_section_incidence_check(base))
-        advisories = i9_forces_i1_lint(base.fibration, base.surface.kind)
-        failures.extend(advisories)
-
-    # staged certificates
     rank_seen = None
-    if expected.independence is not None:
-        spec = expected.independence
-        staged = apply_blowups(base, doc.blowups[: spec.stage])
-        cert = independence_certificate(staged, spec.candidates)
-        rank_seen = cert.rank
-        if cert.rank != spec.expected_rank or not cert.verdict:
-            failures.append(
-                f"independence rank {cert.rank} (verdict {cert.verdict}), "
-                f"expected {spec.expected_rank}")
-    if expected.snc_divisor is not None:
-        staged = apply_blowups(base, doc.blowups[: expected.snc_stage])
-        snc = snc_certificate(staged, expected.snc_divisor)
-        failures.extend(f"snc: {v}" for v in snc)
+    final = result.final
+    if final is not None:
+        if expected.independence is not None:
+            spec = expected.independence
+            cert = independence_certificate(result.stages[spec.stage], spec.candidates)
+            rank_seen = cert.rank
+            if cert.rank != spec.expected_rank or not cert.verdict:
+                failures.append(
+                    f"independence rank {cert.rank} (verdict {cert.verdict}), "
+                    f"expected {spec.expected_rank}")
+        if expected.snc_divisor is not None:
+            snc = snc_certificate(result.stages[expected.snc_stage], expected.snc_divisor)
+            failures.extend(f"snc: {v}" for v in snc)
+        if final.blowup_count != expected.blowup_count:
+            failures.append(f"blowup count {final.blowup_count} != {expected.blowup_count}")
 
-    final = apply_blowups(base, doc.blowups)
-    failures.extend(f"final config: {v}" for v in config_mod.validate(final))
-    if final.blowup_count != expected.blowup_count:
-        failures.append(f"blowup count {final.blowup_count} != {expected.blowup_count}")
+    report = result.report
+    if report is not None:
+        if report.K2_X != Fraction(expected.K2):
+            failures.append(f"K2 {report.K2_X} != {expected.K2}")
+        if _chain_multiset(report.chains) != expected.chains:
+            failures.append(f"chains {report.chains} != expected")
+        if report.indices != expected.indices:
+            failures.append(f"indices {report.indices} != {expected.indices}")
+        if report.gcd_indices != expected.gcd:
+            failures.append(f"gcd {report.gcd_indices} != {expected.gcd}")
+        if report.pi1_verdict != expected.pi1:
+            failures.append(f"pi1 {report.pi1_verdict} != {expected.pi1}")
+        if report.moduli_dim != expected.moduli_dim:
+            failures.append(f"moduli {report.moduli_dim} != {expected.moduli_dim}")
+        if report.p_g != expected.p_g:
+            failures.append(f"p_g {report.p_g} != {expected.p_g}")
+        if report.ample.verdict != expected.ample_positive:
+            failures.append(f"ampleness verdict {report.ample.verdict}")
+        # each chain's ordering must be recoverable from the pairing alone
+        for ch in result.document.plan.chains:
+            recovered = extract_chains(final, set(ch))
+            if len(recovered) != 1 or recovered[0] not in (tuple(ch), tuple(reversed(ch))):
+                failures.append(
+                    f"chain {list(ch)} is not recovered from the final pairing")
 
-    report = None
-    if doc.plan is not None:
-        try:
-            report = build_report(final, doc.plan)
-        except PlanInvalidError as exc:
-            failures.extend(f"plan: {v}" for v in exc.violations)
-        else:
-            if report.K2_X != Fraction(expected.K2):
-                failures.append(f"K2 {report.K2_X} != {expected.K2}")
-            if _chain_multiset(report.chains) != expected.chains:
-                failures.append(f"chains {report.chains} != expected")
-            if report.indices != expected.indices:
-                failures.append(f"indices {report.indices} != {expected.indices}")
-            if report.gcd_indices != expected.gcd:
-                failures.append(f"gcd {report.gcd_indices} != {expected.gcd}")
-            if report.pi1_verdict != expected.pi1:
-                failures.append(f"pi1 {report.pi1_verdict} != {expected.pi1}")
-            if report.moduli_dim != expected.moduli_dim:
-                failures.append(f"moduli {report.moduli_dim} != {expected.moduli_dim}")
-            if report.p_g != expected.p_g:
-                failures.append(f"p_g {report.p_g} != {expected.p_g}")
-            if report.ample.verdict != expected.ample_positive:
-                failures.append(f"ampleness verdict {report.ample.verdict}")
-            # each chain's ordering must be recoverable from the pairing alone
-            for ch in doc.plan.chains:
-                recovered = extract_chains(final, set(ch))
-                if len(recovered) != 1 or recovered[0] not in (tuple(ch), tuple(reversed(ch))):
-                    failures.append(
-                        f"chain {list(ch)} is not recovered from the final pairing")
-
-    return ExampleResult(
-        name=name,
-        passed=not failures,
-        failures=failures,
-        report=report,
-        document=doc,
-        final=final,
-        independence_rank=rank_seen,
-        euler_deficit=None if euler is None else euler.deficit,
-    )
+    return ExampleResult(name=name, failures=failures, run=result,
+                         independence_rank=rank_seen)
 
 
 def verify_all() -> list[ExampleResult]:

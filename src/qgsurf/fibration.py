@@ -156,7 +156,7 @@ def parse_fibration(obj, known_curves: set[str]) -> FibrationData:
             raise SchemaError("fibration.fibers[]: missing 'type'")
         reduced, mult_from_tag = parse_tag(raw["type"])
         mult = raw.get("multiplicity", mult_from_tag)
-        if mult not in (1, 2):
+        if isinstance(mult, bool) or not isinstance(mult, int) or mult not in (1, 2):
             raise SchemaError("fibration.fibers[].multiplicity must be 1 or 2")
         if mult_from_tag == 2 and mult != 2:
             raise SchemaError(f"fiber tagged {raw['type']!r} but multiplicity {mult}")
@@ -178,11 +178,14 @@ def parse_fibration(obj, known_curves: set[str]) -> FibrationData:
     for c in disjoint:
         if c not in known_curves:
             raise UnknownCurveError(f"{c!r} in multiple_fiber_disjoint_from is not a declared curve")
+    class_known = obj.get("generic_fiber_class_known", False)
+    if not isinstance(class_known, bool):
+        raise SchemaError("fibration.generic_fiber_class_known: expected a boolean")
     return FibrationData(
         fibers=tuple(fibers),
         two_sections=tuple(two_sections),
         multiple_fiber_disjoint_from=tuple(disjoint),
-        generic_fiber_class_known=bool(obj.get("generic_fiber_class_known", False)),
+        generic_fiber_class_known=class_known,
     )
 
 

@@ -1,0 +1,96 @@
+"""The verification pipeline: one stage order and one failure policy.
+
+``run(doc)`` takes a parsed document through these stages, in order:
+
+    base        validate the configuration as declared;
+    fibration   Euler sum against 12*chi, 2-section incidence, I9 lint;
+    blow-ups    replay the blow-up list once, keeping every stage;
+    final       validate the configuration after the last blow-up;
+    plan        build the smoothing report, when the document has a plan.
+
+A document fails on base or final violations, a negative Euler deficit,
+2-section violations, plan violations and a non-positive ampleness
+certificate.  A positive deficit (fibers left undeclared) and the I9
+advisory are reported but never fail.  The blow-up and plan stages run only
+on a valid base configuration.  A blow-up step that cannot be applied is an
+input error and raises, naming the step.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+from .blowup import replay
+from .config import Configuration, Document, validate
+from .errors import PlanInvalidError
+from .fibration import (
+    EulerCheck,
+    euler_sum_check,
+    i9_forces_i1_lint,
+    two_section_incidence_check,
+)
+from .smoothing import SingularSurfaceReport, build_report
+
+
+@dataclass(frozen=True)
+class Failure:
+    """One reason a document fails, with the stage that found it."""
+
+    stage: str
+    message: str
+
+    def __str__(self):
+        return self.message
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """What one run found: failures, lint results, every stage, the report."""
+
+    document: Document
+    failures: tuple[Failure, ...]
+    euler: Optional[EulerCheck]           # None without a fibration
+    advisories: tuple[str, ...]
+    stages: tuple[Configuration, ...]     # stages[k]: after k blow-ups; () if base invalid
+    report: Optional[SingularSurfaceReport]
+
+    @property
+    def final(self) -> Optional[Configuration]:
+        return self.stages[-1] if self.stages else None
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+
+def run(doc: Document) -> RunResult:
+    base = doc.configuration
+    failures = [Failure("base", str(v)) for v in validate(base)]
+    base_valid = not failures
+
+    euler, advisories = None, ()
+    if base.fibration is not None:
+        euler = euler_sum_check(base.fibration, base.surface.chi)
+        if euler.deficit < 0:
+            failures.append(Failure("fibration", euler.note))
+        failures.extend(Failure("fibration", str(v)) for v in two_section_incidence_check(base))
+        advisories = tuple(i9_forces_i1_lint(base.fibration, base.surface.kind,
+                                             base.surface.chi))
+
+    stages, report = (), None
+    if base_valid:
+        stages = replay(base, doc.blowups)
+        failures.extend(Failure("final", str(v)) for v in validate(stages[-1]))
+        if doc.plan is not None:
+            try:
+                report = build_report(stages[-1], doc.plan)
+            except PlanInvalidError as exc:
+                failures.extend(Failure("plan", str(v)) for v in exc.violations)
+            else:
+                if not report.ample.verdict:
+                    failures.append(Failure(
+                        "plan", "ampleness certificate has a non-positive entry"))
+
+    return RunResult(document=doc, failures=tuple(failures), euler=euler,
+                     advisories=advisories, stages=stages, report=report)

@@ -13,15 +13,6 @@ from typing import Iterable, Sequence
 
 from .errors import NotSymmetricError, SingularMatrixError
 
-Rational = Fraction
-
-
-def rat(value, den: int | None = None) -> Fraction:
-    """Coerce to an exact rational; ``rat(a, b)`` is a/b."""
-    if den is not None:
-        return Fraction(value, den)
-    return Fraction(value)
-
 
 class RatMatrix:
     """Immutable dense matrix of exact rationals."""

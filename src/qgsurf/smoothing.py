@@ -64,8 +64,8 @@ def parse_plan(raw) -> ContractionPlan:
             raise SchemaError("plan.chains[]: expected a nonempty array of curve names")
         chains.append(tuple(ch))
     q = raw.get("q", 0)
-    if not isinstance(q, int) or isinstance(q, bool):
-        raise SchemaError("plan.q: expected an integer")
+    if not isinstance(q, int) or isinstance(q, bool) or q < 0:
+        raise SchemaError(f"plan.q: expected a non-negative integer, got {q!r}")
     assumptions = raw.get("assumptions", [])
     if not isinstance(assumptions, list) or any(not isinstance(a, str) for a in assumptions):
         raise SchemaError("plan.assumptions: expected an array of strings")

@@ -172,6 +172,18 @@ def _set_blowup_branches(doc):
     doc["blowups"][0]["branches"] = 5
 
 
+def _set_plan_q(doc):
+    doc["plan"]["q"] = -3
+
+
+def _set_class_known(doc):
+    doc["fibration"]["generic_fiber_class_known"] = "no"
+
+
+def _set_fiber_multiplicity(doc):
+    doc["fibration"]["fibers"][1]["multiplicity"] = True
+
+
 @pytest.mark.parametrize("edit", [
     _set("pairing", 5),
     _set("pairing", "G1"),
@@ -180,8 +192,12 @@ def _set_blowup_branches(doc):
     _set("name", 5),
     _set_two_sections,
     _set_blowup_branches,
+    _set_plan_q,
+    _set_class_known,
+    _set_fiber_multiplicity,
 ], ids=["pairing-int", "pairing-string", "pairing-list-name", "notes-string",
-        "name-int", "two-sections-string", "blowup-branches-int"])
+        "name-int", "two-sections-string", "blowup-branches-int", "plan-q-negative",
+        "class-known-string", "multiplicity-bool"])
 def test_verify_malformed_document_exits_two(tmp_path, capsys, edit):
     doc = json.loads(json.dumps(builtin("enriques-k1").document))
     edit(doc)
@@ -191,3 +207,35 @@ def test_verify_malformed_document_exits_two(tmp_path, capsys, edit):
     assert code == 2
     assert text == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_verify_rational_elliptic_i9_advisory(tmp_path):
+    doc = {
+        "surface": {"kind": "e", "n": 1, "chi": 1, "K2": 0, "K_num_trivial": False},
+        "curves": [{"name": "S", "self": -1, "genus": 0, "Kdeg": -1, "tags": []}],
+        "fibration": {"fibers": [{"type": "I9", "components": []},
+                                 {"type": "I1", "components": []}]},
+    }
+    code, text = invoke("verify", _write(tmp_path, doc))
+    assert code == 0
+    assert "advisory=an I9 fiber implies three I1-type fibers; only 1 declared" in text
+    assert text.endswith("status=pass\n")
+
+
+def test_verify_positive_deficit_is_a_note_not_a_failure(tmp_path):
+    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    fibers = doc["fibration"]["fibers"]
+    fibers.remove({"type": "I1", "multiplicity": 1, "components": []})
+    code, text = invoke("verify", _write(tmp_path, doc))
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[0] == "euler_sum=11 target=12 deficit=1 note=unlisted fibers"
+    assert lines[1] == "advisory=an I9 fiber implies three I1-type fibers; only 2 declared"
+    assert "violation=" not in text
+    assert lines[-1] == "status=pass"

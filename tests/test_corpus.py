@@ -1,7 +1,10 @@
 import copy
+import dataclasses
+import io
 
 import pytest
 
+from qgsurf import cli, corpus
 from qgsurf import config as config_mod
 from qgsurf.blowup import apply_blowups
 from qgsurf.corpus import (
@@ -9,6 +12,7 @@ from qgsurf.corpus import (
     builtin,
     extract_chains,
     results_table,
+    verify_example,
 )
 from qgsurf.errors import UnknownExampleError
 from qgsurf.smoothing import validate_plan
@@ -180,3 +184,31 @@ def test_parse_each_corpus_file_from_text():
         doc = config_mod.parse(text)
         assert doc.name == name
         assert doc.notes
+
+
+def test_expectation_mismatch_fails_the_example(monkeypatch):
+    wrong = dataclasses.replace(corpus.EXPECTED["enriques-k1"], K2=2)
+    monkeypatch.setitem(corpus.EXPECTED, "enriques-k1", wrong)
+    result = verify_example("enriques-k1")
+    assert not result.passed
+    assert result.failures == ["K2 1 != 2"]
+    out = io.StringIO()
+    assert cli.run(["example", "enriques-k1"], out=out) == 1
+    lines = out.getvalue().splitlines()
+    assert "failure=K2 1 != 2" in lines
+    assert lines[-1] == "status=fail"
+
+
+def test_example_fails_on_unlisted_fibers(monkeypatch):
+    # the pipeline only notes a positive deficit; a shipped document is held to 0
+    example = builtin("enriques-k1")
+    doc = copy.deepcopy(example.document)
+    doc["fibration"]["fibers"].remove({"type": "I1", "multiplicity": 1, "components": []})
+    monkeypatch.setattr(corpus, "builtin",
+                        lambda name: dataclasses.replace(example, document=doc))
+    result = verify_example("enriques-k1")
+    assert result.run.passed
+    assert result.failures == [
+        "euler sum 11 != 12",
+        "advisory: an I9 fiber implies three I1-type fibers; only 2 declared",
+    ]

@@ -1,0 +1,139 @@
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qgsurf import blowup, cli, pipeline
+from qgsurf import config as config_mod
+from qgsurf.corpus import EXAMPLE_NAMES, builtin, verify_example
+from qgsurf.errors import QgsurfError
+
+DOCUMENTS = {name: builtin(name).document for name in EXAMPLE_NAMES}
+
+
+def _run(doc: dict) -> pipeline.RunResult:
+    return pipeline.run(config_mod.parse_unvalidated(doc))
+
+
+def _k1() -> dict:
+    return copy.deepcopy(DOCUMENTS["enriques-k1"])
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_stages_hold_every_blowup_step(name):
+    result = _run(DOCUMENTS[name])
+    steps = len(result.document.blowups)
+    assert len(result.stages) == steps + 1
+    assert [s.blowup_count for s in result.stages] == list(range(steps + 1))
+    assert result.stages[0] is result.document.configuration
+    assert result.final is result.stages[-1]
+    assert result.stages[-1] == blowup.apply_blowups(result.document.configuration,
+                                                     result.document.blowups)
+    assert result.passed and result.failures == ()
+    assert result.report is not None and result.euler.deficit == 0
+
+
+def test_blowups_replayed_once(monkeypatch):
+    calls = []
+    real = blowup.blow_up
+
+    def counting(config, step):
+        calls.append(step)
+        return real(config, step)
+
+    monkeypatch.setattr(blowup, "blow_up", counting)
+    for name in EXAMPLE_NAMES:
+        steps = len(DOCUMENTS[name]["blowups"])
+        calls.clear()
+        assert verify_example(name).passed
+        assert len(calls) == steps, name
+        calls.clear()
+        assert cli.run(["example", name], out=io.StringIO()) == 0
+        assert len(calls) == steps, name
+
+
+def test_invalid_base_stops_before_blowups():
+    doc = _k1()
+    doc["curves"][0]["self"] = -3
+    result = _run(doc)
+    assert result.stages == () and result.final is None and result.report is None
+    assert {f.stage for f in result.failures} == {"base"}
+    assert result.euler is not None  # the fibration lints still run
+
+
+def test_failures_name_their_stage():
+    doc = _k1()
+    doc["fibration"]["fibers"].append({"type": "I4", "components": []})
+    doc["plan"]["chains"].append(["ZZ"])
+    result = _run(doc)
+    assert [(f.stage, str(f)) for f in result.failures] == [
+        ("fibration", "declared fibers exceed 12*chi"),
+        ("plan", "plan-name[chain4]: unknown curve 'ZZ'"),
+    ]
+
+
+def test_unappliable_blowup_raises_with_its_step():
+    doc = _k1()
+    doc["blowups"][1]["branches"][0] = ["ZZ", 1]
+    with pytest.raises(QgsurfError, match=r"^step 1 \(e2\): "):
+        _run(doc)
+
+
+# --- guard: mutated corpus documents end in a verdict or a QgsurfError ---
+
+_POOL = (None, True, False, 0, 1, 2, -1, 13, 10**12, 1.5, "", "G1", "e1", "I9", "2I1",
+         [], {}, [1], ["G1", 1], ["G1", "G2", 1], {"type": "I1"})
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(DOCUMENTS[draw(st.sampled_from(EXAMPLE_NAMES))])
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        doc = _replace(doc, path, copy.deepcopy(draw(st.sampled_from(_POOL))))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "doc.json"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated_documents())
+def test_mutated_documents_end_in_a_verdict_or_an_input_error(doc_path, doc):
+    try:
+        config_mod.parse_unvalidated(doc)
+    except QgsurfError:
+        pass
+    doc_path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.run(["verify", str(doc_path)], out=out)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
