@@ -17,6 +17,7 @@ from .config import Configuration, CurveClass, PointSpec
 from .errors import (
     ExcessMultiplicityError,
     NegativeGenusError,
+    QgsurfError,
     SchemaError,
     UnknownCurveError,
 )
@@ -149,13 +150,15 @@ def blow_up(config: Configuration, step: BlowupStep) -> Configuration:
 
 def replay(config: Configuration, steps: Sequence[BlowupStep]) -> tuple[Configuration, ...]:
     """Every configuration of a blow-up sequence: element k is the
-    configuration after k steps.  Failures name the offending step."""
+    configuration after k steps.  A step that cannot be applied raises its
+    ``QgsurfError`` unchanged but for the message, which names the step."""
     stages = [config]
     for i, step in enumerate(steps):
         try:
             stages.append(blow_up(stages[-1], step))
-        except Exception as exc:
-            raise type(exc)(f"step {i} ({step.label or 'auto'}): {exc}") from None
+        except QgsurfError as exc:
+            exc.args = (f"step {i} ({step.label or 'auto'}): {exc}",)
+            raise
     return tuple(stages)
 
 

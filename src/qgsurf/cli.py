@@ -17,31 +17,20 @@ import sys
 from . import config as config_mod
 from . import corpus, pipeline
 from .errors import QgsurfError
-from .wahl import (
-    as_chain,
-    canonical_order,
-    discrepancies,
-    generate_class_T,
-    hj_value,
-    k2_contribution,
-    recognize_class_T,
-)
+from .wahl import ChainSummary, canonical_order, fraction_text, generate_class_T, summarize
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
-def _chain_report_lines(entries) -> tuple[list[str], dict]:
-    chain = as_chain(entries)
-    value = hj_value(chain)
-    data = recognize_class_T(chain)
-    disc = discrepancies(chain)
-    contribution = k2_contribution(chain)
-    disc_s = ",".join(str(d) for d in disc)
+def _chain_report_lines(summary: ChainSummary) -> list[str]:
+    m, data = summary.m, summary.class_t
+    contribution = fraction_text(summary.contribution_numerator, m)
+    disc_s = ",".join([fraction_text(x, m) for x in summary.numerators])
     lines = [
-        "chain=" + ",".join(str(b) for b in chain),
-        f"hj={value.numerator}/{value.denominator}",
+        "chain=" + ",".join(map(str, summary.chain)),
+        f"hj={m}/{summary.q}",
     ]
     if data is not None:
         lines.append(
@@ -49,29 +38,32 @@ def _chain_report_lines(entries) -> tuple[list[str], dict]:
             f"index={data.index} contribution={contribution} discrepancies={disc_s}")
     else:
         lines.append(f"notClassT contribution={contribution} discrepancies={disc_s}")
-    blob = {
-        "chain": list(chain),
-        "hj": f"{value.numerator}/{value.denominator}",
+    return lines
+
+
+def _chain_blob(summary: ChainSummary) -> dict:
+    m, data = summary.m, summary.class_t
+    return {
+        "chain": list(summary.chain),
+        "hj": f"{m}/{summary.q}",
         "classT": None if data is None else {
             "d": data.d, "n": data.n, "a": data.a, "m": data.m, "q": data.q,
             "index": data.index},
-        "contribution": str(contribution),
-        "discrepancies": [str(d) for d in disc],
+        "contribution": fraction_text(summary.contribution_numerator, m),
+        "discrepancies": [fraction_text(x, m) for x in summary.numerators],
     }
-    return lines, blob
 
 
 def _cmd_chain(args, out) -> int:
     try:
-        entries = [int(x) for x in args.entries.split(",") if x.strip() != ""]
-        lines, blob = _chain_report_lines(entries)
+        summary = summarize(int(x) for x in args.entries.split(",") if x.strip() != "")
     except (ValueError, QgsurfError) as exc:
         print(f"error: chain: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.output == "json":
-        print(json.dumps(blob, indent=1), file=out)
+        print(json.dumps(_chain_blob(summary), indent=1), file=out)
     else:
-        for line in lines:
+        for line in _chain_report_lines(summary):
             print(line, file=out)
     return EXIT_OK
 
@@ -86,8 +78,7 @@ def _cmd_enumerate(args, out) -> int:
         print(json.dumps([list(c) for c in chains]), file=out)
         return EXIT_OK
     for chain in chains:
-        lines, _ = _chain_report_lines(chain)
-        print(" ".join(lines), file=out)
+        print(" ".join(_chain_report_lines(summarize(chain))), file=out)
     return EXIT_OK
 
 

@@ -359,6 +359,8 @@ def validate(config: Configuration) -> list[Violation]:
             out.append(Violation("surface", s.kind,
                                  f"expected chi={chi}, K2={k2}, K_num_trivial={knt}"))
     elif s.kind == "e":
+        if s.n < 1:
+            out.append(Violation("surface", s.kind, f"E(n) needs n >= 1, got n={s.n}"))
         if s.chi != s.n or s.K2 != 0:
             out.append(Violation("surface", s.kind, f"E(n) needs chi=n={s.n} and K2=0"))
 

@@ -27,6 +27,8 @@ def parse_tag(tag: str) -> tuple[str, int]:
     m = _TAG_RE.match(tag.strip())
     if not m:
         raise UnknownTagError(f"unknown Kodaira tag {tag!r}")
+    if m.group(3) is not None and int(m.group(3)) == 0 and not m.group(4):
+        raise UnknownTagError(f"{tag!r} is a smooth fiber, not a singular Kodaira type")
     mult = 2 if m.group(1) else 1
     reduced = m.group(2)
     if mult == 2 and not (reduced.startswith("I") and not reduced.startswith(("II", "III", "IV")) and "*" not in reduced):

@@ -13,9 +13,11 @@ non-contracted curve with the exact discrepancy divisors D_p; positivity on
 the tracked model is necessary but deliberately partial (curves outside the
 model need geometric arguments the data cannot see).
 
-``plan_chains`` validates a plan once and computes each chain's entries,
-class-T data, discrepancies and contribution once; the report and the
-public invariant functions are all read off that one tuple of ``ChainData``.
+``plan_chains`` validates a plan once and summarizes each chain once
+(``wahl.summarize``): the smoothability check, the class-T data, the
+discrepancies and the contribution all come from that one summary.  The
+report and the public invariant functions are read off the resulting tuple
+of ``ChainData``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     SchemaError,
     UnknownCurveError,
 )
-from .wahl import ClassTData, discrepancies, k2_contribution, recognize_class_T
+from .wahl import ChainSummary, ClassTData, summarize
 
 PI1_SATISFIED = "criterion-satisfied"
 PI1_INCONCLUSIVE = "inconclusive"
@@ -86,7 +88,15 @@ def validate_plan(config: Configuration, plan: ContractionPlan) -> list[Violatio
     (consecutive pairing 1, nonconsecutive 0), and each chain is accepted by
     the smoothability recognizer.
     """
+    return _check_plan(config, plan)[0]
+
+
+def _check_plan(config: Configuration, plan: ContractionPlan
+                ) -> tuple[list[Violation], list[Optional[ChainSummary]]]:
+    """The plan's violations, and each chain's summary (None where the
+    chain's names or shape were already violated)."""
     out: list[Violation] = []
+    summaries: list[Optional[ChainSummary]] = []
     seen: dict[str, int] = {}
     for ci, chain in enumerate(plan.chains):
         label = f"chain{ci}"
@@ -101,6 +111,7 @@ def validate_plan(config: Configuration, plan: ContractionPlan) -> list[Violatio
                                      f"{name} already in chain{seen[name]}"))
             seen[name] = ci
         if not ok_names:
+            summaries.append(None)
             continue
         for name in chain:
             curve = config.curve(name)
@@ -118,12 +129,14 @@ def validate_plan(config: Configuration, plan: ContractionPlan) -> list[Violatio
                     out.append(Violation(
                         "plan-shape", label,
                         f"{chain[i]}.{chain[j]} = {got}, expected {want}"))
+        summary = None
         if not any(v.subject == label for v in out):
-            entries = chain_entries(config, chain)
-            if recognize_class_T(entries) is None:
+            summary = summarize(chain_entries(config, chain))
+            if summary.class_t is None:
                 out.append(Violation("plan-smoothability", label,
-                                     f"chain {list(entries)} is not smoothable"))
-    return out
+                                     f"chain {list(summary.chain)} is not smoothable"))
+        summaries.append(summary)
+    return out, summaries
 
 
 @dataclass(frozen=True)
@@ -139,17 +152,12 @@ class ChainData:
 
 def plan_chains(config: Configuration, plan: ContractionPlan) -> tuple[ChainData, ...]:
     """Validate the plan once, then compute each chain's data once."""
-    violations = validate_plan(config, plan)
+    violations, summaries = _check_plan(config, plan)
     if violations:
         raise PlanInvalidError(violations)
-    out = []
-    for names in plan.chains:
-        entries = chain_entries(config, names)
-        out.append(ChainData(names=names, entries=entries,
-                             class_t=recognize_class_T(entries),
-                             discrepancies=discrepancies(entries),
-                             contribution=k2_contribution(entries)))
-    return tuple(out)
+    return tuple(ChainData(names=names, entries=s.chain, class_t=s.class_t,
+                           discrepancies=s.discrepancies, contribution=s.contribution)
+                 for names, s in zip(plan.chains, summaries))
 
 
 def contract_invariants(config: Configuration, plan: ContractionPlan):

@@ -8,14 +8,22 @@ order d*n^2 with rotation d*n*a - 1), generates that family recursively as an
 independent oracle, and computes the discrepancies and the contraction's
 contribution to the selfintersection of the canonical class.
 
-Discrepancies come from the Hirzebruch-Jung closed form
+Every one of these invariants is read off one integer summary,
+``summarize(chain)``: the chain is validated once and the continuant
+recurrence (x_0 = 1, x_k = b * x_{k-1} - x_{k-2}) runs once from each end,
+giving L_k and R_k, the continuants of the first and of the last k entries.
+With r the length and m = L_r = R_r:
 
-    a_i = -1 + (L_{i-1} + R_{r-i}) / m,
+    hj value       m / R_{r-1}, already in lowest terms (consecutive
+                   continuants are coprime);
+    class T        d*n = gcd(m, R_{r-1} + 1), see ``recognize_class_T``;
+    discrepancies  a_i = (L_{i-1} + R_{r-i} - m) / m  (Hirzebruch-Jung);
+    contribution   -sum a_i (b_i - 2).
 
-where L_k and R_k are the continuants of the first and of the last k
-entries (x_0 = 1, x_k = b * x_{k-1} - x_{k-2}) and m = L_r.  The exact
-Gaussian solve of Gram . a = (b_i - 2) (``ratlin.solve_unique`` on
-``chain_gram``) is kept only as the test oracle for this formula.
+``hj_value``, ``recognize_class_T``, ``discrepancies`` and ``k2_contribution``
+are views over that summary.  The exact Gaussian solve of
+Gram . a = (b_i - 2) (``ratlin.solve_unique`` on ``chain_gram``) is kept only
+as the test oracle for the discrepancy formula.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import kernel
 from .errors import InvalidFractionError, NotClassTError
@@ -32,10 +41,10 @@ Chain = tuple[int, ...]
 
 
 def as_chain(entries) -> Chain:
-    chain = tuple(int(b) for b in entries)
+    chain = tuple(map(int, entries))
     if not chain:
         raise ValueError("a chain needs at least one entry")
-    if any(b < 2 for b in chain):
+    if min(chain) < 2:
         raise ValueError("chain entries must all be >= 2")
     return chain
 
@@ -68,17 +77,80 @@ class ClassTData:
 def _continuants(chain) -> list[int]:
     """[x_0, ..., x_r] with x_0 = 1 and x_k = b_k * x_{k-1} - x_{k-2}."""
     xs = [1]
-    prev = 0
+    prev, cur = 0, 1
     for b in chain:
-        xs.append(b * xs[-1] - prev)
-        prev = xs[-2]
+        prev, cur = cur, b * cur - prev
+        xs.append(cur)
     return xs
+
+
+class ChainSummary(NamedTuple):
+    """One chain's invariants as integers, from ``summarize``.
+
+    m = L_r and q = R_{r-1} are the coprime numerator and denominator of the
+    hj value; ``numerators`` holds L_{i-1} + R_{r-i} - m, the discrepancies
+    times m.
+    """
+
+    chain: Chain
+    m: int
+    q: int
+    class_t: ClassTData | None
+    numerators: tuple[int, ...]
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.m, self.q)
+
+    @property
+    def discrepancies(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.m) for x in self.numerators)
+
+    @property
+    def contribution_numerator(self) -> int:
+        """The contraction's K^2 contribution times m."""
+        return -sum([x * (b - 2) for x, b in zip(self.numerators, self.chain)])
+
+    @property
+    def contribution(self) -> Fraction:
+        return Fraction(self.contribution_numerator, self.m)
+
+
+def _class_t(m: int, q: int) -> ClassTData | None:
+    """(d, n, a) with m/q = (d*n^2)/(d*n*a - 1), or None.
+
+    Any solution has d*n = gcd(m, q+1), which makes (d, n, a) unique; du Val
+    chains (n = 1) are rejected.
+    """
+    g = gcd(m, q + 1)
+    n = m // g
+    a = (q + 1) // g
+    if n >= 2 and a < n and g % n == 0:
+        return ClassTData(d=g // n, n=n, a=a)
+    return None
+
+
+def summarize(entries) -> ChainSummary:
+    """Validate the chain once and run the continuants once from each end."""
+    chain = as_chain(entries)
+    left = _continuants(chain)
+    right = _continuants(reversed(chain))
+    m, q = left[-1], right[-2]
+    return ChainSummary(chain, m, q, _class_t(m, q),
+                        tuple([x + y - m for x, y in zip(left, reversed(right[:-1]))]))
+
+
+def fraction_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den >= 1, without building the Fraction."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // den)
+    return f"{num // g}/{den // g}"
 
 
 def hj_value(entries) -> Fraction:
     """Value of b1 - 1/(b2 - 1/(... - 1/bl)) in lowest terms."""
-    xs = _continuants(reversed(as_chain(entries)))
-    return Fraction(xs[-1], xs[-2])
+    return summarize(entries).value
 
 
 def chain_from_fraction(m: int, q: int) -> Chain:
@@ -94,19 +166,8 @@ def chain_from_fraction(m: int, q: int) -> Chain:
 
 
 def recognize_class_T(entries) -> ClassTData | None:
-    """Accept iff hj_value = (d*n^2)/(d*n*a - 1) for some valid (d, n, a).
-
-    Writing m/q for the value, any solution has d*n = gcd(m, q+1), which
-    makes (d, n, a) unique; du Val chains (n = 1) are rejected.
-    """
-    value = hj_value(entries)
-    m, q = value.numerator, value.denominator
-    g = gcd(m, q + 1)
-    n = m // g
-    a = (q + 1) // g
-    if n >= 2 and a < n and g % n == 0:
-        return ClassTData(d=g // n, n=n, a=a)
-    return None
+    """Accept iff hj_value = (d*n^2)/(d*n*a - 1) for some valid (d, n, a)."""
+    return summarize(entries).class_t
 
 
 def index(entries) -> int:
@@ -173,15 +234,6 @@ def chain_gram(entries) -> RatMatrix:
     )
 
 
-def _numerators(chain: Chain) -> tuple[list[int], int]:
-    """(L_{i-1} + R_{r-i} - m for each i, m): the discrepancies times m."""
-    left = _continuants(chain)
-    right = _continuants(reversed(chain))
-    m = left[-1]
-    r = len(chain)
-    return [left[i] + right[r - 1 - i] - m for i in range(r)], m
-
-
 def discrepancies(entries) -> tuple[Fraction, ...]:
     """Coefficients a with Gram . a = (b1-2, ..., bl-2), in closed form.
 
@@ -192,8 +244,7 @@ def discrepancies(entries) -> tuple[Fraction, ...]:
     its oracle in the tests.  For smoothable chains every coefficient lies
     in (-1, 0).
     """
-    nums, m = _numerators(as_chain(entries))
-    return tuple(Fraction(x, m) for x in nums)
+    return summarize(entries).discrepancies
 
 
 def k2_contribution(entries) -> Fraction:
@@ -203,9 +254,7 @@ def k2_contribution(entries) -> Fraction:
     -sum (L_{i-1} + R_{r-i} - m)(b_i - 2) / m from the integer continuants;
     nonnegative, and equal to l + 1 - d on recognized chains.
     """
-    chain = as_chain(entries)
-    nums, m = _numerators(chain)
-    return Fraction(-sum(x * (b - 2) for x, b in zip(nums, chain)), m)
+    return summarize(entries).contribution
 
 
 def exhaustive_scan(max_len: int, max_entry: int):

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
+from qgsurf import blowup
 from qgsurf.blowup import BlowupStep, apply_blowups, blow_up
-from qgsurf.config import Configuration, CurveClass, SurfaceInvariants, validate
+from qgsurf.config import Configuration, CurveClass, SurfaceInvariants, Violation, validate
 from qgsurf.corpus import builtin
 from qgsurf import config as config_mod
 from qgsurf.errors import (
     ExcessMultiplicityError,
     NegativeGenusError,
     UnknownCurveError,
+    ValidationError,
 )
 
 
@@ -179,3 +181,33 @@ def test_adjunction_conserved_over_randomized_sequences():
                 expected = dict(step.branches).get(c.name, 0)
                 assert new.pairing_of(c.name, label) == expected
             cfg = new
+
+
+def test_replay_names_step_and_keeps_validation_error(monkeypatch):
+    violations = [Violation("genus", "A", "negative genus -1"),
+                  Violation("adjunction", "A", "2*-1-2 != -2 + 0")]
+
+    def refuse(config, step):
+        raise ValidationError(violations)
+
+    monkeypatch.setattr(blowup, "blow_up", refuse)
+    cfg = make_config([("A", -2, 0, 0)])
+    with pytest.raises(ValidationError) as info:
+        blowup.replay(cfg, [BlowupStep(branches=(("A", 1),), label="x1")])
+    assert info.value.violations == violations
+    assert str(info.value) == ("step 0 (x1): genus[A]: negative genus -1; "
+                               "adjunction[A]: 2*-1-2 != -2 + 0")
+
+
+def test_replay_leaves_other_exceptions_alone(monkeypatch):
+    bug = KeyError("A")
+
+    def broken(config, step):
+        raise bug
+
+    monkeypatch.setattr(blowup, "blow_up", broken)
+    cfg = make_config([("A", -2, 0, 0)])
+    with pytest.raises(KeyError) as info:
+        blowup.replay(cfg, [BlowupStep(branches=(("A", 1),))])
+    assert info.value is bug
+    assert info.value.args == ("A",)

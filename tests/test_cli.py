@@ -1,11 +1,14 @@
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from qgsurf.cli import run
 from qgsurf.config import to_document
 from qgsurf.corpus import builtin
+from qgsurf.ratlin import solve_unique
+from qgsurf.wahl import chain_gram, generate_class_T
 
 
 def invoke(*argv):
@@ -239,3 +242,52 @@ def test_verify_positive_deficit_is_a_note_not_a_failure(tmp_path):
     assert lines[1] == "advisory=an I9 fiber implies three I1-type fibers; only 2 declared"
     assert "violation=" not in text
     assert lines[-1] == "status=pass"
+
+
+def golden_chain(chain):
+    """Text lines and JSON blob of ``qgsurf chain``, built from Fraction
+    arithmetic, the Gaussian solve and the recursive generator."""
+    value = Fraction(chain[-1])
+    for b in reversed(chain[:-1]):
+        value = b - 1 / value
+    m, q = value.numerator, value.denominator
+    disc = solve_unique(chain_gram(chain), [b - 2 for b in chain])
+    contribution = -sum((a * (b - 2) for a, b in zip(disc, chain)), Fraction(0))
+    data = None
+    if chain in generate_class_T(len(chain), max(chain)):
+        # m = d*n^2 and q = d*n*a - 1 with 1 <= a < n coprime
+        data = next({"d": m // (n * n), "n": n, "a": (q + 1) // (m // n), "m": m, "q": q,
+                     "index": n}
+                    for n in range(2, m + 1)
+                    if m % (n * n) == 0 and (q + 1) % (m // n) == 0)
+    disc_s = ",".join(str(a) for a in disc)
+    lines = ["chain=" + ",".join(str(b) for b in chain), f"hj={m}/{q}"]
+    if data is None:
+        lines.append(f"notClassT contribution={contribution} discrepancies={disc_s}")
+    else:
+        lines.append(
+            "classT " + " ".join(f"{k}={v}" for k, v in data.items())
+            + f" contribution={contribution} discrepancies={disc_s}")
+    blob = {"chain": list(chain), "hj": f"{m}/{q}", "classT": data,
+            "contribution": str(contribution), "discrepancies": [str(a) for a in disc]}
+    return lines, blob
+
+
+def test_enumerate_classt_golden():
+    chains = sorted(generate_class_T(6, 9), key=lambda c: (len(c), c))
+    expected = "".join(" ".join(golden_chain(c)[0]) + "\n" for c in chains)
+    assert invoke("enumerate-classT", "--max-len", "6", "--max-entry", "9") == (0, expected)
+    assert invoke("--output", "json", "enumerate-classT", "--max-len", "6",
+                  "--max-entry", "9") == (0, json.dumps([list(c) for c in chains]) + "\n")
+
+
+@pytest.mark.parametrize("chain", [
+    (4,), (3, 3), (4, 2, 3, 2), (7, 3, 2, 2, 2, 2), (2, 9, 2, 2, 2, 2, 3),
+    (5, 8, 6, 2, 3, 2, 2, 2, 2, 2, 3, 2, 2, 2),
+    (2,), (5,), (2, 2), (2, 3, 2), (6, 2, 2, 3), (13, 2, 7, 11), (2,) * 9,
+])
+def test_chain_golden(chain):
+    lines, blob = golden_chain(chain)
+    arg = ",".join(str(b) for b in chain)
+    assert invoke("chain", arg) == (0, "\n".join(lines) + "\n")
+    assert invoke("--output", "json", "chain", arg) == (0, json.dumps(blob, indent=1) + "\n")

@@ -1,7 +1,9 @@
+import io
 import json
 
 import pytest
 
+from qgsurf import cli
 from qgsurf import config as config_mod
 from qgsurf.config import (
     export_dot,
@@ -362,3 +364,19 @@ def test_parse_rejects_malformed_points(points):
 def test_parse_rejects_malformed_fibration(key, value):
     with pytest.raises(SchemaError, match=key.split("_")[0]):
         parse(doc_with(fibration={key: value}))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_validate_e_needs_positive_n(tmp_path, n):
+    doc = doc_with(surface={"kind": "e", "n": n, "chi": n, "K2": 0, "K_num_trivial": False})
+    cfg = config_mod.parse_unvalidated(doc).configuration
+    surface = [v for v in validate(cfg) if v.kind == "surface"]
+    assert [str(v) for v in surface] == [f"surface[e]: E(n) needs n >= 1, got n={n}"]
+    with pytest.raises(ValidationError):
+        parse(doc)
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert cli.run(["verify", str(path)], out=out) == 1
+    assert f"violation=surface[e]: E(n) needs n >= 1, got n={n}" in out.getvalue()
+    assert out.getvalue().endswith("status=fail\n")

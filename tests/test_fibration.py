@@ -1,5 +1,10 @@
+import io
+import json
+
 import pytest
 
+from qgsurf import cli
+from qgsurf.corpus import builtin
 from qgsurf.errors import UnknownTagError
 from qgsurf.fibration import (
     EulerCheck,
@@ -193,3 +198,20 @@ def test_fibration_validate_too_many_multiple_fibers():
     cfg = config_mod.parse_unvalidated(doc).configuration
     from qgsurf.config import validate
     assert any("at most two" in v.detail for v in validate(cfg))
+
+
+@pytest.mark.parametrize("bad", ["I0", "2I0", "I00", " I0 "])
+def test_smooth_fiber_tag_rejected(bad):
+    with pytest.raises(UnknownTagError):
+        parse_tag(bad)
+
+
+def test_document_with_smooth_fiber_is_an_input_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc["fibration"]["fibers"].append({"type": "I0", "components": []})
+    path = tmp_path / "i0.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert cli.run(["verify", str(path)], out=out) == 2
+    assert out.getvalue() == ""
+    assert "'I0'" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import io
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +15,13 @@ from qgsurf.wahl import (
     chain_from_fraction,
     chain_gram,
     discrepancies,
+    fraction_text,
     generate_class_T,
     hj_value,
     index,
     k2_contribution,
     recognize_class_T,
+    summarize,
 )
 
 
@@ -231,3 +234,64 @@ def test_report_paths_never_solve(monkeypatch):
     code = cli.run(["enumerate-classT", "--max-len", "6", "--max-entry", "9"],
                    out=io.StringIO())
     assert code == 0
+
+
+def fraction_value(chain):
+    """b1 - 1/(b2 - 1/(... - 1/bl)), evaluated with Fraction from the end."""
+    value = Fraction(chain[-1])
+    for b in reversed(chain[:-1]):
+        value = b - 1 / value
+    return value
+
+
+def gcd_class_t(value):
+    """The recognizer's gcd test on a reduced value m/q, as (d, n, a) or None."""
+    m, q = value.numerator, value.denominator
+    g = gcd(m, q + 1)
+    n, a = m // g, (q + 1) // g
+    if n >= 2 and a < n and g % n == 0:
+        return g // n, n, a
+    return None
+
+
+@given(st.lists(st.integers(min_value=2, max_value=15), min_size=1, max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_summary_matches_independent_oracles(entries):
+    chain = tuple(entries)
+    s = summarize(entries)
+    assert s.chain == chain
+    value = fraction_value(chain)
+    assert (s.m, s.q) == (value.numerator, value.denominator)
+    assert s.value == hj_value(chain) == value
+    assert chain_from_fraction(s.m, s.q) == chain
+    oracle = oracle_discrepancies(chain)
+    assert tuple(Fraction(x, s.m) for x in s.numerators) == oracle
+    assert s.discrepancies == oracle
+    assert s.contribution == Fraction(s.contribution_numerator, s.m) == -sum(
+        (a * (b - 2) for a, b in zip(oracle, chain)), Fraction(0))
+    expected = gcd_class_t(value)
+    if expected is None:
+        assert s.class_t is None
+    else:
+        assert (s.class_t.d, s.class_t.n, s.class_t.a) == expected
+
+
+def test_summary_class_t_on_generated_set():
+    for chain in generate_class_T(7, 10):
+        s = summarize(chain)
+        assert s.class_t is not None, chain
+        assert (s.class_t.m, s.class_t.q) == (s.m, s.q)
+
+
+@pytest.mark.parametrize("num, den", [
+    (0, 1), (0, 7), (-4, 2), (-9, 3), (12, 4), (5, 1), (-1, 2), (-6, 9),
+    (7, 3), (-120, 151), (151, 151), (-151, 151),
+])
+def test_fraction_text_cases(num, den):
+    assert fraction_text(num, den) == str(Fraction(num, den))
+
+
+@given(st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=1, max_value=10**4))
+@settings(max_examples=300, deadline=None)
+def test_fraction_text_matches_fraction(num, den):
+    assert fraction_text(num, den) == str(Fraction(num, den))
