@@ -33,7 +33,7 @@ from .fibration import (
     i9_forces_i1_lint,
     two_section_incidence_check,
 )
-from .ratlin import RatMatrix, is_negative_definite, rank, solve_unique
+from .ratlin import Elimination, eliminate, rank, solve_unique
 from .smoothing import (
     AmplenessCertificate,
     ContractionPlan,

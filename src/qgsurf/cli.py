@@ -11,6 +11,7 @@ structures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -123,26 +124,57 @@ def _cmd_verify(args, out) -> int:
     return EXIT_OK if result.passed else EXIT_FAIL
 
 
+def _witness_fields(cert) -> dict:
+    """The independence witness with rows and columns named by curve."""
+    if cert is None:
+        return dict.fromkeys(("independence_pivots", "independence_minor",
+                              "independence_relation"))
+    w = cert.witness
+    return {
+        "independence_pivots": {"rows": [cert.candidates[i] for i in w.pivot_rows],
+                                "columns": [cert.columns[j] for j in w.pivot_cols]},
+        "independence_minor": w.minor,
+        "independence_relation": [
+            {name: c for name, c in zip(cert.candidates, relation) if c}
+            for relation in w.relations],
+    }
+
+
+def _relation_text(coeffs: dict) -> str:
+    terms = "".join(("-" if c < 0 else "+") + ("" if abs(c) == 1 else f"{abs(c)}*") + name
+                    for name, c in coeffs.items())
+    return terms.removeprefix("+")
+
+
 def _cmd_example(args, out) -> int:
     try:
         result = corpus.verify_example(args.name)
     except QgsurfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    cert = result.independence
+    witness = _witness_fields(cert)
     if args.output == "json":
         blob = {
             "example": result.name,
             "passed": result.passed,
             "failures": result.failures,
             "independence_rank": result.independence_rank,
+            **witness,
             "euler_deficit": result.euler_deficit,
             "report": None if result.report is None else result.report.to_json(),
         }
         print(json.dumps(blob, indent=1), file=out)
     else:
         print(f"example={result.name}", file=out)
-        if result.independence_rank is not None:
-            print(f"independence_rank={result.independence_rank}", file=out)
+        if cert is not None:
+            pivots = witness["independence_pivots"]
+            print(f"independence_rank={cert.rank}", file=out)
+            print(f"independence_pivots={','.join(pivots['rows'])} x "
+                  f"{','.join(pivots['columns'])}", file=out)
+            print(f"independence_minor={witness['independence_minor']}", file=out)
+            for coeffs in witness["independence_relation"]:
+                print(f"independence_relation={_relation_text(coeffs)}", file=out)
         if result.euler_deficit is not None:
             print(f"euler_deficit={result.euler_deficit}", file=out)
         if result.report is not None:
@@ -213,10 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``run`` and reused: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, out)
     except QgsurfError as exc:

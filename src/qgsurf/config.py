@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import SchemaError, UnknownCurveError, ValidationError, MissingPointDataError
 from .fibration import FibrationData, parse_fibration
-from .ratlin import RatMatrix, rank
+from .ratlin import Elimination, eliminate
 
 SURFACE_KINDS = ("enriques", "k3", "e", "other")
 
@@ -58,10 +58,18 @@ class Violation:
 
 @dataclass(frozen=True)
 class IndependenceCertificate:
+    """Rank of the (candidates x all curves) pairing matrix, with its witness.
+
+    Row i of ``test_matrix`` is candidate i paired with every curve, named in
+    ``columns``; the witness indexes rows and columns the same way.
+    """
+
     candidates: tuple[str, ...]
-    test_matrix: RatMatrix
+    columns: tuple[str, ...]
+    test_matrix: tuple[tuple[int, ...], ...]
     rank: int
     verdict: bool
+    witness: Elimination
 
 
 @dataclass(frozen=True)
@@ -73,14 +81,17 @@ class Configuration:
     fibration: Optional[FibrationData] = None
     blowup_count: int = 0
 
-    def index_of(self, name: str) -> int:
+    def _index_table(self) -> dict[str, int]:
         try:
-            table = self._index
+            return self._index
         except AttributeError:
             table = {c.name: i for i, c in enumerate(self.curves)}
             object.__setattr__(self, "_index", table)
+            return table
+
+    def index_of(self, name: str) -> int:
         try:
-            return table[name]
+            return self._index_table()[name]
         except KeyError:
             raise UnknownCurveError(name) from None
 
@@ -88,7 +99,7 @@ class Configuration:
         return self.curves[self.index_of(name)]
 
     def has_curve(self, name: str) -> bool:
-        return any(c.name == name for c in self.curves)
+        return name in self._index_table()
 
     def pairing_of(self, a: str, b: str) -> int:
         return self.pairing[self.index_of(a)][self.index_of(b)]
@@ -430,22 +441,19 @@ def independence_certificate(config: Configuration, candidates: Sequence[str]) -
     """Numerical independence of the candidates, tested against all curves.
 
     Builds the (candidates x all-curves) pairing matrix and computes its
-    exact rank; full row rank certifies independence.  Testing against every
-    configured curve (not just the candidates) matters: curves outside the
-    candidate set supply the eliminating intersections.
+    exact rank by integer elimination; full row rank certifies independence.
+    Testing against every configured curve (not just the candidates) matters:
+    curves outside the candidate set supply the eliminating intersections.
+    The elimination's witness (pivots, nonzero minor, relations among the
+    candidates) comes with the verdict.
     """
     cand = tuple(candidates)
-    for name in cand:
-        if not config.has_curve(name):
-            raise UnknownCurveError(name)
-    rows = [
-        [config.pairing[config.index_of(c)][j] for j in range(len(config.curves))]
-        for c in cand
-    ]
-    matrix = RatMatrix(rows)
-    r = rank(matrix)
-    return IndependenceCertificate(candidates=cand, test_matrix=matrix, rank=r,
-                                   verdict=(r == len(cand)))
+    test_matrix = tuple(config.pairing[config.index_of(c)] for c in cand)
+    witness = eliminate(test_matrix)
+    return IndependenceCertificate(candidates=cand, columns=config.names,
+                                   test_matrix=test_matrix,
+                                   rank=witness.rank, verdict=(witness.rank == len(cand)),
+                                   witness=witness)
 
 
 def snc_certificate(config: Configuration, divisor: Sequence[str]) -> list[Violation]:

@@ -20,7 +20,13 @@ from typing import Optional
 
 from . import config as config_mod
 from . import pipeline
-from .config import Configuration, Document, independence_certificate, snc_certificate
+from .config import (
+    Configuration,
+    Document,
+    IndependenceCertificate,
+    independence_certificate,
+    snc_certificate,
+)
 from .errors import UnknownExampleError
 from .smoothing import SingularSurfaceReport
 
@@ -160,11 +166,15 @@ class ExampleResult:
     name: str
     failures: list[str]
     run: pipeline.RunResult
-    independence_rank: Optional[int] = None
+    independence: Optional[IndependenceCertificate] = None
 
     @property
     def passed(self) -> bool:
         return not self.failures
+
+    @property
+    def independence_rank(self) -> Optional[int]:
+        return None if self.independence is None else self.independence.rank
 
     @property
     def report(self) -> Optional[SingularSurfaceReport]:
@@ -241,13 +251,12 @@ def verify_example(name: str) -> ExampleResult:
         failures.append(f"euler sum {euler.total} != {euler.target}")
     failures.extend(f"advisory: {a}" for a in result.advisories)
 
-    rank_seen = None
+    cert = None
     final = result.final
     if final is not None:
         if expected.independence is not None:
             spec = expected.independence
             cert = independence_certificate(result.stages[spec.stage], spec.candidates)
-            rank_seen = cert.rank
             if cert.rank != spec.expected_rank or not cert.verdict:
                 failures.append(
                     f"independence rank {cert.rank} (verdict {cert.verdict}), "
@@ -283,8 +292,7 @@ def verify_example(name: str) -> ExampleResult:
                 failures.append(
                     f"chain {list(ch)} is not recovered from the final pairing")
 
-    return ExampleResult(name=name, failures=failures, run=result,
-                         independence_rank=rank_seen)
+    return ExampleResult(name=name, failures=failures, run=result, independence=cert)
 
 
 def verify_all() -> list[ExampleResult]:

@@ -1,189 +1,178 @@
-"""Exact rational dense linear algebra: rank, unique solve, definiteness.
+"""Exact integer linear algebra: one fraction-free elimination loop.
 
-Everything runs over ``fractions.Fraction`` (arbitrary-precision rationals in
-lowest terms with positive denominator), so results are exact.  No floating
-point is used anywhere.  Matrices are small dense grids; elimination picks
-the first nonzero pivot in each column.
+Every rank, determinant and solve in the package runs ``_bareiss``, the
+fraction-free Gaussian elimination of Bareiss (1968).  Pivot k replaces each
+row i below it by
+
+    (p_k * row_i - a_i * pivot_row) / p_{k-1},
+
+with p_k the pivot, a_i the row's entry in the pivot column and p_{-1} = 1.
+The division is exact: after k steps every entry is a (k+1) x (k+1) minor of
+the input (Sylvester's identity), so no fraction is ever formed and no entry
+grows past those minors.  The pivot of each column is its first nonzero
+entry at or below the current row, so the pivot columns are the first
+independent columns, read from left to right.
+
+``eliminate`` carries an identity block through the loop and returns a
+witness a reader can check by hand: the pivot rows and columns, the nonzero
+maximal minor on them and one integer relation per dependent row.
+``rank``, ``determinant`` and ``solve_unique`` are views over the same loop.
+Entries must be integers; no floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd
+from operator import index
+from typing import Sequence
 
-from .errors import NotSymmetricError, SingularMatrixError
-
-
-class RatMatrix:
-    """Immutable dense matrix of exact rationals."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Iterable[Iterable]):
-        grid = tuple(tuple(Fraction(x) for x in row) for row in entries)
-        if not grid or not grid[0]:
-            raise ValueError("matrix must have at least one row and column")
-        width = len(grid[0])
-        if any(len(row) != width for row in grid):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
-
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
-        return f"RatMatrix({self.rows}x{self.cols}: {body})"
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int | None = None) -> "RatMatrix":
-        cols = rows if cols is None else cols
-        return cls([[0] * cols for _ in range(rows)])
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(zip(*self.entries))
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def mul_vector(self, v: Sequence) -> tuple[Fraction, ...]:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        vec = [Fraction(x) for x in v]
-        return tuple(
-            sum((row[j] * vec[j] for j in range(self.cols)), Fraction(0))
-            for row in self.entries
-        )
-
-    def leading_minor(self, k: int) -> "RatMatrix":
-        return RatMatrix([row[:k] for row in self.entries[:k]])
+from .errors import SingularMatrixError
 
 
-def _eliminate(grid: list[list[Fraction]]) -> int:
-    """In-place row reduction with first-nonzero pivots; returns the rank."""
-    n_rows, n_cols = len(grid), len(grid[0])
+@dataclass(frozen=True)
+class Elimination:
+    """What one elimination of an integer matrix M certifies.
+
+    ``minor`` is the determinant of M on ``pivot_rows`` x ``pivot_cols``
+    (both ascending) and is nonzero; ``rank`` is their common length.  For
+    each row outside ``pivot_rows``, in ascending order, ``relations`` holds
+    one primitive integer vector c with c . M = 0, supported on the pivot rows
+    and that row, with a positive coefficient on that row.
+    """
+
+    rank: int
+    pivot_rows: tuple[int, ...]
+    pivot_cols: tuple[int, ...]
+    minor: int
+    relations: tuple[tuple[int, ...], ...]
+
+
+def _grid(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A mutable copy of the rows; rejects empty, ragged and non-integer input."""
+    grid = [list(map(index, row)) for row in rows]
+    if not grid or not grid[0]:
+        raise ValueError("matrix must have at least one row and column")
+    width = len(grid[0])
+    if any(len(row) != width for row in grid):
+        raise ValueError("ragged rows")
+    return grid
+
+
+def _bareiss(grid: list[list[int]], n_cols: int) -> tuple[list[int], list[int], int]:
+    """Fraction-free row echelon form of ``grid``, in place.
+
+    Pivots are sought in the first ``n_cols`` columns; later columns are
+    carried along.  Returns (order, pivot_cols, last): the row now at
+    position k is input row order[k], pivot k sits at (k, pivot_cols[k]),
+    and ``last`` is the determinant of the input on rows order[:rank] and
+    the pivot columns, in those orders (1 when the rank is 0).
+    """
+    n_rows = len(grid)
+    order = list(range(n_rows))
+    pivot_cols: list[int] = []
+    prev = 1
     r = 0
     for col in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if grid[i][col] != 0:
-                pivot_row = i
+        for p in range(r, n_rows):
+            if grid[p][col]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
+        if p != r:
+            grid[r], grid[p] = grid[p], grid[r]
+            order[r], order[p] = order[p], order[r]
         pivot = grid[r][col]
-        for i in range(n_rows):
-            if i != r and grid[i][col] != 0:
-                factor = grid[i][col] / pivot
-                row_i, row_r = grid[i], grid[r]
-                for j in range(col, n_cols):
-                    row_i[j] -= factor * row_r[j]
+        tail = grid[r][col + 1:]
+        for i in range(r + 1, n_rows):
+            row = grid[i]
+            a = row[col]
+            row[col] = 0
+            row[col + 1:] = [(pivot * x - a * y) // prev for x, y in zip(row[col + 1:], tail)]
+        pivot_cols.append(col)
+        prev = pivot
         r += 1
         if r == n_rows:
             break
-    return r
+    return order, pivot_cols, prev
 
 
-def rank(matrix: RatMatrix) -> int:
-    """Rank over the rationals via exact Gaussian elimination."""
-    grid = [list(row) for row in matrix.entries]
-    return _eliminate(grid)
+def _odd(perm: Sequence[int]) -> bool:
+    """Whether sorting ``perm`` takes an odd number of transpositions."""
+    return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2 == 1
 
 
-def determinant(matrix: RatMatrix) -> Fraction:
-    """Exact determinant (square matrices); fraction-based elimination."""
-    if not matrix.is_square():
-        raise ValueError("determinant needs a square matrix")
-    n = matrix.rows
-    grid = [list(row) for row in matrix.entries]
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if grid[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            grid[col], grid[pivot_row] = grid[pivot_row], grid[col]
-            det = -det
-        pivot = grid[col][col]
-        det *= pivot
-        for i in range(col + 1, n):
-            if grid[i][col] != 0:
-                factor = grid[i][col] / pivot
-                for j in range(col, n):
-                    grid[i][j] -= factor * grid[col][j]
-    return det
+def eliminate(rows: Sequence[Sequence[int]]) -> Elimination:
+    """Rank of an integer matrix, with its witness (see ``Elimination``).
 
-
-def solve_unique(matrix: RatMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
-    """Exact solution of M x = v for square nonsingular M.
-
-    Raises SingularMatrixError when det M = 0.  The package computes chain
-    discrepancies in closed form (``wahl.discrepancies``); this general
-    solve is the tests' independent oracle for that formula.
+    The relations are read off the identity block carried through the loop:
+    a row left zero in the matrix columns holds, in that block, the integer
+    combination of input rows that produced it.
     """
-    if not matrix.is_square():
+    grid = _grid(rows)
+    n_rows, n_cols = len(grid), len(grid[0])
+    for i, row in enumerate(grid):
+        row.extend(int(i == j) for j in range(n_rows))
+    order, pivot_cols, last = _bareiss(grid, n_cols)
+    r = len(pivot_cols)
+    relations = []
+    for k in sorted(range(r, n_rows), key=order.__getitem__):
+        coeffs = grid[k][n_cols:]
+        g = gcd(*coeffs)
+        if coeffs[order[k]] < 0:
+            g = -g
+        relations.append(tuple(c // g for c in coeffs))
+    return Elimination(
+        rank=r,
+        pivot_rows=tuple(sorted(order[:r])),
+        pivot_cols=tuple(pivot_cols),
+        minor=-last if _odd(order[:r]) else last,
+        relations=tuple(relations),
+    )
+
+
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals of an integer matrix."""
+    grid = _grid(rows)
+    return len(_bareiss(grid, len(grid[0]))[1])
+
+
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix."""
+    grid = _grid(rows)
+    n = len(grid)
+    if len(grid[0]) != n:
+        raise ValueError("determinant needs a square matrix")
+    order, pivot_cols, last = _bareiss(grid, n)
+    if len(pivot_cols) < n:
+        return 0
+    return -last if _odd(order) else last
+
+
+def solve_unique(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[Fraction, ...]:
+    """Exact solution of M x = v for a square nonsingular integer M.
+
+    Raises SingularMatrixError when det M = 0.  The right-hand side rides
+    through the elimination as one more column; back-substitution then
+    works on y = p x, p the last pivot (which is +-det M), whose entries are
+    integers by Cramer's rule, so every division in it is exact and the only
+    fractions built are the n entries y_i / p of the answer.  The package
+    computes chain discrepancies in closed form (``wahl.discrepancies``).
+    """
+    grid = _grid(rows)
+    n = len(grid)
+    if len(grid[0]) != n:
         raise ValueError("solve_unique needs a square matrix")
-    n = matrix.rows
     if len(rhs) != n:
         raise ValueError("dimension mismatch")
-    grid = [list(row) + [Fraction(rhs[i])] for i, row in enumerate(matrix.entries)]
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if grid[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        grid[col], grid[pivot_row] = grid[pivot_row], grid[col]
-        pivot = grid[col][col]
-        for i in range(n):
-            if i != col and grid[i][col] != 0:
-                factor = grid[i][col] / pivot
-                for j in range(col, n + 1):
-                    grid[i][j] -= factor * grid[col][j]
-    return tuple(grid[i][n] / grid[i][i] for i in range(n))
-
-
-def is_negative_definite(matrix: RatMatrix) -> bool:
-    """Sylvester test: leading principal minors alternate, starting negative.
-
-    Requires a symmetric matrix; any zero leading minor fails the test.
-    """
-    if not matrix.is_symmetric():
-        raise NotSymmetricError("negative definiteness needs a symmetric matrix")
-    sign = -1
-    for k in range(1, matrix.rows + 1):
-        d = determinant(matrix.leading_minor(k))
-        if (d > 0) != (sign > 0) or d == 0:
-            return False
-        sign = -sign
-    return True
+    for row, v in zip(grid, rhs):
+        row.append(index(v))
+    _, pivot_cols, last = _bareiss(grid, n)
+    if len(pivot_cols) < n:
+        raise SingularMatrixError("matrix is singular")
+    y = [0] * n
+    for i in reversed(range(n)):
+        row = grid[i]
+        y[i] = (last * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return tuple(Fraction(v, last) for v in y)

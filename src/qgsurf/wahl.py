@@ -22,8 +22,8 @@ With r the length and m = L_r = R_r:
 
 ``hj_value``, ``recognize_class_T``, ``discrepancies`` and ``k2_contribution``
 are views over that summary.  The exact Gaussian solve of
-Gram . a = (b_i - 2) (``ratlin.solve_unique`` on ``chain_gram``) is kept only
-as the test oracle for the discrepancy formula.
+Gram . a = (b_i - 2) over Fractions is kept outside the package, as the
+tests' oracle for the discrepancy formula.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import NamedTuple
 
 from . import kernel
 from .errors import InvalidFractionError, NotClassTError
-from .ratlin import RatMatrix
 
 Chain = tuple[int, ...]
 
@@ -219,29 +218,14 @@ def canonical_order(chains) -> list[Chain]:
     return sorted(chains, key=lambda c: (len(c), c))
 
 
-def chain_gram(entries) -> RatMatrix:
-    """Intersection matrix of the chain: diagonal -bi, adjacent entries 1."""
-    chain = as_chain(entries)
-    size = len(chain)
-    return RatMatrix(
-        [
-            [
-                -chain[i] if i == j else (1 if abs(i - j) == 1 else 0)
-                for j in range(size)
-            ]
-            for i in range(size)
-        ]
-    )
-
-
 def discrepancies(entries) -> tuple[Fraction, ...]:
     """Coefficients a with Gram . a = (b1-2, ..., bl-2), in closed form.
 
     a_i = -1 + (L_{i-1} + R_{r-i}) / m from the continuants of the chain's
     ends (see the module docstring); m >= 2 since every entry is >= 2, and
     the chain Gram matrix is negative definite, so this is the unique
-    solution.  ``ratlin.solve_unique(chain_gram(c), [b - 2 for b in c])`` is
-    its oracle in the tests.  For smoothable chains every coefficient lies
+    solution.  A Gaussian solve of that system over Fractions is its oracle
+    in the tests.  For smoothable chains every coefficient lies
     in (-1, 0).
     """
     return summarize(entries).discrepancies

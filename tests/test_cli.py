@@ -1,14 +1,20 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qgsurf
+from qgsurf import cli
 from qgsurf.cli import run
-from qgsurf.config import to_document
+from qgsurf.config import independence_certificate, to_document
 from qgsurf.corpus import builtin
-from qgsurf.ratlin import solve_unique
-from qgsurf.wahl import chain_gram, generate_class_T
+from qgsurf.wahl import generate_class_T
+from ratlin_oracle import chain_gram, solve_unique
 
 
 def invoke(*argv):
@@ -52,6 +58,70 @@ def test_example_subcommand_passes():
     assert "K2_X=1" in text
     assert "pi1=criterion-satisfied" in text
     assert text.strip().endswith("status=pass")
+
+
+def test_example_prints_the_independence_witness():
+    code, text = invoke("example", "enriques-k1")
+    assert code == 0
+    assert text.splitlines()[1:4] == [
+        "independence_rank=10",
+        "independence_pivots=S1,S2,G1,G2,G3,G5,G6,G7,G8,G9 x G1,G2,G3,G4,G5,G6,G7,G8,G9,S1",
+        "independence_minor=-18",
+    ]
+    assert "independence_relation=" not in text
+    code, text = invoke("--output", "json", "example", "enriques-k1")
+    blob = json.loads(text)
+    assert blob["independence_pivots"] == {
+        "rows": ["S1", "S2", "G1", "G2", "G3", "G5", "G6", "G7", "G8", "G9"],
+        "columns": [f"G{i}" for i in range(1, 10)] + ["S1"]}
+    assert blob["independence_minor"] == -18
+    assert blob["independence_relation"] == []
+    # an example without a certificate carries the fields as null
+    code, text = invoke("--output", "json", "example", "enriques-k5-symplectic")
+    blob = json.loads(text)
+    assert [blob[k] for k in ("independence_rank", "independence_pivots",
+                              "independence_minor", "independence_relation")] == [None] * 4
+
+
+def test_witness_relation_names_the_fiber_class(corpus_results):
+    cfg = corpus_results["enriques-k1"].document.configuration
+    cert = independence_certificate(cfg, [f"G{i}" for i in range(1, 10)] + ["F"])
+    fields = cli._witness_fields(cert)
+    assert fields["independence_relation"] == [
+        {**{f"G{i}": -1 for i in range(1, 10)}, "F": 1}]
+    assert [cli._relation_text(c) for c in fields["independence_relation"]] == [
+        "-G1-G2-G3-G4-G5-G6-G7-G8-G9+F"]
+    assert cli._relation_text({"S1": 3, "S2": -2, "G1": 1}) == "3*S1-2*S2+G1"
+
+
+def test_repeated_runs_match_fresh_processes(capsys):
+    # run() reuses one parser; mixed subcommands, --output values and an
+    # argparse error in one process must each print what a fresh process does
+    k2 = str(Path(__file__).resolve().parent.parent / "corpus" / "enriques-k2.json")
+    calls = [
+        ["example", "enriques-k1"],
+        ["--output", "json", "verify", k2],
+        ["chain", "4,2,3,2"],
+        ["--output", "yaml", "chain", "4"],
+        ["--output", "json", "example", "enriques-k4"],
+        ["verify", k2],
+        ["enumerate-classT", "--max-len", "4", "--max-entry", "6"],
+        ["--output", "json", "chain", "4"],
+        ["example", "bogus"],
+    ]
+    package_root = str(Path(qgsurf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "qgsurf", *argv], capture_output=True,
+                               text=True, env=env, timeout=120)
+        out = io.StringIO()
+        try:
+            code = run(argv, out=out)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert (code, out.getvalue(), err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_example_subcommand_unknown_name():

@@ -144,8 +144,13 @@ def test_independence_k1_candidates(corpus_results):
         cfg, ["S1", "S2", "G1", "G2", "G3", "G5", "G6", "G7", "G8", "G9"])
     assert cert.rank == 10
     assert cert.verdict
-    assert cert.test_matrix.rows == 10
-    assert cert.test_matrix.cols == 13
+    assert len(cert.test_matrix) == 10
+    assert all(len(row) == 13 for row in cert.test_matrix)
+    # golden witness: columns G1..G9, S1 of the pairing give the minor -18
+    w = cert.witness
+    assert (w.pivot_rows, w.pivot_cols) == (tuple(range(10)), tuple(range(10)))
+    assert [cert.columns[j] for j in w.pivot_cols] == [f"G{i}" for i in range(1, 10)] + ["S1"]
+    assert w.minor == -18 and w.relations == ()
 
 
 def test_independence_fiber_components_alone(corpus_results):
@@ -157,6 +162,12 @@ def test_independence_fiber_components_alone(corpus_results):
     assert cert.rank == 9 and cert.verdict
     cert = independence_certificate(cfg, nine + ["F"])
     assert cert.rank == 9 and not cert.verdict
+    # golden witness: the relation is the fiber class, F - (G1 + ... + G9)
+    w = cert.witness
+    assert w.pivot_rows == tuple(range(9))
+    assert w.pivot_cols == (0, 1, 2, 3, 4, 5, 6, 7, 9)
+    assert w.minor == 18
+    assert w.relations == ((-1,) * 9 + (1,),)
 
 
 def test_independence_unknown_curve(corpus_results):

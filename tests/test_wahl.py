@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from qgsurf import cli, corpus, ratlin, wahl
 from qgsurf.errors import InvalidFractionError, NotClassTError
-from qgsurf.ratlin import is_negative_definite, solve_unique
 from qgsurf.wahl import (
     canonical_order,
     chain_from_fraction,
-    chain_gram,
     discrepancies,
     fraction_text,
     generate_class_T,
@@ -23,6 +21,7 @@ from qgsurf.wahl import (
     recognize_class_T,
     summarize,
 )
+from ratlin_oracle import chain_gram, is_negative_definite, solve_unique
 
 
 def test_hj_single_entry():
