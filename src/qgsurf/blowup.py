@@ -10,10 +10,10 @@ untouched; the ambient K^2 drops by exactly 1 per blow-up.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import Sequence
 
-from .config import Configuration, CurveClass, PointSpec
+from .config import BlowupStep, Configuration, CurveClass, PointSpec
 from .errors import (
     ExcessMultiplicityError,
     NegativeGenusError,
@@ -21,49 +21,6 @@ from .errors import (
     SchemaError,
     UnknownCurveError,
 )
-
-
-@dataclass(frozen=True)
-class BlowupStep:
-    """One blow-up: the new exceptional curve's label and the branches
-    (curve, multiplicity) passing through the blown-up point."""
-
-    branches: tuple[tuple[str, int], ...]
-    label: Optional[str] = None
-
-
-_STEP_KEYS = {"label", "branches"}
-
-
-def parse_blowups(raw) -> tuple[BlowupStep, ...]:
-    if not isinstance(raw, list):
-        raise SchemaError("blowups: expected an array")
-    steps = []
-    for item in raw:
-        if not isinstance(item, dict):
-            raise SchemaError("blowups[]: expected an object")
-        extra = set(item) - _STEP_KEYS
-        if extra:
-            raise SchemaError(f"blowups[]: unknown field(s) {sorted(extra)}")
-        if "branches" not in item:
-            raise SchemaError("blowups[]: missing 'branches'")
-        if not isinstance(item["branches"], list):
-            raise SchemaError("blowups[].branches: expected an array")
-        branches = []
-        for b in item["branches"]:
-            if not isinstance(b, list) or len(b) != 2:
-                raise SchemaError("blowups[]: each branch is [curveName, mult]")
-            name, mult = b
-            if not isinstance(name, str) or not isinstance(mult, int) or isinstance(mult, bool):
-                raise SchemaError("blowups[]: branch must be [string, int]")
-            if mult < 1:
-                raise SchemaError("blowups[]: branch multiplicity must be >= 1")
-            branches.append((name, mult))
-        label = item.get("label")
-        if label is not None and not isinstance(label, str):
-            raise SchemaError("blowups[].label: expected a string")
-        steps.append(BlowupStep(branches=tuple(branches), label=label))
-    return tuple(steps)
 
 
 def _consume_point(points: Sequence[PointSpec], branches) -> list[PointSpec]:

@@ -85,11 +85,11 @@ def _cmd_enumerate(args, out) -> int:
 
 def _load_document(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise QgsurfError(f"cannot read {path}: {exc.strerror}") from None
-    return config_mod.parse_unvalidated(text)
+    return config_mod.parse_unvalidated(data)
 
 
 def _cmd_verify(args, out) -> int:

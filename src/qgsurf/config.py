@@ -1,9 +1,12 @@
-"""Curve-configuration data model: ingestion, validation, certificates.
+"""Curve-configuration data model: the input format, validation, certificates.
 
 A configuration is a finite set of named curves on an ambient surface with
 their exact intersection pairing, canonical degrees, arithmetic genera,
 declared intersection points, and optional elliptic-fibration annotations.
-All data are integers; derived linear algebra is exact.
+A document adds a blow-up list and a contraction plan; this module owns the
+whole document format: ``parse_unvalidated`` reads every section and
+``to_document`` writes every section.  All data are integers; derived
+linear algebra is exact.
 """
 
 from __future__ import annotations
@@ -12,8 +15,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import SchemaError, UnknownCurveError, ValidationError, MissingPointDataError
-from .fibration import FibrationData, parse_fibration
+from .errors import (
+    MissingPointDataError,
+    SchemaError,
+    UnknownCurveError,
+    ValidationError,
+    Violation,
+)
+from .fibration import FiberSpec, FibrationData, parse_tag
 from .ratlin import Elimination, eliminate
 
 SURFACE_KINDS = ("enriques", "k3", "e", "other")
@@ -47,13 +56,19 @@ class PointSpec:
 
 
 @dataclass(frozen=True)
-class Violation:
-    kind: str
-    subject: str
-    detail: str
+class BlowupStep:
+    """One blow-up: the new exceptional curve's label and the branches
+    (curve, multiplicity) passing through the blown-up point."""
 
-    def __str__(self):
-        return f"{self.kind}[{self.subject}]: {self.detail}"
+    branches: tuple[tuple[str, int], ...]
+    label: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class ContractionPlan:
+    chains: tuple[tuple[str, ...], ...]
+    declared_q: int = 0
+    assumptions: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -118,16 +133,21 @@ class Document:
     """A parsed input file: configuration plus its blow-up list and plan."""
 
     configuration: Configuration
-    blowups: tuple = ()  # tuple[BlowupStep]; typed loosely to avoid a cycle
-    plan: Optional[object] = None  # ContractionPlan
+    blowups: tuple[BlowupStep, ...] = ()
+    plan: Optional[ContractionPlan] = None
     name: Optional[str] = None
     notes: tuple[str, ...] = ()
 
 
+_TOP_KEYS = {"surface", "curves", "pairing", "points", "fibration", "blowups", "plan", "name", "notes"}
 _SURFACE_KEYS = {"kind", "n", "chi", "K2", "K_num_trivial"}
 _CURVE_KEYS = {"name", "self", "genus", "Kdeg", "tags"}
 _POINT_KEYS = {"name", "branches"}
-_TOP_KEYS = {"surface", "curves", "pairing", "points", "fibration", "blowups", "plan", "name", "notes"}
+_FIBRATION_KEYS = {"fibers", "two_sections", "multiple_fiber_disjoint_from",
+                   "generic_fiber_class_known"}
+_FIBER_KEYS = {"type", "multiplicity", "components"}
+_STEP_KEYS = {"label", "branches"}
+_PLAN_KEYS = {"chains", "q", "assumptions"}
 
 
 def _need(mapping: dict, key: str, where: str):
@@ -136,10 +156,14 @@ def _need(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _no_extras(mapping: dict, allowed: set, where: str):
-    extra = set(mapping) - allowed
+def _no_extras(value, allowed: set, where: str) -> dict:
+    """The value as an object whose fields are all in ``allowed``."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where}: expected an object")
+    extra = set(value) - allowed
     if extra:
         raise SchemaError(f"{where}: unknown field(s) {sorted(extra)}")
+    return value
 
 
 def _array(value, where: str) -> list:
@@ -154,10 +178,48 @@ def _as_int(value, where: str) -> int:
     return value
 
 
+def _as_bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"{where}: expected a boolean")
+    return value
+
+
+def _name(value, where: str) -> str:
+    """A curve name or blow-up label: a nonempty string."""
+    if not isinstance(value, str) or not value:
+        raise SchemaError(f"{where}: expected a nonempty string")
+    return value
+
+
+def _strings(value, where: str) -> tuple[str, ...]:
+    """An array of strings: curve names, tags, notes or assumptions."""
+    for item in _array(value, where):
+        if not isinstance(item, str):
+            raise SchemaError(f"{where}: expected an array of strings, got element {item!r}")
+    return tuple(value)
+
+
+def _declared(names, known, where: str):
+    for name in names:
+        if name not in known:
+            raise UnknownCurveError(f"{where} references undeclared curve {name!r}")
+    return names
+
+
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` for json.loads: a repeated key is an input error."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
+
+
 def _parse_surface(obj) -> SurfaceInvariants:
-    if not isinstance(obj, dict):
-        raise SchemaError("surface: expected an object")
-    _no_extras(obj, _SURFACE_KEYS, "surface")
+    obj = _no_extras(obj, _SURFACE_KEYS, "surface")
     kind = _need(obj, "kind", "surface")
     if kind not in SURFACE_KINDS:
         raise SchemaError(f"surface.kind: unknown kind {kind!r}")
@@ -170,36 +232,53 @@ def _parse_surface(obj) -> SurfaceInvariants:
         raise SchemaError("surface.n only applies to kind 'e'")
     chi = _as_int(_need(obj, "chi", "surface"), "surface.chi")
     k2 = _as_int(_need(obj, "K2", "surface"), "surface.K2")
-    knt = _need(obj, "K_num_trivial", "surface")
-    if not isinstance(knt, bool):
-        raise SchemaError("surface.K_num_trivial: expected a boolean")
+    knt = _as_bool(_need(obj, "K_num_trivial", "surface"), "surface.K_num_trivial")
     return SurfaceInvariants(kind=kind, chi=chi, K2=k2, K_num_trivial=knt, n=n)
 
 
 def _parse_curve(obj) -> CurveClass:
-    if not isinstance(obj, dict):
-        raise SchemaError("curves[]: expected an object")
-    _no_extras(obj, _CURVE_KEYS, "curves[]")
-    name = _need(obj, "name", "curves[]")
-    if not isinstance(name, str) or not name:
-        raise SchemaError("curves[].name: expected a nonempty string")
-    tags = obj.get("tags", [])
-    if not isinstance(tags, list) or any(not isinstance(t, str) for t in tags):
-        raise SchemaError(f"curve {name}: tags must be a list of strings")
+    obj = _no_extras(obj, _CURVE_KEYS, "curves[]")
+    name = _name(_need(obj, "name", "curves[]"), "curves[].name")
+    where = f"curve {name}"
+    tags = _strings(obj.get("tags", []), f"{where}.tags")
     return CurveClass(
         name=name,
-        self_int=_as_int(_need(obj, "self", f"curve {name}"), f"curve {name}.self"),
-        genus=_as_int(_need(obj, "genus", f"curve {name}"), f"curve {name}.genus"),
-        K_deg=_as_int(_need(obj, "Kdeg", f"curve {name}"), f"curve {name}.Kdeg"),
+        self_int=_as_int(_need(obj, "self", where), f"{where}.self"),
+        genus=_as_int(_need(obj, "genus", where), f"{where}.genus"),
+        K_deg=_as_int(_need(obj, "Kdeg", where), f"{where}.Kdeg"),
         tags=frozenset(tags),
     )
 
 
+def _parse_pairing(raw, curves: tuple[CurveClass, ...]) -> tuple[tuple[int, ...], ...]:
+    idx = {c.name: i for i, c in enumerate(curves)}
+    grid = [[0] * len(curves) for _ in curves]
+    for i, c in enumerate(curves):
+        grid[i][i] = c.self_int
+    seen_pairs = set()
+    for item in _array(raw, "pairing"):
+        if not isinstance(item, list) or len(item) != 3:
+            raise SchemaError("pairing: entries are [nameA, nameB, value]")
+        a, b, value = item
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise SchemaError(f"pairing: curve names must be strings, got {a!r}, {b!r}")
+        value = _as_int(value, f"pairing {a}.{b}")
+        _declared((a, b), idx, "pairing")
+        if a == b:
+            raise SchemaError(f"pairing {a}.{b}: self-intersections belong in the curve entry")
+        key = frozenset((a, b))
+        if key in seen_pairs:
+            raise SchemaError(f"pairing {a}.{b}: duplicate pair")
+        seen_pairs.add(key)
+        grid[idx[a]][idx[b]] = value
+        grid[idx[b]][idx[a]] = value
+    return tuple(tuple(row) for row in grid)
+
+
 def _parse_branches(raw, where: str) -> tuple[tuple[str, int], ...]:
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError(f"{where}: branches must be a nonempty list")
+    """[curveName, multiplicity] pairs, shared by points and blow-up steps."""
     branches = []
-    for item in raw:
+    for item in _array(raw, f"{where}.branches"):
         if not isinstance(item, list) or len(item) != 2:
             raise SchemaError(f"{where}: each branch is [curveName, multiplicity]")
         cname, mult = item
@@ -212,12 +291,87 @@ def _parse_branches(raw, where: str) -> tuple[tuple[str, int], ...]:
     return tuple(branches)
 
 
+def _parse_points(raw, known: set[str]) -> tuple[PointSpec, ...]:
+    points = []
+    point_names = set()
+    for item in _array(raw, "points"):
+        item = _no_extras(item, _POINT_KEYS, "points[]")
+        pname = _need(item, "name", "points[]")
+        if not isinstance(pname, str):
+            raise SchemaError(f"points[].name: expected a string, got {pname!r}")
+        if pname in point_names:
+            raise SchemaError(f"points: duplicate point name {pname!r}")
+        point_names.add(pname)
+        where = f"point {pname}"
+        branches = _parse_branches(_need(item, "branches", where), where)
+        if not branches:
+            raise SchemaError(f"{where}: branches must be a nonempty list")
+        _declared([c for c, _ in branches], known, where)
+        points.append(PointSpec(name=pname, branches=branches))
+    return tuple(points)
+
+
+def _parse_fiber(raw, known: set[str]) -> FiberSpec:
+    raw = _no_extras(raw, _FIBER_KEYS, "fibration.fibers[]")
+    tag = _need(raw, "type", "fibration.fibers[]")
+    reduced, mult_from_tag = parse_tag(tag)
+    mult = _as_int(raw.get("multiplicity", mult_from_tag), "fibration.fibers[].multiplicity")
+    if mult not in (1, 2):
+        raise SchemaError("fibration.fibers[].multiplicity must be 1 or 2")
+    if mult_from_tag == 2 and mult != 2:
+        raise SchemaError(f"fiber tagged {tag!r} but multiplicity {mult}")
+    where = "fibration.fibers[].components"
+    components = _declared(_strings(raw.get("components", []), where), known, where)
+    return FiberSpec(type=reduced, multiplicity=mult, components=components)
+
+
+def _parse_fibration(obj, known: set[str]) -> FibrationData:
+    obj = _no_extras(obj, _FIBRATION_KEYS, "fibration")
+    fibers = tuple(_parse_fiber(raw, known)
+                   for raw in _array(obj.get("fibers", []), "fibration.fibers"))
+
+    def curve_names(key: str) -> tuple[str, ...]:
+        where = f"fibration.{key}"
+        return _declared(_strings(obj.get(key, []), where), known, where)
+
+    return FibrationData(
+        fibers=fibers,
+        two_sections=curve_names("two_sections"),
+        multiple_fiber_disjoint_from=curve_names("multiple_fiber_disjoint_from"),
+        generic_fiber_class_known=_as_bool(obj.get("generic_fiber_class_known", False),
+                                           "fibration.generic_fiber_class_known"),
+    )
+
+
+def _parse_blowup(item) -> BlowupStep:
+    item = _no_extras(item, _STEP_KEYS, "blowups[]")
+    branches = _parse_branches(_need(item, "branches", "blowups[]"), "blowups[]")
+    label = item.get("label")
+    if label is not None:
+        label = _name(label, "blowups[].label")
+    return BlowupStep(branches=branches, label=label)
+
+
+def _parse_plan(raw) -> ContractionPlan:
+    raw = _no_extras(raw, _PLAN_KEYS, "plan")
+    chains = tuple(_strings(chain, "plan.chains[]")
+                   for chain in _array(raw.get("chains", []), "plan.chains"))
+    if not all(chains):
+        raise SchemaError("plan.chains[]: expected a nonempty array of curve names")
+    q = _as_int(raw.get("q", 0), "plan.q")
+    if q < 0:
+        raise SchemaError(f"plan.q: expected a non-negative integer, got {q!r}")
+    return ContractionPlan(chains=chains, declared_q=q,
+                           assumptions=_strings(raw.get("assumptions", []), "plan.assumptions"))
+
+
 def parse(document) -> Document:
     """Parse and validate a configuration document.
 
-    Accepts a JSON string or an already-decoded dict.  Schema errors raise
-    SchemaError, unresolved names raise UnknownCurveError, and mathematical
-    inconsistencies raise ValidationError carrying all violations.
+    Accepts JSON text (str, or UTF-8 bytes) or an already-decoded dict.
+    Schema errors raise SchemaError, unresolved names raise
+    UnknownCurveError, and mathematical inconsistencies raise
+    ValidationError carrying all violations.
     """
     doc = parse_unvalidated(document)
     violations = validate(doc.configuration)
@@ -227,92 +381,42 @@ def parse(document) -> Document:
 
 
 def parse_unvalidated(document) -> Document:
-    """Parse without the final validation pass (schema and names only)."""
-    from .blowup import parse_blowups  # local import to avoid a cycle
-    from .smoothing import parse_plan
+    """Parse without the final validation pass (schema and names only).
 
+    Text that is not UTF-8, not JSON, nested too deeply, holds an integer
+    too long to convert or repeats a key within one object is a SchemaError.
+    """
     if isinstance(document, (str, bytes)):
         try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
+            text = document.decode("utf-8") if isinstance(document, bytes) else document
+            document = json.loads(text, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"not valid JSON: {exc}") from None
-    if not isinstance(document, dict):
-        raise SchemaError("top level: expected a JSON object")
-    _no_extras(document, _TOP_KEYS, "top level")
+    document = _no_extras(document, _TOP_KEYS, "top level")
 
     surface = _parse_surface(_need(document, "surface", "top level"))
     raw_curves = _need(document, "curves", "top level")
     if not isinstance(raw_curves, list) or not raw_curves:
         raise SchemaError("curves: expected a nonempty array")
     curves = tuple(_parse_curve(c) for c in raw_curves)
-    names = [c.name for c in curves]
-    if len(set(names)) != len(names):
+    known = {c.name for c in curves}
+    if len(known) != len(curves):
         raise SchemaError("curves: duplicate curve names")
-    idx = {n: i for i, n in enumerate(names)}
-
-    grid = [[0] * len(curves) for _ in curves]
-    for i, c in enumerate(curves):
-        grid[i][i] = c.self_int
-    seen_pairs = set()
-    for item in _array(document.get("pairing", []), "pairing"):
-        if not isinstance(item, list) or len(item) != 3:
-            raise SchemaError("pairing: entries are [nameA, nameB, value]")
-        a, b, value = item
-        if not isinstance(a, str) or not isinstance(b, str):
-            raise SchemaError(f"pairing: curve names must be strings, got {a!r}, {b!r}")
-        value = _as_int(value, f"pairing {a}.{b}")
-        for nm in (a, b):
-            if nm not in idx:
-                raise UnknownCurveError(f"pairing references undeclared curve {nm!r}")
-        if a == b:
-            raise SchemaError(f"pairing {a}.{b}: self-intersections belong in the curve entry")
-        key = frozenset((a, b))
-        if key in seen_pairs:
-            raise SchemaError(f"pairing {a}.{b}: duplicate pair")
-        seen_pairs.add(key)
-        grid[idx[a]][idx[b]] = value
-        grid[idx[b]][idx[a]] = value
-
-    points = []
-    point_names = set()
-    for item in _array(document.get("points", []), "points"):
-        if not isinstance(item, dict):
-            raise SchemaError("points[]: expected an object")
-        _no_extras(item, _POINT_KEYS, "points[]")
-        pname = _need(item, "name", "points[]")
-        if not isinstance(pname, str):
-            raise SchemaError(f"points[].name: expected a string, got {pname!r}")
-        if pname in point_names:
-            raise SchemaError(f"points: duplicate point name {pname!r}")
-        point_names.add(pname)
-        branches = _parse_branches(_need(item, "branches", f"point {pname}"), f"point {pname}")
-        for cname, _ in branches:
-            if cname not in idx:
-                raise UnknownCurveError(f"point {pname} references undeclared curve {cname!r}")
-        points.append(PointSpec(name=pname, branches=branches))
-
-    fibration = None
-    if "fibration" in document:
-        fibration = parse_fibration(document["fibration"], known_curves=set(names))
-
     configuration = Configuration(
         surface=surface,
         curves=curves,
-        pairing=tuple(tuple(row) for row in grid),
-        points=tuple(points),
-        fibration=fibration,
-        blowup_count=0,
+        pairing=_parse_pairing(document.get("pairing", []), curves),
+        points=_parse_points(document.get("points", []), known),
+        fibration=(_parse_fibration(document["fibration"], known)
+                   if "fibration" in document else None),
     )
 
-    blowups = parse_blowups(document.get("blowups", []))
-    plan = parse_plan(document["plan"]) if "plan" in document else None
+    blowups = tuple(_parse_blowup(item) for item in _array(document.get("blowups", []), "blowups"))
+    plan = _parse_plan(document["plan"]) if "plan" in document else None
     name = document.get("name")
     if name is not None and not isinstance(name, str):
         raise SchemaError(f"name: expected a string, got {name!r}")
-    notes = _array(document.get("notes", []), "notes")
-    if any(not isinstance(n, str) for n in notes):
-        raise SchemaError("notes: expected an array of strings")
-    notes = tuple(notes)
+    notes = _strings(document.get("notes", []), "notes")
     return Document(configuration=configuration, blowups=blowups, plan=plan, name=name, notes=notes)
 
 
@@ -343,8 +447,15 @@ def to_document(doc: Document) -> dict:
     out["points"] = [
         {"name": p.name, "branches": [[c, m] for c, m in p.branches]} for p in cfg.points
     ]
-    if cfg.fibration is not None:
-        out["fibration"] = cfg.fibration.to_json()
+    fib = cfg.fibration
+    if fib is not None:
+        out["fibration"] = {
+            "fibers": [{"type": f.tag, "multiplicity": f.multiplicity,
+                        "components": list(f.components)} for f in fib.fibers],
+            "two_sections": list(fib.two_sections),
+            "multiple_fiber_disjoint_from": list(fib.multiple_fiber_disjoint_from),
+            "generic_fiber_class_known": fib.generic_fiber_class_known,
+        }
     if doc.blowups:
         out["blowups"] = [
             {"label": s.label, "branches": [[c, m] for c, m in s.branches]}

@@ -1,4 +1,17 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the violation record
+that validation errors carry."""
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Violation:
+    kind: str
+    subject: str
+    detail: str
+
+    def __str__(self):
+        return f"{self.kind}[{self.subject}]: {self.detail}"
 
 
 class QgsurfError(Exception):

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import SchemaError, UnknownCurveError, UnknownTagError
+from .errors import UnknownCurveError, UnknownTagError, Violation
 
 _TAG_RE = re.compile(r"^(2)?(I(\d+)(\*)?|II\*?|III\*?|IV\*?)$")
 
@@ -80,21 +80,7 @@ class FibrationData:
     multiple_fiber_disjoint_from: tuple[str, ...] = ()
     generic_fiber_class_known: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "fibers": [
-                {"type": f.tag, "multiplicity": f.multiplicity,
-                 "components": list(f.components)}
-                for f in self.fibers
-            ],
-            "two_sections": list(self.two_sections),
-            "multiple_fiber_disjoint_from": list(self.multiple_fiber_disjoint_from),
-            "generic_fiber_class_known": self.generic_fiber_class_known,
-        }
-
     def validate(self, config) -> list:
-        from .config import Violation
-
         out = []
         seen: set[str] = set()
         for f in self.fibers:
@@ -126,71 +112,6 @@ class EulerCheck:
     note: str = ""
 
 
-_FIBRATION_KEYS = {"fibers", "two_sections", "multiple_fiber_disjoint_from",
-                   "generic_fiber_class_known"}
-_FIBER_KEYS = {"type", "multiplicity", "components"}
-
-
-def _curve_names(obj: dict, key: str) -> list:
-    names = obj.get(key, [])
-    if not isinstance(names, list) or any(not isinstance(c, str) for c in names):
-        raise SchemaError(f"fibration.{key}: expected an array of curve names")
-    return names
-
-
-def parse_fibration(obj, known_curves: set[str]) -> FibrationData:
-    if not isinstance(obj, dict):
-        raise SchemaError("fibration: expected an object")
-    extra = set(obj) - _FIBRATION_KEYS
-    if extra:
-        raise SchemaError(f"fibration: unknown field(s) {sorted(extra)}")
-    fibers = []
-    raw_fibers = obj.get("fibers", [])
-    if not isinstance(raw_fibers, list):
-        raise SchemaError("fibration.fibers: expected an array")
-    for raw in raw_fibers:
-        if not isinstance(raw, dict):
-            raise SchemaError("fibration.fibers[]: expected an object")
-        extra = set(raw) - _FIBER_KEYS
-        if extra:
-            raise SchemaError(f"fibration.fibers[]: unknown field(s) {sorted(extra)}")
-        if "type" not in raw:
-            raise SchemaError("fibration.fibers[]: missing 'type'")
-        reduced, mult_from_tag = parse_tag(raw["type"])
-        mult = raw.get("multiplicity", mult_from_tag)
-        if isinstance(mult, bool) or not isinstance(mult, int) or mult not in (1, 2):
-            raise SchemaError("fibration.fibers[].multiplicity must be 1 or 2")
-        if mult_from_tag == 2 and mult != 2:
-            raise SchemaError(f"fiber tagged {raw['type']!r} but multiplicity {mult}")
-        components = raw.get("components", [])
-        if not isinstance(components, list):
-            raise SchemaError("fibration.fibers[].components: expected a list")
-        for c in components:
-            if not isinstance(c, str):
-                raise SchemaError(f"fibration.fibers[].components: expected curve names, got {c!r}")
-            if c not in known_curves:
-                raise UnknownCurveError(f"fiber component {c!r} is not a declared curve")
-        fibers.append(FiberSpec(type=reduced, multiplicity=mult,
-                                components=tuple(components)))
-    two_sections = _curve_names(obj, "two_sections")
-    for c in two_sections:
-        if c not in known_curves:
-            raise UnknownCurveError(f"two-section {c!r} is not a declared curve")
-    disjoint = _curve_names(obj, "multiple_fiber_disjoint_from")
-    for c in disjoint:
-        if c not in known_curves:
-            raise UnknownCurveError(f"{c!r} in multiple_fiber_disjoint_from is not a declared curve")
-    class_known = obj.get("generic_fiber_class_known", False)
-    if not isinstance(class_known, bool):
-        raise SchemaError("fibration.generic_fiber_class_known: expected a boolean")
-    return FibrationData(
-        fibers=tuple(fibers),
-        two_sections=tuple(two_sections),
-        multiple_fiber_disjoint_from=tuple(disjoint),
-        generic_fiber_class_known=class_known,
-    )
-
-
 def euler_sum_check(fibration: FibrationData, chi: int) -> EulerCheck:
     """Compare declared singular-fiber Euler numbers against 12*chi.
 
@@ -217,8 +138,6 @@ def two_section_incidence_check(config) -> list:
     curve of a multiplicity-2 fiber in total degree 1.  Fibers with partial
     component lists are skipped (the data cannot decide).
     """
-    from .config import Violation
-
     out = []
     fib = config.fibration
     if fib is None:

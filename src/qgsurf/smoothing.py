@@ -27,52 +27,18 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .config import Configuration, Violation
+from .config import Configuration, ContractionPlan
 from .errors import (
     CurveContractedError,
     DomainError,
     PlanInvalidError,
-    SchemaError,
     UnknownCurveError,
+    Violation,
 )
 from .wahl import ChainSummary, ClassTData, summarize
 
 PI1_SATISFIED = "criterion-satisfied"
 PI1_INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class ContractionPlan:
-    chains: tuple[tuple[str, ...], ...]
-    declared_q: int = 0
-    assumptions: tuple[str, ...] = ()
-
-
-_PLAN_KEYS = {"chains", "q", "assumptions"}
-
-
-def parse_plan(raw) -> ContractionPlan:
-    if not isinstance(raw, dict):
-        raise SchemaError("plan: expected an object")
-    extra = set(raw) - _PLAN_KEYS
-    if extra:
-        raise SchemaError(f"plan: unknown field(s) {sorted(extra)}")
-    chains_raw = raw.get("chains", [])
-    if not isinstance(chains_raw, list):
-        raise SchemaError("plan.chains: expected an array of name arrays")
-    chains = []
-    for ch in chains_raw:
-        if not isinstance(ch, list) or not ch or any(not isinstance(x, str) for x in ch):
-            raise SchemaError("plan.chains[]: expected a nonempty array of curve names")
-        chains.append(tuple(ch))
-    q = raw.get("q", 0)
-    if not isinstance(q, int) or isinstance(q, bool) or q < 0:
-        raise SchemaError(f"plan.q: expected a non-negative integer, got {q!r}")
-    assumptions = raw.get("assumptions", [])
-    if not isinstance(assumptions, list) or any(not isinstance(a, str) for a in assumptions):
-        raise SchemaError("plan.assumptions: expected an array of strings")
-    return ContractionPlan(chains=tuple(chains), declared_q=q,
-                           assumptions=tuple(assumptions))
 
 
 def chain_entries(config: Configuration, chain: Sequence[str]) -> tuple[int, ...]:

@@ -257,6 +257,10 @@ def _set_fiber_multiplicity(doc):
     doc["fibration"]["fibers"][1]["multiplicity"] = True
 
 
+def _set_blowup_label_empty(doc):
+    doc["blowups"][0]["label"] = ""
+
+
 @pytest.mark.parametrize("edit", [
     _set("pairing", 5),
     _set("pairing", "G1"),
@@ -268,9 +272,10 @@ def _set_fiber_multiplicity(doc):
     _set_plan_q,
     _set_class_known,
     _set_fiber_multiplicity,
+    _set_blowup_label_empty,
 ], ids=["pairing-int", "pairing-string", "pairing-list-name", "notes-string",
         "name-int", "two-sections-string", "blowup-branches-int", "plan-q-negative",
-        "class-known-string", "multiplicity-bool"])
+        "class-known-string", "multiplicity-bool", "blowup-label-empty"])
 def test_verify_malformed_document_exits_two(tmp_path, capsys, edit):
     doc = json.loads(json.dumps(builtin("enriques-k1").document))
     edit(doc)
@@ -280,6 +285,31 @@ def test_verify_malformed_document_exits_two(tmp_path, capsys, edit):
     assert code == 2
     assert text == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["verify", "export-dot"])
+@pytest.mark.parametrize("payload", [
+    b'{"name": "\xff"}',
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"name": ' + b"1" * 5000 + b"}",
+], ids=["invalid-utf8", "nested-too-deep", "integer-too-long"])
+def test_undecodable_file_exits_two(tmp_path, capsys, command, payload):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    code, text = invoke(command, str(path))
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: not valid JSON: ")
+
+
+def test_duplicate_key_exits_two(tmp_path, capsys):
+    text = json.dumps(builtin("enriques-k1").document)
+    path = tmp_path / "dup.json"
+    path.write_text(text[:-1] + ', "plan": {}}')
+    code, out = invoke("verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == "error: duplicate key 'plan' in a JSON object\n"
 
 
 def _write(tmp_path, doc):

@@ -53,6 +53,11 @@ def test_parse_corpus_k1_curve_count():
     assert len(doc.blowups) == 5
 
 
+def test_parse_rejects_duplicate_keys_in_nested_objects():
+    with pytest.raises(SchemaError, match="duplicate key 'kind'"):
+        parse('{"surface": {"kind": "k3", "kind": "enriques"}}')
+
+
 def test_parse_unknown_top_level_key():
     with pytest.raises(SchemaError):
         parse(doc_with(bogus=1))

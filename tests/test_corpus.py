@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import io
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,16 @@ def test_builtin_expected_values():
     assert builtin("enriques-k1").expected.K2 == 1
     assert (8, 2, 2, 2, 2) in builtin("enriques-k3-kondo7").expected.chains
     assert builtin("enriques-k5-symplectic").expected.blowup_count == 12
+
+
+def test_corpus_mirror_matches_packaged_documents():
+    root = Path(__file__).resolve().parents[1]
+    mirror = {p.name: p.read_bytes() for p in (root / "corpus").glob("*.json")}
+    packaged = {p.name: p.read_bytes()
+                for p in (root / "src" / "qgsurf" / "corpus_data").glob("*.json")}
+    assert sorted(mirror) == sorted(packaged) == sorted(f"{n}.json" for n in EXAMPLE_NAMES)
+    for name, data in packaged.items():
+        assert mirror[name] == data, name
 
 
 def test_builtin_unknown():
