@@ -320,6 +320,8 @@ def _parse_fiber(raw, known: set[str]) -> FiberSpec:
         raise SchemaError("fibration.fibers[].multiplicity must be 1 or 2")
     if mult_from_tag == 2 and mult != 2:
         raise SchemaError(f"fiber tagged {tag!r} but multiplicity {mult}")
+    if mult == 2:
+        parse_tag("2" + reduced)  # the reduced type of a multiple fiber must be I_n
     where = "fibration.fibers[].components"
     components = _declared(_strings(raw.get("components", []), where), known, where)
     return FiberSpec(type=reduced, multiplicity=mult, components=components)

@@ -8,12 +8,23 @@ or Enriques elliptic surface comes with three I1 fibers.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import UnknownCurveError, UnknownTagError, Violation
 
-_TAG_RE = re.compile(r"^(2)?(I(\d+)(\*)?|II\*?|III\*?|IV\*?)$")
+_TAG_RE = re.compile(r"^(2)?(I\d+\*?|II\*?|III\*?|IV\*?)$")
+
+# (Euler number, component count) of the additive types
+_ADDITIVE = {"II": (2, 1), "III": (3, 2), "IV": (4, 3), "IV*": (8, 7), "III*": (9, 8),
+             "II*": (10, 9)}
+
+
+def _i_n(reduced: str) -> Optional[int]:
+    """n when the reduced type is I_n (not I_n*), else None."""
+    m = re.fullmatch(r"I(\d+)", reduced)
+    return None if m is None else int(m.group(1))
 
 
 def parse_tag(tag: str) -> tuple[str, int]:
@@ -27,13 +38,22 @@ def parse_tag(tag: str) -> tuple[str, int]:
     m = _TAG_RE.match(tag.strip())
     if not m:
         raise UnknownTagError(f"unknown Kodaira tag {tag!r}")
-    if m.group(3) is not None and int(m.group(3)) == 0 and not m.group(4):
-        raise UnknownTagError(f"{tag!r} is a smooth fiber, not a singular Kodaira type")
     mult = 2 if m.group(1) else 1
     reduced = m.group(2)
-    if mult == 2 and not (reduced.startswith("I") and not reduced.startswith(("II", "III", "IV")) and "*" not in reduced):
+    if _i_n(reduced) == 0:
+        raise UnknownTagError(f"{tag!r} is a smooth fiber, not a singular Kodaira type")
+    if mult == 2 and _i_n(reduced) is None:
         raise UnknownTagError(f"multiple fiber {tag!r} must have reduced type I_n")
     return reduced, mult
+
+
+def _fiber_numbers(tag: str) -> tuple[int, int]:
+    """(Euler number, component count) of a fiber of the given type."""
+    reduced, _ = parse_tag(tag)
+    if reduced in _ADDITIVE:
+        return _ADDITIVE[reduced]
+    n = int(reduced[1:].rstrip("*"))  # I_n or I_n*
+    return (n + 6, n + 5) if reduced.endswith("*") else (n, max(n, 1))
 
 
 def euler_number(tag: str) -> int:
@@ -43,20 +63,12 @@ def euler_number(tag: str) -> int:
     (I_n* -> n+6, II -> 2, III -> 3, IV -> 4, IV* -> 8, III* -> 9, II* -> 10).
     Multiplicity does not change the Euler number.
     """
-    reduced, _ = parse_tag(tag)
-    if reduced.startswith("I") and not reduced.startswith(("II", "III", "IV")):
-        n = int(reduced[1:].rstrip("*"))
-        return n + 6 if reduced.endswith("*") else n
-    return {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}[reduced]
+    return _fiber_numbers(tag)[0]
 
 
 def component_count(tag: str) -> int:
     """Number of irreducible components of a fiber of the given type."""
-    reduced, _ = parse_tag(tag)
-    if reduced.startswith("I") and not reduced.startswith(("II", "III", "IV")):
-        n = int(reduced[1:].rstrip("*"))
-        return n + 5 if reduced.endswith("*") else max(n, 1)
-    return {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}[reduced]
+    return _fiber_numbers(tag)[1]
 
 
 @dataclass(frozen=True)
@@ -84,9 +96,13 @@ class FibrationData:
         out = []
         seen: set[str] = set()
         for f in self.fibers:
-            if f.multiplicity == 2 and not re.fullmatch(r"I\d+", f.type):
+            if f.multiplicity == 2 and _i_n(f.type) is None:
                 out.append(Violation("fibration", f.tag,
                                      "multiple fiber must have reduced type I_n"))
+            repeated = sorted(c for c, k in Counter(f.components).items() if k > 1)
+            if repeated:
+                out.append(Violation("fibration", f.tag,
+                                     f"components repeated within the fiber: {repeated}"))
             overlap = seen.intersection(f.components)
             if overlap:
                 out.append(Violation("fibration", f.tag,

@@ -13,11 +13,12 @@ non-contracted curve with the exact discrepancy divisors D_p; positivity on
 the tracked model is necessary but deliberately partial (curves outside the
 model need geometric arguments the data cannot see).
 
-``plan_chains`` validates a plan once and summarizes each chain once
-(``wahl.summarize``): the smoothability check, the class-T data, the
-discrepancies and the contribution all come from that one summary.  The
-report and the public invariant functions are read off the resulting tuple
-of ``ChainData``.
+``build_report`` is the one pass over a plan: ``_check_plan`` validates it
+and summarizes each chain once (``wahl.summarize``), and K^2, the indices
+and their gcd, the pi_1 verdict, the ampleness entries, the moduli
+dimension and the topology are all read from those summaries.  The public
+plan functions (``contract_invariants``, ``pi1_criterion``,
+``ampleness_certificate``, ``pullback_degree``) return views of that report.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     UnknownCurveError,
     Violation,
 )
-from .wahl import ChainSummary, ClassTData, summarize
+from .wahl import ChainSummary, summarize
 
 PI1_SATISFIED = "criterion-satisfied"
 PI1_INCONCLUSIVE = "inconclusive"
@@ -105,43 +106,10 @@ def _check_plan(config: Configuration, plan: ContractionPlan
     return out, summaries
 
 
-@dataclass(frozen=True)
-class ChainData:
-    """One chain of a validated plan, with everything the report reads."""
-
-    names: tuple[str, ...]
-    entries: tuple[int, ...]
-    class_t: ClassTData
-    discrepancies: tuple[Fraction, ...]
-    contribution: Fraction
-
-
-def plan_chains(config: Configuration, plan: ContractionPlan) -> tuple[ChainData, ...]:
-    """Validate the plan once, then compute each chain's data once."""
-    violations, summaries = _check_plan(config, plan)
-    if violations:
-        raise PlanInvalidError(violations)
-    return tuple(ChainData(names=names, entries=s.chain, class_t=s.class_t,
-                           discrepancies=s.discrepancies, contribution=s.contribution)
-                 for names, s in zip(plan.chains, summaries))
-
-
 def contract_invariants(config: Configuration, plan: ContractionPlan):
     """(K^2 of X_t, chi, p_g); requires a violation-free plan."""
-    return _invariants(config, plan, plan_chains(config, plan))
-
-
-def _invariants(config: Configuration, plan: ContractionPlan, chains: tuple[ChainData, ...]):
-    k2 = Fraction(config.ambient_K2)
-    for chain in chains:
-        k2 += chain.contribution
-    chi = config.surface.chi
-    p_g = chi - 1 + plan.declared_q
-    return k2, chi, p_g
-
-
-def _contracted_set(plan: ContractionPlan) -> set[str]:
-    return {name for chain in plan.chains for name in chain}
+    report = build_report(config, plan)
+    return report.K2_X, report.chi, report.p_g
 
 
 def pullback_degree(config: Configuration, plan: ContractionPlan, curve: str) -> Fraction:
@@ -152,21 +120,10 @@ def pullback_degree(config: Configuration, plan: ContractionPlan, curve: str) ->
     """
     if not config.has_curve(curve):
         raise UnknownCurveError(curve)
-    if curve in _contracted_set(plan):
+    if any(curve in chain for chain in plan.chains):
         raise CurveContractedError(curve)
-    chains = plan_chains(config, plan)
-    return Fraction(config.curve(curve).K_deg) + _dp_term(config, chains, curve)
-
-
-def _dp_term(config: Configuration, chains: tuple[ChainData, ...], curve: str) -> Fraction:
-    col = config.index_of(curve)
-    total = Fraction(0)
-    for chain in chains:
-        for name, a in zip(chain.names, chain.discrepancies):
-            meets = config.pairing[config.index_of(name)][col]
-            if meets:
-                total -= a * meets
-    return total
+    entries = build_report(config, plan).ample.entries
+    return next(e.value for e in entries if e.curve == curve)
 
 
 @dataclass(frozen=True)
@@ -189,21 +146,8 @@ class AmplenessCertificate:
 
 
 def ampleness_certificate(config: Configuration, plan: ContractionPlan) -> AmplenessCertificate:
-    return _ampleness(config, plan, plan_chains(config, plan))
-
-
-def _ampleness(config: Configuration, plan: ContractionPlan,
-               chains: tuple[ChainData, ...]) -> AmplenessCertificate:
-    contracted = _contracted_set(plan)
-    entries = []
-    for c in config.curves:
-        if c.name in contracted:
-            continue
-        dp = _dp_term(config, chains, c.name)
-        entries.append(AmpleEntry(curve=c.name, K_deg=c.K_deg, dp_term=dp,
-                                  value=Fraction(c.K_deg) + dp))
-    verdict = all(e.value > 0 for e in entries)
-    return AmplenessCertificate(entries=tuple(entries), verdict=verdict)
+    """The report's ampleness certificate; requires a violation-free plan."""
+    return build_report(config, plan).ample
 
 
 @dataclass(frozen=True)
@@ -220,17 +164,9 @@ def pi1_criterion(config: Configuration, plan: ContractionPlan) -> Pi1Criterion:
     multiset) certify the criterion; anything else is inconclusive and left
     to non-computational arguments.
     """
-    return _pi1(config, plan_chains(config, plan))
-
-
-def _pi1(config: Configuration, chains: tuple[ChainData, ...]) -> Pi1Criterion:
-    indices = tuple(chain.class_t.index for chain in chains)
-    g = 0
-    for i in indices:
-        g = gcd(g, i)
-    satisfied = g == 1 and config.surface.kind == "enriques"
-    return Pi1Criterion(indices=indices, gcd=g,
-                        verdict=PI1_SATISFIED if satisfied else PI1_INCONCLUSIVE)
+    report = build_report(config, plan)
+    return Pi1Criterion(indices=report.indices, gcd=report.gcd_indices,
+                        verdict=report.pi1_verdict)
 
 
 def moduli_dimension(chi: int, K2: int) -> int:
@@ -369,31 +305,51 @@ class SingularSurfaceReport:
 
 
 def build_report(config: Configuration, plan: ContractionPlan) -> SingularSurfaceReport:
-    """Run every invariant computation for a plan; PlanInvalidError if invalid."""
-    data = plan_chains(config, plan)
-    k2, chi, p_g = _invariants(config, plan, data)
-    crit = _pi1(config, data)
-    ample = _ampleness(config, plan, data)
-    moduli = None
-    if k2.denominator == 1:
-        moduli = moduli_dimension(chi, int(k2))
-    topology = None
-    if chi == 1 and k2.denominator == 1:
-        topology = topology_report(int(k2), chi,
-                                   pi1_is_Z2=(crit.verdict == PI1_SATISFIED))
+    """Every verdict for a plan, from one validation pass and one summary
+    per chain; PlanInvalidError if the plan has violations."""
+    violations, summaries = _check_plan(config, plan)
+    if violations:
+        raise PlanInvalidError(violations)
+    k2 = config.ambient_K2 + sum((s.contribution for s in summaries), Fraction(0))
+    chi = config.surface.chi
+    indices = tuple(s.class_t.index for s in summaries)
+    g = gcd(*indices)
+    pi1 = (PI1_SATISFIED if g == 1 and config.surface.kind == "enriques"
+           else PI1_INCONCLUSIVE)
+
+    # (f* K_X).C = K.C - sum over chain curves E of a_E (E.C), a_E = x_E / m:
+    # per chain, m times the inner sum is an integer for every curve C
+    weighted = []
+    for names, s in zip(plan.chains, summaries):
+        w = [0] * len(config.curves)
+        for name, x in zip(names, s.numerators):
+            w = [acc + x * e for acc, e in zip(w, config.pairing[config.index_of(name)])]
+        weighted.append((s.m, w))
+    contracted = {name for chain in plan.chains for name in chain}
+    ample_entries = []
+    for col, c in enumerate(config.curves):
+        if c.name not in contracted:
+            dp = -sum((Fraction(w[col], m) for m, w in weighted if w[col]), Fraction(0))
+            ample_entries.append(AmpleEntry(curve=c.name, K_deg=c.K_deg, dp_term=dp,
+                                            value=c.K_deg + dp))
+    ample = AmplenessCertificate(entries=tuple(ample_entries),
+                                 verdict=all(e.value > 0 for e in ample_entries))
+
+    integral = k2.denominator == 1
     return SingularSurfaceReport(
         K2_X=k2,
         chi=chi,
-        p_g=p_g,
+        p_g=chi - 1 + plan.declared_q,
         q=plan.declared_q,
-        chains=tuple(chain.entries for chain in data),
-        indices=crit.indices,
-        gcd_indices=crit.gcd,
-        pi1_verdict=crit.verdict,
+        chains=tuple(s.chain for s in summaries),
+        indices=indices,
+        gcd_indices=g,
+        pi1_verdict=pi1,
         ample=ample,
-        moduli_dim=moduli,
+        moduli_dim=moduli_dimension(chi, int(k2)) if integral else None,
         general_type=bool(k2 > 0 and ample.verdict),
-        topology=topology,
+        topology=(topology_report(int(k2), chi, pi1_is_Z2=(pi1 == PI1_SATISFIED))
+                  if integral and chi == 1 else None),
         assumptions=plan.assumptions,
         blowup_count=config.blowup_count,
     )

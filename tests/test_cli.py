@@ -261,6 +261,10 @@ def _set_blowup_label_empty(doc):
     doc["blowups"][0]["label"] = ""
 
 
+def _add_multiple_fiber_iii(doc):
+    doc["fibration"]["fibers"].append({"type": "III", "multiplicity": 2, "components": []})
+
+
 @pytest.mark.parametrize("edit", [
     _set("pairing", 5),
     _set("pairing", "G1"),
@@ -273,18 +277,21 @@ def _set_blowup_label_empty(doc):
     _set_class_known,
     _set_fiber_multiplicity,
     _set_blowup_label_empty,
+    _add_multiple_fiber_iii,
 ], ids=["pairing-int", "pairing-string", "pairing-list-name", "notes-string",
         "name-int", "two-sections-string", "blowup-branches-int", "plan-q-negative",
-        "class-known-string", "multiplicity-bool", "blowup-label-empty"])
+        "class-known-string", "multiplicity-bool", "blowup-label-empty",
+        "multiple-fiber-III"])
 def test_verify_malformed_document_exits_two(tmp_path, capsys, edit):
     doc = json.loads(json.dumps(builtin("enriques-k1").document))
     edit(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, text = invoke("verify", str(path))
-    assert code == 2
-    assert text == ""
-    assert capsys.readouterr().err.startswith("error: ")
+    for command in ("verify", "export-dot"):
+        code, text = invoke(command, str(path))
+        assert code == 2, command
+        assert text == "", command
+        assert capsys.readouterr().err.startswith("error: "), command
 
 
 @pytest.mark.parametrize("command", ["verify", "export-dot"])

@@ -11,7 +11,6 @@ from qgsurf.blowup import apply_blowups
 from qgsurf.corpus import (
     EXAMPLE_NAMES,
     builtin,
-    extract_chains,
     results_table,
     verify_example,
 )
@@ -101,27 +100,6 @@ def test_negative_control_corrupted_pairing():
     final = apply_blowups(parsed.configuration, parsed.blowups)
     violations = validate_plan(final, parsed.plan)
     assert any(v.kind == "plan-shape" for v in violations)
-
-
-def test_extract_chains_recovers_each_plan_chain(corpus_results):
-    for name, result in corpus_results.items():
-        for chain in result.document.plan.chains:
-            recovered = extract_chains(result.final, set(chain))
-            assert len(recovered) == 1
-            assert recovered[0] in (tuple(chain), tuple(reversed(chain))), name
-
-
-def test_extract_chains_rejects_branching():
-    parsed = config_mod.parse(builtin("enriques-k1").document)
-    # G1, G2, G3 plus S2 forms a T-shape through S2.G2 before blow-ups
-    with pytest.raises(ValueError):
-        extract_chains(parsed.configuration, {"G1", "G2", "G3", "S2"})
-
-
-def test_extract_chains_rejects_cycles():
-    parsed = config_mod.parse(builtin("enriques-k1").document)
-    with pytest.raises(ValueError):
-        extract_chains(parsed.configuration, {f"G{i}" for i in range(1, 10)})
 
 
 def test_chain_multisets_match_figures(corpus_results):

@@ -174,6 +174,18 @@ def test_fibration_validate_component_overlap():
     assert any("shared across fibers" in v.detail for v in validate(cfg))
 
 
+def test_fiber_repeating_a_component_fails(tmp_path):
+    # nine names for I9's nine components, but G2 twice and G9 missing: the
+    # fiber must not count as fully tracked with G2 counted twice
+    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc["fibration"]["fibers"][0]["components"][8] = "G2"
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert cli.run(["verify", str(path)], out=out) == 1
+    assert "violation=fibration[I9]: components repeated within the fiber: ['G2']" in out.getvalue()
+
+
 def test_fibration_validate_multiple_fiber_reduced_type():
     cfg_doc = {
         "surface": {"kind": "enriques", "chi": 1, "K2": 0, "K_num_trivial": True},

@@ -93,6 +93,13 @@ def test_contract_invariants_requires_valid_plan():
         contract_invariants(cfg, ContractionPlan(chains=(("Z0",),)))
 
 
+@pytest.mark.parametrize("view", [ampleness_certificate, pi1_criterion])
+def test_plan_views_require_valid_plan(view):
+    cfg = chain_config([5])
+    with pytest.raises(PlanInvalidError):
+        view(cfg, ContractionPlan(chains=(("Z0",),)))
+
+
 def test_contract_invariants_chain_order_irrelevant(corpus_results):
     result = corpus_results["enriques-k2"]
     final, plan = result.final, result.document.plan
