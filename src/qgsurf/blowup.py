@@ -13,14 +13,8 @@ import itertools
 from dataclasses import replace
 from typing import Sequence
 
-from .config import BlowupStep, Configuration, CurveClass, PointSpec
-from .errors import (
-    ExcessMultiplicityError,
-    NegativeGenusError,
-    QgsurfError,
-    SchemaError,
-    UnknownCurveError,
-)
+from .config import BlowupStep, Configuration, CurveClass, PointSpec, point_violations
+from .errors import QgsurfError, SchemaError, ValidationError
 
 
 def _consume_point(points: Sequence[PointSpec], branches) -> list[PointSpec]:
@@ -35,59 +29,34 @@ def _consume_point(points: Sequence[PointSpec], branches) -> list[PointSpec]:
 
 
 def blow_up(config: Configuration, step: BlowupStep) -> Configuration:
-    """Apply one blow-up and return the new configuration."""
-    names = {c.name for c in config.curves}
-    for cname, _ in step.branches:
-        if cname not in names:
-            raise UnknownCurveError(cname)
-    branch_names = [c for c, _ in step.branches]
-    if len(set(branch_names)) != len(branch_names):
-        raise SchemaError("blow-up branches repeat a curve")
-
-    for (ca, ma), (cb, mb) in itertools.combinations(step.branches, 2):
-        if config.pairing_of(ca, cb) < ma * mb:
-            raise ExcessMultiplicityError(
-                f"{ca}.{cb} = {config.pairing_of(ca, cb)} < {ma}*{mb}")
-    for cname, mult in step.branches:
-        if config.curve(cname).genus < mult * (mult - 1) // 2:
-            raise NegativeGenusError(
-                f"multiplicity {mult} at a point of {cname} needs genus >= {mult*(mult-1)//2}")
-
+    """Apply one blow-up and return the new configuration.  A step whose point
+    breaks the point rules (``qgsurf.config.point_violations``) raises
+    ValidationError with the violations."""
     label = step.label or f"e{config.blowup_count + 1}"
-    if label in names:
+    violations = point_violations(config, [PointSpec(label, step.branches)])
+    if violations:
+        raise ValidationError(violations)
+    if config.has_curve(label):
         raise SchemaError(f"exceptional curve label {label!r} already in use")
 
-    mult_of = dict(step.branches)
-    new_curves = []
-    for c in config.curves:
-        m = mult_of.get(c.name, 0)
-        if m:
-            new_curves.append(replace(
-                c,
-                self_int=c.self_int - m * m,
-                K_deg=c.K_deg + m,
-                genus=c.genus - m * (m - 1) // 2,
-            ))
-        else:
-            new_curves.append(c)
-    exceptional = CurveClass(name=label, self_int=-1, K_deg=-1, genus=0,
-                             tags=frozenset({"exceptional"}))
-    new_curves.append(exceptional)
-
     n = len(config.curves)
+    new_curves = list(config.curves)
     grid = [list(row) + [0] for row in config.pairing]
-    grid.append([0] * (n + 1))
-    idx = {c.name: i for i, c in enumerate(config.curves)}
+    grid.append([0] * n + [-1])
     for cname, m in step.branches:
-        i = idx[cname]
+        i = config.index_of(cname)
+        c = new_curves[i]
+        new_curves[i] = replace(c, self_int=c.self_int - m * m, K_deg=c.K_deg + m,
+                                genus=c.genus - m * (m - 1) // 2)
         grid[i][i] -= m * m
         grid[i][n] = m
         grid[n][i] = m
-    grid[n][n] = -1
     for (ca, ma), (cb, mb) in itertools.combinations(step.branches, 2):
-        i, j = idx[ca], idx[cb]
+        i, j = config.index_of(ca), config.index_of(cb)
         grid[i][j] -= ma * mb
         grid[j][i] -= ma * mb
+    new_curves.append(CurveClass(name=label, self_int=-1, K_deg=-1, genus=0,
+                                 tags=frozenset({"exceptional"})))
 
     points = _consume_point(config.points, step.branches)
     # the exceptional curve meets each branch curve in m transverse points

@@ -11,6 +11,7 @@ linear algebra is exact.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -185,7 +186,7 @@ def _as_bool(value, where: str) -> bool:
 
 
 def _name(value, where: str) -> str:
-    """A curve name or blow-up label: a nonempty string."""
+    """A curve name, point name or blow-up label: a nonempty string."""
     if not isinstance(value, str) or not value:
         raise SchemaError(f"{where}: expected a nonempty string")
     return value
@@ -296,9 +297,7 @@ def _parse_points(raw, known: set[str]) -> tuple[PointSpec, ...]:
     point_names = set()
     for item in _array(raw, "points"):
         item = _no_extras(item, _POINT_KEYS, "points[]")
-        pname = _need(item, "name", "points[]")
-        if not isinstance(pname, str):
-            raise SchemaError(f"points[].name: expected a string, got {pname!r}")
+        pname = _name(_need(item, "name", "points[]"), "points[].name")
         if pname in point_names:
             raise SchemaError(f"points: duplicate point name {pname!r}")
         point_names.add(pname)
@@ -334,7 +333,11 @@ def _parse_fibration(obj, known: set[str]) -> FibrationData:
 
     def curve_names(key: str) -> tuple[str, ...]:
         where = f"fibration.{key}"
-        return _declared(_strings(obj.get(key, []), where), known, where)
+        names = _declared(_strings(obj.get(key, []), where), known, where)
+        if len(set(names)) != len(names):
+            repeated = next(n for i, n in enumerate(names) if n in names[:i])
+            raise SchemaError(f"{where}: duplicate curve name {repeated!r}")
+        return names
 
     return FibrationData(
         fibers=fibers,
@@ -518,35 +521,51 @@ def validate(config: Configuration) -> list[Violation]:
                                      f"{config.curves[i].name}.{config.curves[j].name}",
                                      f"negative off-diagonal {config.pairing[i][j]}"))
 
-    # declared points must not claim more local intersection than the pairing
-    known = set(config.names)
+    out.extend(point_violations(config, config.points))
+    if config.fibration is not None:
+        out.extend(config.fibration.validate(config))
+    return out
+
+
+def _local_intersections(points: Sequence[PointSpec]) -> dict[frozenset, int]:
+    """For each pair of branch curves, the local intersection m_a*m_b summed
+    over the points."""
     local: dict[frozenset, int] = {}
-    for p in config.points:
+    for p in points:
+        for (ca, ma), (cb, mb) in itertools.combinations(p.branches, 2):
+            key = frozenset((ca, cb))
+            local[key] = local.get(key, 0) + ma * mb
+    return local
+
+
+def point_violations(config: Configuration, points: Sequence[PointSpec]) -> list[Violation]:
+    """The point rules, as data: every branch curve exists, none repeats, each
+    multiplicity m fits its curve's genus (genus >= m(m-1)/2), and on each
+    pair of curves the local intersections m_a*m_b, summed over the points,
+    stay within the pairing.  Declared points and blow-up steps are both
+    checked here."""
+    out: list[Violation] = []
+    sound = []
+    for p in points:
         branch_curves = [c for c, _ in p.branches]
-        if any(c not in known for c in branch_curves):
-            out.append(Violation("point", p.name, "branch references unknown curve"))
+        unknown = [c for c in branch_curves if not config.has_curve(c)]
+        if unknown:
+            out.append(Violation("point", p.name,
+                                 f"branch references unknown curve {unknown[0]!r}"))
             continue
         if len(set(branch_curves)) != len(branch_curves):
             out.append(Violation("point", p.name, "repeated curve in branches"))
             continue
-        for (ca, ma) in p.branches:
-            curve = config.curve(ca)
-            if curve.genus < ma * (ma - 1) // 2:
+        sound.append(p)
+        for ca, ma in p.branches:
+            if config.curve(ca).genus < ma * (ma - 1) // 2:
                 out.append(Violation("point", p.name,
                                      f"multiplicity {ma} exceeds genus budget of {ca}"))
-        for k1 in range(len(p.branches)):
-            for k2 in range(k1 + 1, len(p.branches)):
-                (ca, ma), (cb, mb) = p.branches[k1], p.branches[k2]
-                key = frozenset((ca, cb))
-                local[key] = local.get(key, 0) + ma * mb
-    for key, total in local.items():
+    for key, total in _local_intersections(sound).items():
         a, b = sorted(key)
         if total > config.pairing_of(a, b):
             out.append(Violation("point-pairing", f"{a}.{b}",
                                  f"declared points account for {total} > pairing {config.pairing_of(a, b)}"))
-
-    if config.fibration is not None:
-        out.extend(config.fibration.validate(config))
     return out
 
 
@@ -590,10 +609,8 @@ def snc_certificate(config: Configuration, divisor: Sequence[str]) -> list[Viola
             out.append(Violation("snc-component", name,
                                  f"component has genus {config.curve(name).genus}, not rational"))
 
-    accounted: dict[frozenset, int] = {}
     for p in config.points:
-        touches = [c for c, _ in p.branches if c in in_divisor]
-        if not touches:
+        if not any(c in in_divisor for c, _ in p.branches):
             continue
         if any(m != 1 for _, m in p.branches):
             out.append(Violation("snc-point", p.name,
@@ -601,13 +618,8 @@ def snc_certificate(config: Configuration, divisor: Sequence[str]) -> list[Viola
         if len(p.branches) > 2:
             out.append(Violation("snc-point", p.name,
                                  f"triple point ({len(p.branches)} branches)"))
-        for k1 in range(len(p.branches)):
-            for k2 in range(k1 + 1, len(p.branches)):
-                (ca, ma), (cb, mb) = p.branches[k1], p.branches[k2]
-                if ca in in_divisor and cb in in_divisor:
-                    key = frozenset((ca, cb))
-                    accounted[key] = accounted.get(key, 0) + ma * mb
 
+    accounted = _local_intersections(config.points)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             entry = config.pairing_of(a, b)

@@ -34,20 +34,8 @@ class ValidationError(QgsurfError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
-class ExcessMultiplicityError(QgsurfError):
-    """Blow-up branches demand more local intersection than the pairing has."""
-
-
-class NegativeGenusError(QgsurfError):
-    """Blow-up multiplicity would push a curve's arithmetic genus below 0."""
-
-
 class SingularMatrixError(QgsurfError):
     """solve_unique was given a square matrix with zero determinant."""
-
-
-class NotSymmetricError(QgsurfError):
-    """A symmetric matrix was required."""
 
 
 class InvalidFractionError(QgsurfError):
@@ -74,12 +62,8 @@ class CurveContractedError(QgsurfError):
     """pullback_degree was asked for a curve inside a contracted chain."""
 
 
-class PlanInvalidError(QgsurfError):
+class PlanInvalidError(ValidationError):
     """A contraction plan with outstanding violations was used for invariants."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(str(v) for v in self.violations))
 
 
 class DomainError(QgsurfError):

@@ -13,7 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from qgsurf.errors import NotSymmetricError, SingularMatrixError
+from qgsurf.errors import QgsurfError, SingularMatrixError
+
+
+class NotSymmetricError(QgsurfError):
+    """A symmetric matrix was required."""
 
 
 class RatMatrix:

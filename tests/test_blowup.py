@@ -1,18 +1,21 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from qgsurf import blowup
 from qgsurf.blowup import BlowupStep, apply_blowups, blow_up
-from qgsurf.config import Configuration, CurveClass, SurfaceInvariants, Violation, validate
+from qgsurf.config import (
+    Configuration,
+    CurveClass,
+    PointSpec,
+    SurfaceInvariants,
+    Violation,
+    validate,
+)
 from qgsurf.corpus import builtin
 from qgsurf import config as config_mod
-from qgsurf.errors import (
-    ExcessMultiplicityError,
-    NegativeGenusError,
-    UnknownCurveError,
-    ValidationError,
-)
+from qgsurf.errors import ValidationError
 
 
 def make_config(curves, pairs=(), kind="other", chi=1, K2=0, knt=False):
@@ -69,31 +72,60 @@ def test_empty_blowup_list_is_identity():
     assert apply_blowups(cfg, []) == cfg
 
 
+def _kinds(exc_info):
+    return [(v.kind, v.subject) for v in exc_info.value.violations]
+
+
 def test_blow_up_excess_multiplicity():
     cfg = make_config([("A", -2, 0, 0), ("B", -2, 0, 0)], [("A", "B", 1)])
-    with pytest.raises(ExcessMultiplicityError):
+    with pytest.raises(ValidationError) as info:
         blow_up(cfg, BlowupStep(branches=(("A", 2), ("B", 1))))
+    # A is rational, so the step breaks the genus rule too: both are listed
+    assert _kinds(info) == [("point", "e1"), ("point-pairing", "A.B")]
 
 
 def test_blow_up_negative_genus():
     cfg = make_config([("A", -2, 0, 0)])
-    with pytest.raises(NegativeGenusError):
+    with pytest.raises(ValidationError) as info:
         blow_up(cfg, BlowupStep(branches=(("A", 2),)))
+    assert _kinds(info) == [("point", "e1")]
+    assert info.value.violations[0].detail == "multiplicity 2 exceeds genus budget of A"
 
 
 def test_blow_up_unknown_curve():
     cfg = make_config([("A", -2, 0, 0)])
-    with pytest.raises(UnknownCurveError):
+    with pytest.raises(ValidationError) as info:
         blow_up(cfg, BlowupStep(branches=(("Z", 1),)))
+    assert info.value.violations == [
+        Violation("point", "e1", "branch references unknown curve 'Z'")]
 
 
 def test_apply_blowups_names_failing_step():
     cfg = make_config([("A", -2, 0, 0)])
     steps = [BlowupStep(branches=(("A", 1),), label="x1"),
              BlowupStep(branches=(("Z", 1),), label="x2")]
-    with pytest.raises(UnknownCurveError) as info:
+    with pytest.raises(ValidationError) as info:
         apply_blowups(cfg, steps)
-    assert "step 1" in str(info.value)
+    assert _kinds(info) == [("point", "x2")]
+    assert str(info.value) == "step 1 (x2): point[x2]: branch references unknown curve 'Z'"
+
+
+@pytest.mark.parametrize("branches, expected", [
+    ((("A", 1), ("Z", 1)), [Violation("point", "P", "branch references unknown curve 'Z'")]),
+    ((("A", 1), ("A", 1)), [Violation("point", "P", "repeated curve in branches")]),
+    ((("G", 3),), [Violation("point", "P", "multiplicity 3 exceeds genus budget of G")]),
+    ((("A", 1), ("G", 2)), [Violation("point-pairing", "A.G",
+                                      "declared points account for 2 > pairing 1")]),
+], ids=["unknown-curve", "repeated-curve", "genus-budget", "pair-budget"])
+def test_declared_point_and_blowup_step_share_the_point_rules(branches, expected):
+    """A declared point P is flagged by validate exactly as blow_up flags a
+    step at P's branches: both run config.point_violations."""
+    cfg = make_config([("A", -2, 0, 0), ("G", 0, 2, 2)], [("A", "G", 1)])
+    declared = replace(cfg, points=(PointSpec("P", branches),))
+    assert validate(declared) == expected
+    with pytest.raises(ValidationError) as info:
+        blow_up(cfg, BlowupStep(branches=branches, label="P"))
+    assert info.value.violations == expected
 
 
 def test_exceptional_names_auto_increment():

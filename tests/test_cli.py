@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -265,6 +266,19 @@ def _add_multiple_fiber_iii(doc):
     doc["fibration"]["fibers"].append({"type": "III", "multiplicity": 2, "components": []})
 
 
+def _repeat_two_section(doc):
+    doc["fibration"]["two_sections"] = ["S1", "S1", "S2"]
+
+
+def _repeat_disjoint_curve(doc):
+    names = doc["fibration"]["multiple_fiber_disjoint_from"]
+    doc["fibration"]["multiple_fiber_disjoint_from"] = names + names[:1]
+
+
+def _set_point_name_empty(doc):
+    doc["points"][0]["name"] = ""
+
+
 @pytest.mark.parametrize("edit", [
     _set("pairing", 5),
     _set("pairing", "G1"),
@@ -278,10 +292,14 @@ def _add_multiple_fiber_iii(doc):
     _set_fiber_multiplicity,
     _set_blowup_label_empty,
     _add_multiple_fiber_iii,
+    _repeat_two_section,
+    _repeat_disjoint_curve,
+    _set_point_name_empty,
 ], ids=["pairing-int", "pairing-string", "pairing-list-name", "notes-string",
         "name-int", "two-sections-string", "blowup-branches-int", "plan-q-negative",
         "class-known-string", "multiplicity-bool", "blowup-label-empty",
-        "multiple-fiber-III"])
+        "multiple-fiber-III", "two-sections-repeated", "disjoint-from-repeated",
+        "point-name-empty"])
 def test_verify_malformed_document_exits_two(tmp_path, capsys, edit):
     doc = json.loads(json.dumps(builtin("enriques-k1").document))
     edit(doc)
@@ -317,6 +335,35 @@ def test_duplicate_key_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err == "error: duplicate key 'plan' in a JSON object\n"
+
+
+def test_verify_blowup_at_unknown_curve_exits_two(tmp_path, capsys):
+    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    step = doc["blowups"][0]
+    step["branches"][0][0] = "Z"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, text = invoke("verify", str(path))
+    assert code == 2
+    assert text == ""
+    label = step["label"]
+    assert capsys.readouterr().err == (
+        f"error: step 0 ({label}): point[{label}]: branch references unknown curve 'Z'\n")
+
+
+def test_readme_sample_document_verdict(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sample = re.search(r"Short example:\n\n```json\n(.*?)```", readme, re.S).group(1)
+    stated = re.search(r"`qgsurf verify`\s+on this sample exits (\d)", readme).group(1)
+    path = tmp_path / "sample.json"
+    path.write_text(sample)
+    code, text = invoke("verify", str(path))
+    assert code == int(stated)
+    assert text.splitlines() == [
+        "violation=plan-smoothability[chain0]: chain [3] is not smoothable",
+        "violation=plan-smoothability[chain1]: chain [3] is not smoothable",
+        "status=fail",
+    ]
 
 
 def _write(tmp_path, doc):

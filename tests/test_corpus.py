@@ -138,20 +138,6 @@ def test_reports_have_topology(corpus_results):
             assert top.cover_sigma is None
 
 
-def test_repo_corpus_directory_matches_packaged_data():
-    # corpus/<name>.json at the repo root mirrors the packaged documents
-    from pathlib import Path
-
-    repo_dir = Path(__file__).resolve().parent.parent / "corpus"
-    if not repo_dir.is_dir():
-        pytest.skip("repo corpus directory not present in this layout")
-    from importlib import resources
-
-    for name in EXAMPLE_NAMES:
-        packaged = resources.files("qgsurf").joinpath(f"corpus_data/{name}.json").read_text()
-        assert (repo_dir / f"{name}.json").read_text() == packaged, name
-
-
 def test_staged_certificates_reach_declared_rank(corpus_results):
     expected_ranks = {
         "enriques-k1": 10,

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ratlin_oracle as oracle
-from qgsurf.errors import NotSymmetricError, SingularMatrixError
+from qgsurf.errors import SingularMatrixError
 from qgsurf.ratlin import determinant, eliminate, rank, solve_unique
-from ratlin_oracle import RatMatrix, chain_gram, is_negative_definite
+from ratlin_oracle import NotSymmetricError, RatMatrix, chain_gram, is_negative_definite
 
 
 def identity(n):
