@@ -28,11 +28,17 @@ def _consume_point(points: Sequence[PointSpec], branches) -> list[PointSpec]:
     return remaining
 
 
+def _step_label(config: Configuration, step: BlowupStep) -> str:
+    """The name of the step's exceptional curve: its label, or else e<k> for
+    the k-th blow-up of the configuration."""
+    return step.label or f"e{config.blowup_count + 1}"
+
+
 def blow_up(config: Configuration, step: BlowupStep) -> Configuration:
     """Apply one blow-up and return the new configuration.  A step whose point
     breaks the point rules (``qgsurf.config.point_violations``) raises
     ValidationError with the violations."""
-    label = step.label or f"e{config.blowup_count + 1}"
+    label = _step_label(config, step)
     violations = point_violations(config, [PointSpec(label, step.branches)])
     if violations:
         raise ValidationError(violations)
@@ -83,7 +89,7 @@ def replay(config: Configuration, steps: Sequence[BlowupStep]) -> tuple[Configur
         try:
             stages.append(blow_up(stages[-1], step))
         except QgsurfError as exc:
-            exc.args = (f"step {i} ({step.label or 'auto'}): {exc}",)
+            exc.args = (f"step {i} ({_step_label(stages[-1], step)}): {exc}",)
             raise
     return tuple(stages)
 

@@ -351,6 +351,20 @@ def test_verify_blowup_at_unknown_curve_exits_two(tmp_path, capsys):
         f"error: step 0 ({label}): point[{label}]: branch references unknown curve 'Z'\n")
 
 
+def test_unlabeled_blowup_at_unknown_curve_names_its_step_once(tmp_path, capsys):
+    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    step = doc["blowups"][0]
+    del step["label"]
+    step["branches"][0][0] = "Z"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, text = invoke("verify", str(path))
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "error: step 0 (e1): point[e1]: branch references unknown curve 'Z'\n")
+
+
 def test_readme_sample_document_verdict(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     sample = re.search(r"Short example:\n\n```json\n(.*?)```", readme, re.S).group(1)

@@ -1,10 +1,27 @@
-"""Parity between the numpy scan kernel and its pure-Python reference."""
+"""Parity between the numpy scan kernel and its pure-Python reference, and
+the size of the blocks the kernel works in."""
+
+import functools
+import tracemalloc
 
 import pytest
 
 from qgsurf import kernel
 from qgsurf._kernel_py import scan_chains as py_scan
 from qgsurf.wahl import generate_class_T, recognize_class_T
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(max_len, max_entry):
+    return py_scan(max_len, max_entry)
+
+
+def _chunks(n):
+    """CHUNK values that cut the scan's levels at awkward places, for digits
+    in n values: one chain per block, about one digit's worth of chains, one
+    short of two digits' worth, and n*n + 1, which is no multiple of the
+    n*n chains of the table it leads to."""
+    return sorted({1, n - 1, n, n + 1, n * n - 1, n * n + 1})
 
 
 @pytest.mark.parametrize("max_len, max_entry, chunk", [
@@ -14,11 +31,53 @@ from qgsurf.wahl import generate_class_T, recognize_class_T
     pytest.param(6, 4, None, id="6-4"),
     # 40 holds 6**2 chains: lengths 3 to 5 are built in 36-chain pieces
     pytest.param(5, 7, 40, id="5-7-chunk40"),
+] + [
+    # blocks that cut a length in the middle of a digit
+    pytest.param(max_len, max_entry, chunk, id=f"{max_len}-{max_entry}-chunk{chunk}")
+    for max_len, max_entry in [(5, 7), (4, 3), (3, 40)]
+    for chunk in _chunks(max_entry - 1)
 ])
 def test_backends_agree(max_len, max_entry, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(kernel, "CHUNK", chunk)
-    assert kernel.scan_chains(max_len, max_entry) == py_scan(max_len, max_entry)
+    assert kernel.scan_chains(max_len, max_entry) == _reference(max_len, max_entry)
+
+
+def _block_sizes(monkeypatch, max_len, max_entry):
+    """{length: [chains in each block checked at that length]} of one scan."""
+    sizes = {}
+    check = kernel._Tally.check
+
+    def recording(self, length, state, *args):
+        sizes.setdefault(length, []).append(state[0].size)
+        return check(self, length, state, *args)
+
+    monkeypatch.setattr(kernel._Tally, "check", recording)
+    kernel.scan_chains(max_len, max_entry)
+    return sizes
+
+
+@pytest.mark.parametrize("max_len, max_entry", [(6, 12), (3, 300), (12, 4)])
+def test_blocks_hold_between_half_and_all_of_chunk(max_len, max_entry, monkeypatch):
+    sizes = _block_sizes(monkeypatch, max_len, max_entry)
+    n = max_entry - 1
+    assert sorted(sizes) == list(range(1, max_len + 1))
+    for length, blocks in sizes.items():
+        assert sum(blocks) == n ** length
+        assert max(blocks) <= kernel.CHUNK, length
+        if n ** length > kernel.CHUNK:
+            assert min(blocks) > kernel.CHUNK // 2, length
+
+
+def test_scan_peak_memory_stays_small():
+    kernel.scan_chains(2, 3)  # numpy imported before tracing starts
+    tracemalloc.start()
+    try:
+        kernel.scan_chains(6, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_scan_counts_all_chains():
