@@ -1,22 +1,26 @@
 """Command-line front end.
 
 Subcommands: verify FILE, example NAME, verify-all, chain B1,B2,...,
-enumerate-classT, export-dot FILE.  Exit status: 0 all checks pass,
+enumerate-classT, export-dot FILE, info.  Exit status: 0 all checks pass,
 1 verification failure (what fails is decided in ``qgsurf.pipeline``;
 ``example`` and ``verify-all`` add the corpus expectations), 2 input or
 schema error.  Output is deterministic; --output json mirrors the report
 structures.
+
+Only the chain analytics (``wahl``) are imported with this module.  The
+handlers that need ``config``, ``pipeline`` or ``corpus`` import them when
+they run, so ``chain`` and ``enumerate-classT`` never load the document
+pipeline and ``verify`` never loads the corpus.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import sys
 
-from . import config as config_mod
-from . import corpus, pipeline
 from .errors import QgsurfError
 from .wahl import ChainSummary, canonical_order, fraction_text, generate_class_T, summarize
 
@@ -89,11 +93,12 @@ def _load_document(path: str):
             data = fh.read()
     except OSError as exc:
         raise QgsurfError(f"cannot read {path}: {exc.strerror}") from None
-    return config_mod.parse_unvalidated(data)
+    return importlib.import_module(".config", __package__).parse_unvalidated(data)
 
 
 def _cmd_verify(args, out) -> int:
     # input errors, blow-up steps that cannot be applied included, exit 2 in run()
+    pipeline = importlib.import_module(".pipeline", __package__)
     result = pipeline.run(_load_document(args.path))
     lint_lines = []
     euler = result.euler
@@ -147,6 +152,7 @@ def _relation_text(coeffs: dict) -> str:
 
 
 def _cmd_example(args, out) -> int:
+    corpus = importlib.import_module(".corpus", __package__)
     try:
         result = corpus.verify_example(args.name)
     except QgsurfError as exc:
@@ -186,6 +192,7 @@ def _cmd_example(args, out) -> int:
 
 
 def _cmd_verify_all(args, out) -> int:
+    corpus = importlib.import_module(".corpus", __package__)
     results = corpus.verify_all()
     if args.output == "json":
         blob = [
@@ -208,7 +215,19 @@ def _cmd_export_dot(args, out) -> int:
     except QgsurfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    print(config_mod.export_dot(doc.configuration), file=out, end="")
+    config = importlib.import_module(".config", __package__)
+    print(config.export_dot(doc.configuration), file=out, end="")
+    return EXIT_OK
+
+
+def _cmd_info(args, out) -> int:
+    fields = {"version": importlib.import_module(__package__).__version__,
+              "kernel_backend": importlib.import_module(".kernel", __package__).BACKEND}
+    if args.output == "json":
+        print(json.dumps(fields, indent=1), file=out)
+    else:
+        for key, value in fields.items():
+            print(f"{key}={value}", file=out)
     return EXIT_OK
 
 
@@ -242,6 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-dot", help="emit the configuration's dual graph")
     p.add_argument("path")
     p.set_defaults(func=_cmd_export_dot)
+
+    p = sub.add_parser("info", help="print the version and the chain-scan kernel in use")
+    p.set_defaults(func=_cmd_info)
     return parser
 
 

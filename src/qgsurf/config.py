@@ -641,17 +641,20 @@ def _dot_quote(name: str) -> str:
 
 
 def export_dot(config: Configuration) -> str:
-    """Dual graph in DOT form: one vertex per curve, one edge per unit of
-    intersection; deterministic ordering."""
+    """Dual graph in DOT form: one vertex per curve, one edge per pair of
+    curves that meet, labelled with the intersection number when it is above
+    1; deterministic ordering."""
     lines = ["graph configuration {"]
     for c in config.curves:
         lines.append(f'  {_dot_quote(c.name)} [label="{c.name} ({c.self_int})"];')
     n = len(config.curves)
     for i in range(n):
         for j in range(i + 1, n):
-            for _ in range(max(config.pairing[i][j], 0)):
+            m = config.pairing[i][j]
+            if m > 0:
+                label = f' [label="{m}"]' if m > 1 else ""
                 lines.append(
                     f"  {_dot_quote(config.curves[i].name)}"
-                    f" -- {_dot_quote(config.curves[j].name)};")
+                    f" -- {_dot_quote(config.curves[j].name)}{label};")
     lines.append("}")
     return "\n".join(lines) + "\n"

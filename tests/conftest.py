@@ -1,7 +1,10 @@
+import os
 import time
+from pathlib import Path
 
 import pytest
 
+import qgsurf
 from qgsurf import corpus, kernel
 
 _scan_cache: dict = {}
@@ -29,3 +32,11 @@ def corpus_results():
 @pytest.fixture(scope="session")
 def full_scan():
     return scan_full()[0]
+
+
+@pytest.fixture(scope="session")
+def fresh_env():
+    """The environment for a fresh interpreter that imports this package."""
+    package_root = str(Path(qgsurf.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))

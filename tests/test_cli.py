@@ -1,7 +1,7 @@
 import io
 import json
-import os
 import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qgsurf
-from qgsurf import cli
+from qgsurf import cli, kernel
 from qgsurf.cli import run
 from qgsurf.config import independence_certificate, to_document
 from qgsurf.corpus import builtin
@@ -95,7 +95,7 @@ def test_witness_relation_names_the_fiber_class(corpus_results):
     assert cli._relation_text({"S1": 3, "S2": -2, "G1": 1}) == "3*S1-2*S2+G1"
 
 
-def test_repeated_runs_match_fresh_processes(capsys):
+def test_repeated_runs_match_fresh_processes(capsys, fresh_env):
     # run() reuses one parser; mixed subcommands, --output values and an
     # argparse error in one process must each print what a fresh process does
     k2 = str(Path(__file__).resolve().parent.parent / "corpus" / "enriques-k2.json")
@@ -110,12 +110,9 @@ def test_repeated_runs_match_fresh_processes(capsys):
         ["--output", "json", "chain", "4"],
         ["example", "bogus"],
     ]
-    package_root = str(Path(qgsurf.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [package_root] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     for argv in calls:
         fresh = subprocess.run([sys.executable, "-m", "qgsurf", *argv], capture_output=True,
-                               text=True, env=env, timeout=120)
+                               text=True, env=fresh_env, timeout=120)
         out = io.StringIO()
         try:
             code = run(argv, out=out)
@@ -207,6 +204,39 @@ def test_export_dot(tmp_path):
     assert '"G1" -- "G2";' in text
     again = invoke("export-dot", str(path))
     assert again == (code, text)
+
+
+def test_export_dot_work_is_bounded_by_the_pairs_not_the_pairing(tmp_path, fresh_env):
+    # one edge per pair, so a pairing of 10^12 prints one line; under a
+    # 256 MB address-space cap an edge per unit of intersection ends in
+    # MemoryError
+    doc = {
+        "surface": {"kind": "other", "chi": 1, "K2": 0, "K_num_trivial": False},
+        "curves": [{"name": n, "self": -2, "genus": 0, "Kdeg": 0, "tags": []}
+                   for n in ("A", "B")],
+        "pairing": [["A", "B", 10**12]],
+    }
+    path = tmp_path / "huge-pairing.json"
+    path.write_text(json.dumps(doc))
+    cap = 256 * 2**20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run([sys.executable, "-m", "qgsurf", "export-dot", str(path)],
+                          capture_output=True, text=True, env=fresh_env, timeout=60,
+                          preexec_fn=limit_memory)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-2:] == ['  "A" -- "B" [label="1000000000000"];', "}"]
+
+
+def test_info_subcommand():
+    code, text = invoke("info")
+    assert code == 0
+    assert text == f"version={qgsurf.__version__}\nkernel_backend={kernel.BACKEND}\n"
+    code, text = invoke("--output", "json", "info")
+    assert code == 0
+    assert json.loads(text) == {"version": qgsurf.__version__, "kernel_backend": kernel.BACKEND}
 
 
 def test_verify_without_plan_runs_lints_only(tmp_path):

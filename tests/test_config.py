@@ -263,8 +263,9 @@ def test_export_dot_corpus_has_nine_cycle(corpus_results):
     for i in range(1, 10):
         a, b = f"G{i}", f"G{i % 9 + 1}"
         assert f'"{a}" -- "{b}";' in out or f'"{b}" -- "{a}";' in out
-    # multiplicity 2 renders as two parallel edges
-    assert out.count('"S1" -- "F";') == 2
+    # a pair meeting twice is one edge labelled with its multiplicity
+    assert out.count('"S1" -- "F"') == 1
+    assert '"S1" -- "F" [label="2"];' in out
     # deterministic output
     assert out == export_dot(cfg)
 

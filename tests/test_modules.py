@@ -1,19 +1,42 @@
-"""The package's module graph: acyclic, with every import at module level."""
+"""The package's module graph, and the modules each entry point loads.
+
+Every ``from .`` import sits at module level; a module that loads another
+only when a function runs does so with ``importlib.import_module(".name",
+__package__)``, and the graph counts that as an edge too, so it stays
+acyclic whichever way a module is reached.
+"""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qgsurf
 
 PACKAGE_DIR = Path(qgsurf.__file__).resolve().parent
+DOCUMENT = PACKAGE_DIR / "corpus_data" / "enriques-k1.json"
+
+
+def _deferred_import(node: ast.AST) -> str | None:
+    """The module named by an ``importlib.import_module(".name", ...)`` call."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "import_module" and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and str(node.args[0].value).startswith(".")):
+        return node.args[0].value[1:]
+    return None
 
 
 def _relative_imports(tree: ast.Module) -> tuple[set[str], list[int]]:
-    """(modules imported at module level, lines of nested relative imports)."""
+    """(modules imported at module level or deferred, lines of nested relative imports)."""
     top, nested = set(), []
     for node in ast.walk(tree):
+        deferred = _deferred_import(node)
+        if deferred is not None:
+            top.add(deferred)
         if not isinstance(node, ast.ImportFrom) or node.level != 1:
             continue
         if node not in tree.body:
@@ -43,19 +66,100 @@ def test_module_graph_is_acyclic():
         done |= ready
 
 
-def test_config_reads_documents_without_blowup_or_smoothing():
-    # qgsurf/__init__ imports every module for its public names, so the
-    # package is stubbed out to measure what config itself loads: on import,
-    # and while it parses a document with every section.
+def _fresh(env: dict, code: str, *argv: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          check=True, env=env, timeout=120).stdout
+
+
+LOADED = "print(' '.join(sorted(m[7:] for m in sys.modules if m.startswith('qgsurf.'))))\n"
+
+
+def test_config_reads_documents_without_blowup_or_smoothing(fresh_env):
+    # what config loads on import and while it parses a document with every section
     code = (
-        "import sys, types\n"
-        "pkg = types.ModuleType('qgsurf'); pkg.__path__ = [sys.argv[1]]\n"
-        "sys.modules['qgsurf'] = pkg\n"
+        "import sys\n"
         "import qgsurf.config\n"
-        "doc = qgsurf.config.parse_unvalidated(open(sys.argv[2], 'rb').read())\n"
-        "assert doc.blowups and doc.plan and doc.configuration.fibration\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('qgsurf.'))))\n")
-    document = PACKAGE_DIR / "corpus_data" / "enriques-k1.json"
-    loaded = subprocess.run([sys.executable, "-c", code, str(PACKAGE_DIR), str(document)],
-                            capture_output=True, text=True, check=True).stdout.split()
-    assert loaded == ["qgsurf.config", "qgsurf.errors", "qgsurf.fibration", "qgsurf.ratlin"]
+        "doc = qgsurf.config.parse_unvalidated(open(sys.argv[1], 'rb').read())\n"
+        "assert doc.blowups and doc.plan and doc.configuration.fibration\n" + LOADED)
+    loaded = _fresh(fresh_env, code, str(DOCUMENT)).split()
+    assert loaded == ["config", "errors", "fibration", "ratlin"]
+
+
+CHAIN_SET = ["cli", "errors", "kernel", "wahl"]
+PIPELINE_SET = sorted(CHAIN_SET + ["blowup", "config", "fibration", "pipeline", "ratlin",
+                                   "smoothing"])
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["chain", "5,2"], CHAIN_SET),
+    (["--output", "json", "chain", "4,2,3,2"], CHAIN_SET),
+    (["enumerate-classT", "--max-len", "4", "--max-entry", "6"], CHAIN_SET),
+    (["info"], CHAIN_SET),
+    (["verify", str(DOCUMENT)], PIPELINE_SET),
+    (["export-dot", str(DOCUMENT)], sorted(CHAIN_SET + ["config", "fibration", "ratlin"])),
+    (["example", "enriques-k1"], sorted(PIPELINE_SET + ["corpus"])),
+    (["verify-all"], sorted(PIPELINE_SET + ["corpus"])),
+], ids=["chain", "chain-json", "enumerate-classT", "info", "verify", "export-dot", "example",
+        "verify-all"])
+def test_each_subcommand_loads_only_its_modules(fresh_env, argv, loaded):
+    code = (
+        "import io, sys\n"
+        "from qgsurf import cli\n"
+        "assert cli.run(sys.argv[1:], io.StringIO()) == 0\n"
+        "print('numpy' in sys.modules)\n" + LOADED)
+    numpy, modules = _fresh(fresh_env, code, *argv).split("\n", 1)
+    assert modules.split() == loaded
+    assert numpy == "False"
+
+
+# The public names of the package and the module that defines each.
+PUBLIC = {
+    "apply_blowups": "blowup", "blow_up": "blowup",
+    **dict.fromkeys(["BlowupStep", "Configuration", "ContractionPlan", "CurveClass", "Document",
+                     "IndependenceCertificate", "PointSpec", "SurfaceInvariants", "export_dot",
+                     "independence_certificate", "parse", "snc_certificate", "validate"],
+                    "config"),
+    "builtin": "corpus", "verify_all": "corpus", "verify_example": "corpus",
+    "Violation": "errors",
+    **dict.fromkeys(["FiberSpec", "FibrationData", "euler_number", "euler_sum_check",
+                     "i9_forces_i1_lint", "two_section_incidence_check"], "fibration"),
+    **dict.fromkeys(["Elimination", "eliminate", "rank", "solve_unique"], "ratlin"),
+    **dict.fromkeys(["AmplenessCertificate", "SingularSurfaceReport", "TopologyReport",
+                     "ampleness_certificate", "build_report", "contract_invariants",
+                     "moduli_dimension", "pi1_criterion", "pullback_degree", "topology_report",
+                     "validate_plan"], "smoothing"),
+    **dict.fromkeys(["Chain", "ClassTData", "chain_from_fraction", "discrepancies",
+                     "generate_class_T", "hj_value", "index", "k2_contribution",
+                     "recognize_class_T"], "wahl"),
+}
+SUBMODULES = ["blowup", "config", "corpus", "errors", "fibration", "kernel", "pipeline",
+              "ratlin", "smoothing", "wahl"]
+
+
+def test_public_names_are_the_defining_modules_objects():
+    assert len(PUBLIC) == 49
+    assert sorted(qgsurf.__all__) == sorted(PUBLIC)
+    for name, module in PUBLIC.items():
+        value = getattr(qgsurf, name)
+        assert value is getattr(importlib.import_module(f"qgsurf.{module}"), name), name
+        if getattr(value, "__module__", "").startswith("qgsurf."):
+            assert value.__module__ == f"qgsurf.{module}", name
+    with pytest.raises(AttributeError):
+        qgsurf.no_such_name  # noqa: B018
+
+
+def test_importing_the_package_loads_no_module(fresh_env):
+    # a public name loads its defining module and what that imports, nothing
+    # else; dir() lists every public name and submodule without loading any
+    code = (
+        "import sys\n"
+        "import qgsurf\n" + LOADED +
+        "print(' '.join(dir(qgsurf)))\n" + LOADED +
+        "qgsurf.rank\n" + LOADED +
+        "from qgsurf import cli, corpus\n" + LOADED)
+    bare, listed, after_dir, after_rank, after_from = _fresh(fresh_env, code).split("\n")[:5]
+    assert bare == after_dir == ""
+    assert set(PUBLIC) | set(SUBMODULES) | {"__version__"} <= set(listed.split())
+    assert after_rank.split() == ["errors", "ratlin"]
+    assert {"cli", "corpus"} <= set(after_from.split())
