@@ -59,9 +59,18 @@ def _chain_blob(summary: ChainSummary) -> dict:
     }
 
 
+def _chain_entries(text: str) -> list[int]:
+    """The integers of a comma-separated chain; an empty entry is an error."""
+    entries = text.split(",")
+    for position, entry in enumerate(entries, 1):
+        if not entry.strip():
+            raise ValueError(f"entry {position} is empty")
+    return [int(x) for x in entries]
+
+
 def _cmd_chain(args, out) -> int:
     try:
-        summary = summarize(int(x) for x in args.entries.split(",") if x.strip() != "")
+        summary = summarize(_chain_entries(args.entries))
     except (ValueError, QgsurfError) as exc:
         print(f"error: chain: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -646,7 +646,8 @@ def export_dot(config: Configuration) -> str:
     1; deterministic ordering."""
     lines = ["graph configuration {"]
     for c in config.curves:
-        lines.append(f'  {_dot_quote(c.name)} [label="{c.name} ({c.self_int})"];')
+        label = _dot_quote(f"{c.name} ({c.self_int})")
+        lines.append(f"  {_dot_quote(c.name)} [label={label}];")
     n = len(config.curves)
     for i in range(n):
         for j in range(i + 1, n):

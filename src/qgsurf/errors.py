@@ -1,11 +1,10 @@
 """Exception hierarchy shared across the package, and the violation record
 that validation errors carry."""
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     subject: str
     detail: str

@@ -14,8 +14,11 @@ and, per chain, in 64-bit integers:
 Chains grow by prepending.  Putting b in front of a tail of value m'/q' gives
 m = b*m' - q' and q = m', so the expansion's first digit is ceil(m/q) = b and
 its remainder is (m', q').  A chain therefore round-trips iff that first step
-holds and its tail round-trips: one O(1) test per chain instead of an O(l)
-re-expansion.
+holds and its tail round-trips.  The step's remainder b*q - m is q' whatever
+b is, so the step holds iff 0 <= q' < m': the round trip is one test per
+tail, shared by all its children, instead of an O(l) re-expansion per chain.
+The children of one tail differ only in b, so m and the determinant step
+from digit b to b + 1 by addition: m + m' and det - det'.
 
 Chains of one length l are indexed by sum((bj - 2) * n**(l - j)),
 n = max_entry - 1, so digits decode from the index and index order is
@@ -64,25 +67,17 @@ def _max_numerator(max_len: int, max_entry: int) -> int:
     return cur
 
 
-def _grow(b, tail, live=None):
-    """Prepend b to every chain of tail.
+def _roundtrips(tail):
+    """Whether each chain of tail round-trips once any digit is put in front.
 
-    b is one digit, or one digit per chain.  A state is (m, q, det, det_tail,
-    ok): the value m/q, the determinant of the intersection matrix and that
-    of the chain without its first entry, and whether the chain round-trips.
-    ``live`` is ``ok & (m > 0)`` of the tail, which the caller may compute
-    once for all the digits it prepends to one tail.
+    A state is (m, q, det, det_tail, ok): the value m/q, the determinant of
+    the intersection matrix and that of the chain without its first entry,
+    and whether the chain round-trips.  With b in front of a tail of value
+    m'/q', the first step's remainder b*q - m = b*m' - (b*m' - q') is q'
+    whatever b is, so the step holds iff 0 <= q' < m'.
     """
-    m_t, q_t, det_t, det_tt, ok_t = tail
-    if live is None:
-        live = ok_t & (m_t > 0)
-    bm = b * m_t
-    m = bm - q_t
-    # first expansion step of m/q with q = m_t: ceil(m/q) == b iff the
-    # remainder b*q - m lies in [0, q), and the remainder must be the tail's q
-    r = bm - m
-    ok = live & (r >= 0) & (r < m_t) & (r == q_t)
-    return m, m_t, -b * det_t - det_tt, det_t, ok
+    m_t, q_t, _, _, ok_t = tail
+    return ok_t & (m_t > 0) & (q_t >= 0) & (q_t < m_t)
 
 
 def _block(np, table, lo, hi):
@@ -95,7 +90,9 @@ def _block(np, table, lo, hi):
     index = np.arange(lo, hi, dtype=np.int64)
     digit = index // size
     at = index - digit * size
-    return _grow(digit + 2, tuple(a[at] for a in table))
+    m_t, q_t, det_t, det_tt, _ = tail = tuple(a[at] for a in table)
+    b = digit + 2
+    return b * m_t - q_t, m_t, -b * det_t - det_tt, det_t, _roundtrips(tail)
 
 
 class _Tally:
@@ -108,15 +105,18 @@ class _Tally:
         self.roundtrip = 0
         self.accepted = []
 
-    def check(self, length, state, chain_at, square=None):
-        """Count and test every chain of state; ``square`` is (q + 1)**2,
-        which the caller may compute once for all children of one tail."""
+    def check(self, length, state, chain_at, square=None, broken=None):
+        """Count and test every chain of state.  ``square`` is (q + 1)**2 and
+        ``broken`` the number of chains that fail the round trip; the caller
+        may compute both once for all children of one tail."""
         np = self.np
         m, q, det, _, ok = state
         self.total += m.size
         # a negative definite matrix of order l has determinant of sign (-1)**l
         self.negdef += int(np.count_nonzero(det >= 0 if length & 1 else det <= 0))
-        self.roundtrip += m.size - int(np.count_nonzero(ok))
+        if broken is None:
+            broken = m.size - int(np.count_nonzero(ok))
+        self.roundtrip += broken
         # recognition: g = gcd(m, q+1), n = m/g, a = (q+1)/g, d = g/n.  Every
         # accepted chain has m = g*n dividing g**2, which divides (q+1)**2, so
         # the exact gcd runs only on chains passing that cheaper test.
@@ -170,17 +170,21 @@ def scan_chains(max_len: int, max_entry: int):
         tally.check(base, table, lambda i, k=base: _digits(i, k, n))
 
     def extend(tail, lo, head):
-        # every child of tail has q = m_tail: its share of _grow and check
-        # is computed once here
-        m_t, _, _, _, ok_t = tail
-        live = ok_t & (m_t > 0)
+        # every child of tail has q = m_tail and the same round trip, so
+        # both are tested once here; m and det step from digit b to b + 1
+        # by adding m_tail and subtracting det_tail
+        m_t, q_t, det_t, det_tt, _ = tail
+        ok = _roundtrips(tail)
+        broken = ok.size - int(np.count_nonzero(ok))
         square = (m_t + 1) * (m_t + 1)
         length = base + 2 + len(head)
+        m, det = m_t - q_t, -det_t - det_tt  # the digit 1
         for b in range(2, max_entry + 1):
-            child = _grow(b, tail, live)
+            m, det = m + m_t, det - det_t
+            child = (m, m_t, det, det_t, ok)
             chain = (b,) + head
             tally.check(length, child,
-                        lambda i: chain + _digits(lo + i, base + 1, n), square)
+                        lambda i: chain + _digits(lo + i, base + 1, n), square, broken)
             if length < max_len:
                 extend(child, lo, chain)
 

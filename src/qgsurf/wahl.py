@@ -28,7 +28,6 @@ tests' oracle for the discrepancy formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -48,8 +47,7 @@ def as_chain(entries) -> Chain:
     return chain
 
 
-@dataclass(frozen=True)
-class ClassTData:
+class ClassTData(NamedTuple):
     """Recognized singularity data for a contractible chain.
 
     The contracted point is the cyclic quotient of order m = d*n^2 with

@@ -45,6 +45,15 @@ def test_chain_subcommand_bad_input():
     assert code == 2
 
 
+@pytest.mark.parametrize("entries, position", [
+    ("2,,3", 2), ("5,2,", 3), (",4", 1), ("", 1), ("4, ,3", 2)])
+def test_chain_empty_entry_is_an_input_error(entries, position, capsys):
+    # an empty entry is never dropped: "2,,3" is not read as [2, 3]
+    code, text = invoke("chain", entries)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: chain: entry {position} is empty\n"
+
+
 def test_chain_json_mode():
     code, text = invoke("--output", "json", "chain", "4")
     assert code == 0
@@ -204,6 +213,25 @@ def test_export_dot(tmp_path):
     assert '"G1" -- "G2";' in text
     again = invoke("export-dot", str(path))
     assert again == (code, text)
+
+
+def test_export_dot_quotes_labels(tmp_path):
+    # the label is a DOT string like the vertex id, so quotes and
+    # backslashes in a curve name are escaped in both
+    doc = {
+        "surface": {"kind": "other", "chi": 1, "K2": 0, "K_num_trivial": False},
+        "curves": [{"name": n, "self": -2, "genus": 0, "Kdeg": 0, "tags": []}
+                   for n in ('A"x', r"B\y")],
+        "pairing": [['A"x', r"B\y", 1]],
+    }
+    path = tmp_path / "quoted-names.json"
+    path.write_text(json.dumps(doc))
+    assert invoke("export-dot", str(path)) == (0, "".join([
+        "graph configuration {\n",
+        r'  "A\"x" [label="A\"x (-2)"];' "\n",
+        r'  "B\\y" [label="B\\y (-2)"];' "\n",
+        r'  "A\"x" -- "B\\y";' "\n",
+        "}\n"]))
 
 
 def test_export_dot_work_is_bounded_by_the_pairs_not_the_pairing(tmp_path, fresh_env):

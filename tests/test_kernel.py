@@ -69,6 +69,36 @@ def test_blocks_hold_between_half_and_all_of_chunk(max_len, max_entry, monkeypat
             assert min(blocks) > kernel.CHUNK // 2, length
 
 
+def test_roundtrip_failures_are_counted_per_chain(monkeypatch):
+    """A chain that fails the round trip fails it for every chain that ends
+    in it.  Every real scan reports 0 such failures, so clear the flag of k
+    chains of one slab and count: each is itself and the tail of
+    n + n**2 + ... + n**(max_len - base - 1) longer chains."""
+    # n = 3: lengths 1 and 2 are tables (base = 2), length 3 is cut into
+    # three slabs of 9 chains, and lengths 4 and 5 lie below each slab
+    monkeypatch.setattr(kernel, "CHUNK", 10)
+    max_len, max_entry, base, n = 5, 4, 2, 3
+    cleared = [0, 4, 8]
+    block = kernel._block
+    slabs = []
+
+    def breaking(np, table, lo, hi):
+        state = block(np, table, lo, hi)
+        if table[0].size == n ** base:
+            slabs.append(lo)
+            if len(slabs) == 2:
+                ok = state[-1]
+                assert ok[cleared].all()
+                ok[cleared] = False
+        return state
+
+    monkeypatch.setattr(kernel, "_block", breaking)
+    total, accepted, negdef, roundtrip = kernel.scan_chains(max_len, max_entry)
+    assert slabs == [0, 9, 18]
+    assert roundtrip == len(cleared) * sum(n ** j for j in range(max_len - base))
+    assert (total, accepted, negdef) == _reference(max_len, max_entry)[:3]
+
+
 def test_scan_peak_memory_stays_small():
     kernel.scan_chains(2, 3)  # numpy imported before tracing starts
     tracemalloc.start()

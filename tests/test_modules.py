@@ -107,10 +107,15 @@ def test_each_subcommand_loads_only_its_modules(fresh_env, argv, loaded):
         "import io, sys\n"
         "from qgsurf import cli\n"
         "assert cli.run(sys.argv[1:], io.StringIO()) == 0\n"
-        "print('numpy' in sys.modules)\n" + LOADED)
-    numpy, modules = _fresh(fresh_env, code, *argv).split("\n", 1)
+        "print('numpy' in sys.modules, 'dataclasses' in sys.modules)\n" + LOADED)
+    flags, modules = _fresh(fresh_env, code, *argv).split("\n", 1)
     assert modules.split() == loaded
+    numpy, dataclasses = flags.split()
     assert numpy == "False"
+    if loaded == CHAIN_SET:
+        # the chain path's records are named tuples, so dataclasses (and the
+        # inspect it imports) is never loaded
+        assert dataclasses == "False"
 
 
 # The public names of the package and the module that defines each.
