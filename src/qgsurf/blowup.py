@@ -2,9 +2,11 @@
 
 Blowing up a point of multiplicity m on a curve C sends C to its proper
 transform: C.C drops by m^2, K.C rises by m, the arithmetic genus drops by
-m(m-1)/2, and C meets the new (-1)-curve m times.  Two branch curves through
-the same point lose m*m' from their mutual pairing.  Everything else is
-untouched; the ambient K^2 drops by exactly 1 per blow-up.
+m(m-1)/2, and C meets the new (-1)-curve transversally in m points, kept as
+one point record with count m, so a step costs the same for every m.  Two
+branch curves through the same point lose m*m' from their mutual pairing.
+Everything else is untouched; the ambient K^2 drops by exactly 1 per
+blow-up.
 """
 
 from __future__ import annotations
@@ -18,12 +20,16 @@ from .errors import QgsurfError, SchemaError, ValidationError
 
 
 def _consume_point(points: Sequence[PointSpec], branches) -> list[PointSpec]:
-    """Drop the first declared point whose branch multiset matches the step."""
+    """Take the blown-up point from the first record whose branch multiset
+    matches the step: a counted record loses one, a single point goes."""
     want = sorted(branches)
     remaining = list(points)
     for i, p in enumerate(remaining):
         if sorted(p.branches) == want:
-            del remaining[i]
+            if p.count > 1:
+                remaining[i] = replace(p, count=p.count - 1)
+            else:
+                del remaining[i]
             break
     return remaining
 
@@ -65,11 +71,10 @@ def blow_up(config: Configuration, step: BlowupStep) -> Configuration:
                                  tags=frozenset({"exceptional"})))
 
     points = _consume_point(config.points, step.branches)
-    # the exceptional curve meets each branch curve in m transverse points
-    for cname, m in step.branches:
-        for k in range(m):
-            points.append(PointSpec(name=f"{label}:{cname}:{k}",
-                                    branches=((label, 1), (cname, 1))))
+    # the exceptional curve meets each branch curve in m transverse points,
+    # written as one record with count m
+    points.extend(PointSpec(name=f"{label}:{cname}", branches=((label, 1), (cname, 1)), count=m)
+                  for cname, m in step.branches)
 
     return replace(
         config,

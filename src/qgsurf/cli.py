@@ -106,7 +106,8 @@ def _load_document(path: str):
 
 
 def _cmd_verify(args, out) -> int:
-    # input errors, blow-up steps that cannot be applied included, exit 2 in run()
+    # input errors, blow-up steps that cannot be applied and smoothing
+    # hypotheses that cannot be checked included, exit 2 in run()
     pipeline = importlib.import_module(".pipeline", __package__)
     result = pipeline.run(_load_document(args.path))
     lint_lines = []
@@ -123,12 +124,13 @@ def _cmd_verify(args, out) -> int:
         blob = {
             "violations": failures,
             "lints": lint_lines,
+            **_witness_fields(result.independence),
             "report": None if result.report is None else result.report.to_json(),
             "status": status,
         }
         print(json.dumps(blob, indent=1), file=out)
     else:
-        for line in lint_lines:
+        for line in lint_lines + _witness_lines(result.independence):
             print(line, file=out)
         if result.report is not None:
             print(result.report.to_text(), file=out)
@@ -139,12 +141,14 @@ def _cmd_verify(args, out) -> int:
 
 
 def _witness_fields(cert) -> dict:
-    """The independence witness with rows and columns named by curve."""
+    """The independence certificate's rank and witness, rows and columns named
+    by curve; every field is None without a certificate."""
     if cert is None:
-        return dict.fromkeys(("independence_pivots", "independence_minor",
-                              "independence_relation"))
+        return dict.fromkeys(("independence_rank", "independence_pivots",
+                              "independence_minor", "independence_relation"))
     w = cert.witness
     return {
+        "independence_rank": cert.rank,
         "independence_pivots": {"rows": [cert.candidates[i] for i in w.pivot_rows],
                                 "columns": [cert.columns[j] for j in w.pivot_cols]},
         "independence_minor": w.minor,
@@ -160,36 +164,36 @@ def _relation_text(coeffs: dict) -> str:
     return terms.removeprefix("+")
 
 
+def _witness_lines(cert) -> list[str]:
+    """The text form of ``_witness_fields``: no line without a certificate."""
+    if cert is None:
+        return []
+    fields = _witness_fields(cert)
+    pivots = fields["independence_pivots"]
+    return [f"independence_rank={cert.rank}",
+            f"independence_pivots={','.join(pivots['rows'])} x {','.join(pivots['columns'])}",
+            f"independence_minor={fields['independence_minor']}",
+            *(f"independence_relation={_relation_text(coeffs)}"
+              for coeffs in fields["independence_relation"])]
+
+
 def _cmd_example(args, out) -> int:
     corpus = importlib.import_module(".corpus", __package__)
-    try:
-        result = corpus.verify_example(args.name)
-    except QgsurfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    cert = result.independence
-    witness = _witness_fields(cert)
+    result = corpus.verify_example(args.name)
+    cert = result.run.independence
     if args.output == "json":
         blob = {
             "example": result.name,
             "passed": result.passed,
             "failures": result.failures,
-            "independence_rank": result.independence_rank,
-            **witness,
+            **_witness_fields(cert),
             "euler_deficit": result.euler_deficit,
             "report": None if result.report is None else result.report.to_json(),
         }
         print(json.dumps(blob, indent=1), file=out)
     else:
-        print(f"example={result.name}", file=out)
-        if cert is not None:
-            pivots = witness["independence_pivots"]
-            print(f"independence_rank={cert.rank}", file=out)
-            print(f"independence_pivots={','.join(pivots['rows'])} x "
-                  f"{','.join(pivots['columns'])}", file=out)
-            print(f"independence_minor={witness['independence_minor']}", file=out)
-            for coeffs in witness["independence_relation"]:
-                print(f"independence_relation={_relation_text(coeffs)}", file=out)
+        for line in [f"example={result.name}"] + _witness_lines(cert):
+            print(line, file=out)
         if result.euler_deficit is not None:
             print(f"euler_deficit={result.euler_deficit}", file=out)
         if result.report is not None:
@@ -219,11 +223,7 @@ def _cmd_verify_all(args, out) -> int:
 
 
 def _cmd_export_dot(args, out) -> int:
-    try:
-        doc = _load_document(args.path)
-    except QgsurfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    doc = _load_document(args.path)
     config = importlib.import_module(".config", __package__)
     print(config.export_dot(doc.configuration), file=out, end="")
     return EXIT_OK

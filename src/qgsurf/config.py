@@ -52,8 +52,13 @@ class CurveClass:
 
 @dataclass(frozen=True)
 class PointSpec:
+    """A point and the branches (curve, multiplicity) through it.  A blow-up
+    writes the transverse crossings of its exceptional curve with one branch
+    curve as one record with ``count`` > 1; declared points are single."""
+
     name: str
     branches: tuple[tuple[str, int], ...]
+    count: int = 1
 
 
 @dataclass(frozen=True)
@@ -66,10 +71,22 @@ class BlowupStep:
 
 
 @dataclass(frozen=True)
+class SmoothingHypothesis:
+    """The obstruction-vanishing hypothesis a plan relies on (Lee-Park): after
+    ``stage`` blow-ups the curves ``independent`` are numerically independent
+    and the divisor ``snc`` is simple normal crossing."""
+
+    stage: int
+    independent: tuple[str, ...]
+    snc: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class ContractionPlan:
     chains: tuple[tuple[str, ...], ...]
     declared_q: int = 0
     assumptions: tuple[str, ...] = ()
+    smoothing: Optional[SmoothingHypothesis] = None
 
 
 @dataclass(frozen=True)
@@ -148,7 +165,8 @@ _FIBRATION_KEYS = {"fibers", "two_sections", "multiple_fiber_disjoint_from",
                    "generic_fiber_class_known"}
 _FIBER_KEYS = {"type", "multiplicity", "components"}
 _STEP_KEYS = {"label", "branches"}
-_PLAN_KEYS = {"chains", "q", "assumptions"}
+_PLAN_KEYS = {"chains", "q", "assumptions", "smoothing"}
+_SMOOTHING_KEYS = {"stage", "independent", "snc"}
 
 
 def _need(mapping: dict, key: str, where: str):
@@ -198,6 +216,13 @@ def _strings(value, where: str) -> tuple[str, ...]:
         if not isinstance(item, str):
             raise SchemaError(f"{where}: expected an array of strings, got element {item!r}")
     return tuple(value)
+
+
+def _distinct(names: tuple[str, ...], where: str) -> tuple[str, ...]:
+    if len(set(names)) != len(names):
+        repeated = next(n for i, n in enumerate(names) if n in names[:i])
+        raise SchemaError(f"{where}: duplicate curve name {repeated!r}")
+    return names
 
 
 def _declared(names, known, where: str):
@@ -333,11 +358,7 @@ def _parse_fibration(obj, known: set[str]) -> FibrationData:
 
     def curve_names(key: str) -> tuple[str, ...]:
         where = f"fibration.{key}"
-        names = _declared(_strings(obj.get(key, []), where), known, where)
-        if len(set(names)) != len(names):
-            repeated = next(n for i, n in enumerate(names) if n in names[:i])
-            raise SchemaError(f"{where}: duplicate curve name {repeated!r}")
-        return names
+        return _distinct(_declared(_strings(obj.get(key, []), where), known, where), where)
 
     return FibrationData(
         fibers=fibers,
@@ -357,7 +378,27 @@ def _parse_blowup(item) -> BlowupStep:
     return BlowupStep(branches=branches, label=label)
 
 
-def _parse_plan(raw) -> ContractionPlan:
+def _parse_smoothing(raw, steps: int) -> SmoothingHypothesis:
+    """The plan's smoothing hypothesis.  Its names are resolved by the
+    pipeline, against the configuration after ``stage`` blow-ups."""
+    raw = _no_extras(raw, _SMOOTHING_KEYS, "plan.smoothing")
+    stage = _as_int(_need(raw, "stage", "plan.smoothing"), "plan.smoothing.stage")
+    if not 0 <= stage <= steps:
+        raise SchemaError(f"plan.smoothing.stage: expected 0..{steps} "
+                          f"(the number of blow-ups), got {stage}")
+
+    def curve_names(key: str) -> tuple[str, ...]:
+        where = f"plan.smoothing.{key}"
+        names = _distinct(_strings(_need(raw, key, "plan.smoothing"), where), where)
+        if not names:
+            raise SchemaError(f"{where}: expected a nonempty array of curve names")
+        return names
+
+    return SmoothingHypothesis(stage=stage, independent=curve_names("independent"),
+                               snc=curve_names("snc"))
+
+
+def _parse_plan(raw, steps: int) -> ContractionPlan:
     raw = _no_extras(raw, _PLAN_KEYS, "plan")
     chains = tuple(_strings(chain, "plan.chains[]")
                    for chain in _array(raw.get("chains", []), "plan.chains"))
@@ -366,8 +407,10 @@ def _parse_plan(raw) -> ContractionPlan:
     q = _as_int(raw.get("q", 0), "plan.q")
     if q < 0:
         raise SchemaError(f"plan.q: expected a non-negative integer, got {q!r}")
+    smoothing = _parse_smoothing(raw["smoothing"], steps) if "smoothing" in raw else None
     return ContractionPlan(chains=chains, declared_q=q,
-                           assumptions=_strings(raw.get("assumptions", []), "plan.assumptions"))
+                           assumptions=_strings(raw.get("assumptions", []), "plan.assumptions"),
+                           smoothing=smoothing)
 
 
 def parse(document) -> Document:
@@ -417,7 +460,7 @@ def parse_unvalidated(document) -> Document:
     )
 
     blowups = tuple(_parse_blowup(item) for item in _array(document.get("blowups", []), "blowups"))
-    plan = _parse_plan(document["plan"]) if "plan" in document else None
+    plan = _parse_plan(document["plan"], len(blowups)) if "plan" in document else None
     name = document.get("name")
     if name is not None and not isinstance(name, str):
         raise SchemaError(f"name: expected a string, got {name!r}")
@@ -472,6 +515,11 @@ def to_document(doc: Document) -> dict:
             "q": doc.plan.declared_q,
             "assumptions": list(doc.plan.assumptions),
         }
+        hypothesis = doc.plan.smoothing
+        if hypothesis is not None:
+            out["plan"]["smoothing"] = {"stage": hypothesis.stage,
+                                        "independent": list(hypothesis.independent),
+                                        "snc": list(hypothesis.snc)}
     return out
 
 
@@ -529,12 +577,12 @@ def validate(config: Configuration) -> list[Violation]:
 
 def _local_intersections(points: Sequence[PointSpec]) -> dict[frozenset, int]:
     """For each pair of branch curves, the local intersection m_a*m_b summed
-    over the points."""
+    over the points, a record with a count standing for that many points."""
     local: dict[frozenset, int] = {}
     for p in points:
         for (ca, ma), (cb, mb) in itertools.combinations(p.branches, 2):
             key = frozenset((ca, cb))
-            local[key] = local.get(key, 0) + ma * mb
+            local[key] = local.get(key, 0) + p.count * ma * mb
     return local
 
 
@@ -593,8 +641,8 @@ def snc_certificate(config: Configuration, divisor: Sequence[str]) -> list[Viola
 
     Empty iff every point touching a divisor curve is a transverse crossing
     of at most two branches, every positive pairing inside the divisor is
-    fully accounted for by declared points, and all divisor curves are
-    rational.  A positive pairing with no declared points at all raises
+    fully accounted for by declared points (a record with a count is that
+    many crossings), and all divisor curves are rational.  A positive pairing with no declared points at all raises
     MissingPointDataError (the data cannot decide the question).
     """
     names = list(divisor)

@@ -5,9 +5,10 @@ Six constructions ship with the package, named
     enriques-k1, enriques-k2, enriques-k3-kondo2, enriques-k3-kondo7,
     enriques-k4, enriques-k5-symplectic.
 
-Each pairs a JSON document (configuration + blow-ups + contraction plan)
-with the externally known values it must reproduce; ``verify_example`` runs
-the verification pipeline (``qgsurf.pipeline``) and diffs every expectation.
+Each pairs a JSON document (configuration + blow-ups + contraction plan with
+its smoothing hypothesis) with the externally known values it must
+reproduce; ``verify_example`` runs the verification pipeline
+(``qgsurf.pipeline``) and diffs every expectation.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ from typing import Optional
 
 from . import config as config_mod
 from . import pipeline
-from .config import (
-    Configuration,
-    Document,
-    IndependenceCertificate,
-    independence_certificate,
-    snc_certificate,
-)
+from .config import Configuration, Document
 from .errors import UnknownExampleError
 from .smoothing import SingularSurfaceReport
 
@@ -41,15 +36,6 @@ EXAMPLE_NAMES = (
 
 
 @dataclass(frozen=True)
-class CertificateSpec:
-    """Which curves to certify and after how many blow-up steps."""
-
-    stage: int
-    candidates: tuple[str, ...]
-    expected_rank: int
-
-
-@dataclass(frozen=True)
 class Expected:
     K2: int
     blowup_count: int
@@ -60,16 +46,11 @@ class Expected:
     moduli_dim: int
     p_g: int
     ample_positive: bool
-    independence: Optional[CertificateSpec] = None
-    snc_divisor: Optional[tuple[str, ...]] = None
-    snc_stage: int = 0
 
 
 def _chain_multiset(chains):
     return tuple(sorted(tuple(c) for c in chains))
 
-
-_G = tuple(f"G{i}" for i in range(1, 10))
 
 EXPECTED: dict[str, Expected] = {
     "enriques-k1": Expected(
@@ -77,48 +58,24 @@ EXPECTED: dict[str, Expected] = {
         chains=_chain_multiset([(4, 2, 3, 2), (4, 2, 3, 2), (4,), (4,)]),
         indices=(3, 3, 2, 2), gcd=1, pi1="criterion-satisfied",
         moduli_dim=8, p_g=0, ample_positive=True,
-        independence=CertificateSpec(
-            stage=0,
-            candidates=("S1", "S2", "G1", "G2", "G3", "G5", "G6", "G7", "G8", "G9"),
-            expected_rank=10),
-        snc_divisor=("S1", "S2", "G1", "G2", "G3", "G5", "G6", "G7", "G8", "G9"),
-        snc_stage=0,
     ),
     "enriques-k2": Expected(
         K2=2, blowup_count=7,
         chains=_chain_multiset([(6, 2, 2), (7, 3, 2, 2, 2, 2), (3, 3)]),
         indices=(4, 6, 2), gcd=2, pi1="inconclusive",
         moduli_dim=6, p_g=0, ample_positive=True,
-        independence=CertificateSpec(
-            stage=1,
-            candidates=("S1", "G2", "G3", "G4", "G5", "G6", "G7", "G8", "F", "E"),
-            expected_rank=10),
-        snc_divisor=("S1", "G2", "G3", "G4", "G5", "G6", "G7", "G8", "F", "E"),
-        snc_stage=1,
     ),
     "enriques-k3-kondo2": Expected(
         K2=3, blowup_count=12,
         chains=_chain_multiset([(5, 2), (9, 2, 2, 2, 2, 2), (2, 9, 2, 2, 2, 2, 3)]),
         indices=(3, 7, 13), gcd=1, pi1="criterion-satisfied",
         moduli_dim=4, p_g=0, ample_positive=True,
-        independence=CertificateSpec(
-            stage=1,
-            candidates=("S1", "S2", "G2", "G3", "G4", "G5", "G6", "G9", "F", "E"),
-            expected_rank=10),
-        snc_divisor=("S1", "S2", "G2", "G3", "G4", "G5", "G6", "G9", "F", "E"),
-        snc_stage=1,
     ),
     "enriques-k3-kondo7": Expected(
         K2=3, blowup_count=10,
         chains=_chain_multiset([(5, 2), (9, 2, 2, 2, 2, 2), (8, 2, 2, 2, 2)]),
         indices=(3, 7, 6), gcd=1, pi1="criterion-satisfied",
         moduli_dim=4, p_g=0, ample_positive=True,
-        independence=CertificateSpec(
-            stage=5,
-            candidates=("S1", "S2", "G1", "G2", "G3", "G4", "G5", "G7", "F", "E"),
-            expected_rank=10),
-        snc_divisor=("S1", "S2") + _G + ("F", "E"),
-        snc_stage=5,
     ),
     "enriques-k4": Expected(
         K2=4, blowup_count=15,
@@ -126,12 +83,6 @@ EXPECTED: dict[str, Expected] = {
                                 (2, 2, 7, 6, 2, 3, 2, 2, 2, 2, 4)]),
         indices=(19, 73), gcd=1, pi1="criterion-satisfied",
         moduli_dim=2, p_g=0, ample_positive=True,
-        independence=CertificateSpec(
-            stage=1,
-            candidates=("S1", "S2", "G2", "G3", "G4", "G5", "G6", "G7", "G8", "F", "E"),
-            expected_rank=11),
-        snc_divisor=("S1", "S2", "G2", "G3", "G4", "G5", "G6", "G7", "G8", "F", "E"),
-        snc_stage=1,
     ),
     "enriques-k5-symplectic": Expected(
         K2=5, blowup_count=12,
@@ -139,8 +90,6 @@ EXPECTED: dict[str, Expected] = {
                                 (5, 8, 6, 2, 3, 2, 2, 2, 2, 2, 3, 2, 2, 2)]),
         indices=(4, 151), gcd=1, pi1="criterion-satisfied",
         moduli_dim=0, p_g=0, ample_positive=True,
-        independence=None,
-        snc_divisor=None,
     ),
 }
 
@@ -166,15 +115,10 @@ class ExampleResult:
     name: str
     failures: list[str]
     run: pipeline.RunResult
-    independence: Optional[IndependenceCertificate] = None
 
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    @property
-    def independence_rank(self) -> Optional[int]:
-        return None if self.independence is None else self.independence.rank
 
     @property
     def report(self) -> Optional[SingularSurfaceReport]:
@@ -196,9 +140,9 @@ class ExampleResult:
 def verify_example(name: str) -> ExampleResult:
     """The verification pipeline on one example, diffed against its expectations.
 
-    On top of the pipeline's own failures, a shipped document must sum its
-    fibers to exactly 12*chi, raise no advisory, pass its staged
-    certificates and reproduce every expected value.
+    On top of the pipeline's own failures (its smoothing hypothesis
+    included), a shipped document must sum its fibers to exactly 12*chi,
+    raise no advisory and reproduce every expected value.
     """
     example = builtin(name)
     expected = example.expected
@@ -210,21 +154,9 @@ def verify_example(name: str) -> ExampleResult:
         failures.append(f"euler sum {euler.total} != {euler.target}")
     failures.extend(f"advisory: {a}" for a in result.advisories)
 
-    cert = None
     final = result.final
-    if final is not None:
-        if expected.independence is not None:
-            spec = expected.independence
-            cert = independence_certificate(result.stages[spec.stage], spec.candidates)
-            if cert.rank != spec.expected_rank or not cert.verdict:
-                failures.append(
-                    f"independence rank {cert.rank} (verdict {cert.verdict}), "
-                    f"expected {spec.expected_rank}")
-        if expected.snc_divisor is not None:
-            snc = snc_certificate(result.stages[expected.snc_stage], expected.snc_divisor)
-            failures.extend(f"snc: {v}" for v in snc)
-        if final.blowup_count != expected.blowup_count:
-            failures.append(f"blowup count {final.blowup_count} != {expected.blowup_count}")
+    if final is not None and final.blowup_count != expected.blowup_count:
+        failures.append(f"blowup count {final.blowup_count} != {expected.blowup_count}")
 
     report = result.report
     if report is not None:
@@ -245,7 +177,7 @@ def verify_example(name: str) -> ExampleResult:
         if report.ample.verdict != expected.ample_positive:
             failures.append(f"ampleness verdict {report.ample.verdict}")
 
-    return ExampleResult(name=name, failures=failures, run=result, independence=cert)
+    return ExampleResult(name=name, failures=failures, run=result)
 
 
 def verify_all() -> list[ExampleResult]:

@@ -6,14 +6,17 @@
     fibration   Euler sum against 12*chi, 2-section incidence, I9 lint;
     blow-ups    replay the blow-up list once, keeping every stage;
     final       validate the configuration after the last blow-up;
-    plan        build the smoothing report, when the document has a plan.
+    plan        build the smoothing report, when the document has a plan, and
+                check the plan's smoothing hypothesis: the independence and
+                SNC certificates on the configuration after its stage.
 
 A document fails on base or final violations, a negative Euler deficit,
-2-section violations, plan violations and a non-positive ampleness
-certificate.  A positive deficit (fibers left undeclared) and the I9
-advisory are reported but never fail.  The blow-up and plan stages run only
-on a valid base configuration.  A blow-up step that cannot be applied is an
-input error and raises, naming the step.
+2-section violations, plan violations, a non-positive ampleness certificate
+and a failed independence or SNC certificate.  A positive deficit (fibers
+left undeclared) and the I9 advisory are reported but never fail.  The
+blow-up and plan stages run only on a valid base configuration.  A blow-up step that cannot be applied, a
+hypothesis naming a curve absent at its stage and an SNC divisor whose
+crossings the points do not declare are input errors and raise.
 """
 
 from __future__ import annotations
@@ -22,8 +25,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .blowup import replay
-from .config import Configuration, Document, validate
-from .errors import PlanInvalidError
+from .config import (
+    Configuration,
+    Document,
+    IndependenceCertificate,
+    SmoothingHypothesis,
+    independence_certificate,
+    snc_certificate,
+    validate,
+)
+from .errors import PlanInvalidError, UnknownCurveError, Violation
 from .fibration import (
     EulerCheck,
     euler_sum_check,
@@ -54,6 +65,7 @@ class RunResult:
     advisories: tuple[str, ...]
     stages: tuple[Configuration, ...]     # stages[k]: after k blow-ups; () if base invalid
     report: Optional[SingularSurfaceReport]
+    independence: Optional[IndependenceCertificate] = None  # of plan.smoothing
 
     @property
     def final(self) -> Optional[Configuration]:
@@ -62,6 +74,22 @@ class RunResult:
     @property
     def passed(self) -> bool:
         return not self.failures
+
+
+def _smoothing_failures(stages: tuple[Configuration, ...], hypothesis: SmoothingHypothesis):
+    """The independence certificate at the hypothesis' stage and the plan
+    failures of both certificates."""
+    stage = stages[hypothesis.stage]
+    for name in hypothesis.independent + hypothesis.snc:
+        if not stage.has_curve(name):
+            raise UnknownCurveError(f"plan.smoothing references curve {name!r}, "
+                                    f"absent after {hypothesis.stage} blow-up(s)")
+    cert = independence_certificate(stage, hypothesis.independent)
+    violations = [] if cert.verdict else [Violation(
+        "independence", "plan.smoothing",
+        f"rank {cert.rank} < {len(cert.candidates)} curves after {hypothesis.stage} blow-up(s)")]
+    violations.extend(snc_certificate(stage, hypothesis.snc))
+    return cert, [Failure("plan", str(v)) for v in violations]
 
 
 def run(doc: Document) -> RunResult:
@@ -78,7 +106,7 @@ def run(doc: Document) -> RunResult:
         advisories = tuple(i9_forces_i1_lint(base.fibration, base.surface.kind,
                                              base.surface.chi))
 
-    stages, report = (), None
+    stages, report, independence = (), None, None
     if base_valid:
         stages = replay(base, doc.blowups)
         failures.extend(Failure("final", str(v)) for v in validate(stages[-1]))
@@ -91,6 +119,10 @@ def run(doc: Document) -> RunResult:
                 if not report.ample.verdict:
                     failures.append(Failure(
                         "plan", "ampleness certificate has a non-positive entry"))
+            if doc.plan.smoothing is not None:
+                independence, cert_failures = _smoothing_failures(stages, doc.plan.smoothing)
+                failures.extend(cert_failures)
 
     return RunResult(document=doc, failures=tuple(failures), euler=euler,
-                     advisories=advisories, stages=stages, report=report)
+                     advisories=advisories, stages=stages, report=report,
+                     independence=independence)

@@ -142,10 +142,30 @@ def test_point_consumption_tracks_blowups():
     assert any(p.name == "P1" for p in base.points)
     final = apply_blowups(base, parsed.blowups)
     assert not any(p.name == "P1" for p in final.points)  # node consumed
-    # the node blow-up creates two crossings of F with its exceptional curve
+    # the node blow-up creates two crossings of F with its exceptional curve,
+    # written as one record with count 2
     e_points = [p for p in final.points
                 if {c for c, _ in p.branches} == {"E", "F"}]
-    assert len(e_points) == 2
+    assert [p.count for p in e_points] == [2]
+
+
+def test_counted_crossings_are_consumed_one_at_a_time():
+    # a double point of the genus-1 curve A: its exceptional curve E meets A
+    # in two points, one record with count 2; each blow-up at one of them
+    # lowers the count, and the record goes with the last
+    cfg = make_config([("A", 0, 0, 1)])
+    cfg = blow_up(cfg, BlowupStep(branches=(("A", 2),), label="E"))
+    assert cfg.points == (PointSpec("E:A", (("E", 1), ("A", 1)), count=2),)
+    assert config_mod.snc_certificate(cfg, ["E", "A"]) == []
+    crossing = BlowupStep(branches=(("E", 1), ("A", 1)))
+    cfg = blow_up(cfg, crossing)
+    assert [(p.name, p.count) for p in cfg.points] == [("E:A", 1), ("e2:E", 1), ("e2:A", 1)]
+    cfg = blow_up(cfg, crossing)
+    assert [p.name for p in cfg.points] == ["e2:E", "e2:A", "e3:E", "e3:A"]
+    assert validate(cfg) == [] and cfg.pairing_of("E", "A") == 0
+    with pytest.raises(ValidationError) as info:
+        blow_up(cfg, crossing)
+    assert _kinds(info) == [("point-pairing", "A.E")]
 
 
 def _random_config(rng):

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import qgsurf
-from qgsurf import cli, kernel
+from qgsurf import cli, kernel, pipeline
 from qgsurf.cli import run
-from qgsurf.config import independence_certificate, to_document
+from qgsurf.config import independence_certificate, parse_unvalidated, to_document
 from qgsurf.corpus import builtin
 from qgsurf.wahl import generate_class_T
 from ratlin_oracle import chain_gram, solve_unique
@@ -517,3 +517,137 @@ def test_chain_golden(chain):
     arg = ",".join(str(b) for b in chain)
     assert invoke("chain", arg) == (0, "\n".join(lines) + "\n")
     assert invoke("--output", "json", "chain", arg) == (0, json.dumps(blob, indent=1) + "\n")
+
+
+def test_verify_prints_the_independence_witness(tmp_path):
+    # verify checks the document's smoothing hypothesis and prints the same
+    # witness lines and keys as example, after the fibration lines
+    path = Path(__file__).resolve().parents[1] / "corpus" / "enriques-k2.json"
+    _, example_text = invoke("example", "enriques-k2")
+    witness = [line for line in example_text.splitlines() if line.startswith("independence_")]
+    assert witness[0] == "independence_rank=10"
+    code, text = invoke("verify", str(path))
+    assert code == 0
+    assert text.splitlines()[1:1 + len(witness)] == witness
+    _, example_json = invoke("--output", "json", "example", "enriques-k2")
+    code, verify_json = invoke("--output", "json", "verify", str(path))
+    keys = ("independence_rank", "independence_pivots", "independence_minor",
+            "independence_relation")
+    assert [json.loads(verify_json)[k] for k in keys] == [json.loads(example_json)[k] for k in keys]
+
+
+def _smoothing(**fields):
+    def edit(doc):
+        doc["plan"]["smoothing"].update(fields)
+    return edit
+
+
+def _set_smoothing(value):
+    def edit(doc):
+        doc["plan"]["smoothing"] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_smoothing([]), "plan.smoothing: expected an object"),
+    (_set_smoothing(None), "plan.smoothing: expected an object"),
+    (_smoothing(rank=10), "plan.smoothing: unknown field(s) ['rank']"),
+    (_smoothing(independent=["S1", 5]),
+     "plan.smoothing.independent: expected an array of strings, got element 5"),
+    (_smoothing(snc="S1"), "plan.smoothing.snc: expected an array, got 'S1'"),
+    (_smoothing(independent=["S1", "G1", "S1"]),
+     "plan.smoothing.independent: duplicate curve name 'S1'"),
+    (_smoothing(snc=["G2", "G2"]), "plan.smoothing.snc: duplicate curve name 'G2'"),
+    (_smoothing(stage=-1), "plan.smoothing.stage: expected 0..5 (the number of blow-ups), got -1"),
+    (_smoothing(stage=6), "plan.smoothing.stage: expected 0..5 (the number of blow-ups), got 6"),
+    (_smoothing(stage=True), "plan.smoothing.stage: expected an integer, got True"),
+    (_set_smoothing({"stage": 0, "snc": ["S1"]}),
+     "plan.smoothing: missing required field 'independent'"),
+    (_smoothing(independent=[]),
+     "plan.smoothing.independent: expected a nonempty array of curve names"),
+], ids=["array", "null", "unknown-field", "name-int", "snc-string", "repeated-independent",
+        "repeated-snc", "stage-negative", "stage-past-blowups", "stage-bool", "missing-list",
+        "empty-list"])
+def test_malformed_smoothing_section_exits_two(tmp_path, capsys, edit, message):
+    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    edit(doc)
+    path = _write(tmp_path, doc)
+    for command in ("verify", "export-dot"):
+        assert invoke(command, path) == (2, ""), command
+        assert capsys.readouterr().err == f"error: {message}\n", command
+
+
+def test_smoothing_name_unknown_at_its_stage_exits_two(tmp_path, capsys):
+    # E is k2's first exceptional curve: it exists after one blow-up, not before
+    doc = json.loads(json.dumps(builtin("enriques-k2").document))
+    doc["plan"]["smoothing"]["stage"] = 0
+    assert invoke("verify", _write(tmp_path, doc)) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: plan.smoothing references curve 'E', absent after 0 blow-up(s)\n")
+
+
+def test_undeclared_crossing_in_the_snc_divisor_exits_two(tmp_path, capsys):
+    # without the point P0, S1.S2 = 1 has no declared crossing: the SNC check
+    # cannot decide, which is an input error, not a traceback
+    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc["points"] = [p for p in doc["points"] if p["name"] != "P0"]
+    assert invoke("verify", _write(tmp_path, doc)) == (2, "")
+    assert capsys.readouterr().err == "error: S1.S2 = 1 but no declared points on the pair\n"
+
+
+def test_failed_independence_certificate_fails_verify(tmp_path):
+    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc["plan"]["smoothing"]["independent"] = [f"G{i}" for i in range(1, 10)] + ["F"]
+    path = _write(tmp_path, doc)
+    code, text = invoke("verify", path)
+    assert code == 1
+    lines = text.splitlines()
+    assert "independence_rank=9" in lines
+    assert "independence_relation=-G1-G2-G3-G4-G5-G6-G7-G8-G9+F" in lines
+    assert [line for line in lines if line.startswith("violation=")] == [
+        "violation=independence[plan.smoothing]: rank 9 < 10 curves after 0 blow-up(s)"]
+    assert lines[-1] == "status=fail"
+    code, text = invoke("--output", "json", "verify", path)
+    blob = json.loads(text)
+    assert (code, blob["status"], blob["independence_rank"]) == (1, "fail", 9)
+    assert blob["violations"] == [
+        "independence[plan.smoothing]: rank 9 < 10 curves after 0 blow-up(s)"]
+    result = pipeline.run(parse_unvalidated(doc))
+    assert [f.stage for f in result.failures] == ["plan"]
+
+
+def test_failed_snc_certificate_fails_verify(tmp_path):
+    # the nodal fiber F has genus 1 and its node P1 is not a transverse crossing
+    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc["plan"]["smoothing"]["snc"].append("F")
+    code, text = invoke("verify", _write(tmp_path, doc))
+    assert code == 1
+    assert [line for line in text.splitlines() if line.startswith("violation=")] == [
+        "violation=snc-component[F]: component has genus 1, not rational",
+        "violation=snc-point[P1]: non-transverse branch (multiplicity > 1)"]
+    result = pipeline.run(parse_unvalidated(doc))
+    assert [f.stage for f in result.failures] == ["plan", "plan"]
+
+
+def test_counted_crossings_keep_verify_bounded(tmp_path, fresh_env):
+    # a blow-up at a point of multiplicity 10^12 leaves one crossing record
+    # with a count, not 10^12 records: under a 256 MB address-space cap,
+    # verify finishes with a verdict and no traceback
+    genus, mult = 10**24, 10**12
+    doc = {
+        "surface": {"kind": "other", "chi": 1, "K2": 0, "K_num_trivial": False},
+        "curves": [{"name": "C", "self": 0, "genus": genus, "Kdeg": 2 * genus - 2,
+                    "tags": []}],
+        "blowups": [{"label": "E", "branches": [["C", mult]]}],
+    }
+    cap = 256 * 2**20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run([sys.executable, "-m", "qgsurf", "verify", _write(tmp_path, doc)],
+                          capture_output=True, text=True, env=fresh_env, timeout=60,
+                          preexec_fn=limit_memory)
+    assert proc.returncode in (0, 1, 2)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "status=pass\n", "")

@@ -273,10 +273,22 @@ def test_export_dot_corpus_has_nine_cycle(corpus_results):
 def test_to_document_round_trip(corpus_results):
     for name, result in corpus_results.items():
         doc = result.document
-        again = config_mod.parse(config_mod.to_document(doc))
+        written = config_mod.to_document(doc)
+        again = config_mod.parse(written)
         assert again.configuration == doc.configuration, name
         assert again.blowups == doc.blowups
         assert again.plan == doc.plan
+        # the smoothing section is written as read; k5 makes no smoothing claim
+        raw = builtin(name).document["plan"].get("smoothing")
+        assert written["plan"].get("smoothing") == raw, name
+        assert (raw is None) == (name == "enriques-k5-symplectic") == (doc.plan.smoothing is None)
+
+
+def test_declared_points_have_no_count():
+    # only a blow-up writes a counted crossing record
+    doc = doc_with(points=[{"name": "P", "branches": [["G1", 2]], "count": 2}])
+    with pytest.raises(SchemaError, match=r"unknown field\(s\) \['count'\]"):
+        parse(doc)
 
 
 def test_parse_surface_kind_e_requires_n():

@@ -123,9 +123,7 @@ def doc_path(tmp_path_factory):
     return tmp_path_factory.mktemp("mutated") / "doc.json"
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(doc=mutated_documents())
-def test_mutated_documents_end_in_a_verdict_or_an_input_error(doc_path, doc):
+def _verify_ends_in_a_verdict_or_an_input_error(doc_path, doc):
     try:
         config_mod.parse_unvalidated(doc)
     except QgsurfError:
@@ -137,3 +135,30 @@ def test_mutated_documents_end_in_a_verdict_or_an_input_error(doc_path, doc):
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated_documents())
+def test_mutated_documents_end_in_a_verdict_or_an_input_error(doc_path, doc):
+    _verify_ends_in_a_verdict_or_an_input_error(doc_path, doc)
+
+
+def test_fuzz_reaches_the_smoothing_section():
+    sections = {name: [p for p in _paths(doc) if p[:2] == ("plan", "smoothing")]
+                for name, doc in DOCUMENTS.items()}
+    assert sections["enriques-k5-symplectic"] == []
+    for name in EXAMPLE_NAMES[:5]:
+        assert ("plan", "smoothing", "stage") in sections[name], name
+        assert ("plan", "smoothing", "snc", 0) in sections[name], name
+
+
+def test_every_smoothing_section_mutation_ends_in_a_verdict_or_an_input_error(doc_path):
+    # k2's section names E, which exists only from stage 1 on: every value of
+    # the pool at every path of the section, one at a time
+    doc = DOCUMENTS["enriques-k2"]
+    for path in _paths(doc):
+        if path[:2] != ("plan", "smoothing"):
+            continue
+        for value in _POOL:
+            mutated = _replace(copy.deepcopy(doc), path, copy.deepcopy(value))
+            _verify_ends_in_a_verdict_or_an_input_error(doc_path, mutated)
