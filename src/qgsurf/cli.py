@@ -2,10 +2,11 @@
 
 Subcommands: verify FILE, example NAME, verify-all, chain B1,B2,...,
 enumerate-classT, export-dot FILE, info.  Exit status: 0 all checks pass,
-1 verification failure (what fails is decided in ``qgsurf.pipeline``;
-``example`` and ``verify-all`` add the corpus expectations), 2 input or
-schema error.  Output is deterministic; --output json mirrors the report
-structures.
+1 verification failure, 2 input or schema error.  What fails is decided in
+``qgsurf.pipeline``; ``example`` and ``verify-all`` print the same
+``RunResult``, whose ``corpus``-stage failures are the broken corpus
+expectations, each failure as ``STAGE: MESSAGE``.  Output is deterministic;
+--output json mirrors the report structures.
 
 Only the chain analytics (``wahl``) are imported with this module.  The
 handlers that need ``config``, ``pipeline`` or ``corpus`` import them when
@@ -180,25 +181,26 @@ def _witness_lines(cert) -> list[str]:
 def _cmd_example(args, out) -> int:
     corpus = importlib.import_module(".corpus", __package__)
     result = corpus.verify_example(args.name)
-    cert = result.run.independence
+    deficit = None if result.euler is None else result.euler.deficit
+    failures = [f"{f.stage}: {f}" for f in result.failures]
     if args.output == "json":
         blob = {
-            "example": result.name,
+            "example": args.name,
             "passed": result.passed,
-            "failures": result.failures,
-            **_witness_fields(cert),
-            "euler_deficit": result.euler_deficit,
+            "failures": failures,
+            **_witness_fields(result.independence),
+            "euler_deficit": deficit,
             "report": None if result.report is None else result.report.to_json(),
         }
         print(json.dumps(blob, indent=1), file=out)
     else:
-        for line in [f"example={result.name}"] + _witness_lines(cert):
+        for line in [f"example={args.name}"] + _witness_lines(result.independence):
             print(line, file=out)
-        if result.euler_deficit is not None:
-            print(f"euler_deficit={result.euler_deficit}", file=out)
+        if deficit is not None:
+            print(f"euler_deficit={deficit}", file=out)
         if result.report is not None:
             print(result.report.to_text(), file=out)
-        for f in result.failures:
+        for f in failures:
             print(f"failure={f}", file=out)
         print(f"status={'pass' if result.passed else 'fail'}", file=out)
     return EXIT_OK if result.passed else EXIT_FAIL
@@ -209,7 +211,8 @@ def _cmd_verify_all(args, out) -> int:
     results = corpus.verify_all()
     if args.output == "json":
         blob = [
-            {"example": r.name, "passed": r.passed, "failures": r.failures,
+            {"example": r.document.name, "passed": r.passed,
+             "failures": [f"{f.stage}: {f}" for f in r.failures],
              "K2": None if r.report is None else str(r.report.K2_X),
              "indices": None if r.report is None else list(r.report.indices),
              "gcd": None if r.report is None else r.report.gcd_indices,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import (
+    DomainError,
     MissingPointDataError,
     SchemaError,
     UnknownCurveError,
@@ -625,9 +626,12 @@ def independence_certificate(config: Configuration, candidates: Sequence[str]) -
     Testing against every configured curve (not just the candidates) matters:
     curves outside the candidate set supply the eliminating intersections.
     The elimination's witness (pivots, nonzero minor, relations among the
-    candidates) comes with the verdict.
+    candidates) comes with the verdict.  An empty candidate list raises
+    DomainError.
     """
     cand = tuple(candidates)
+    if not cand:
+        raise DomainError("independence certificate needs at least one candidate curve")
     test_matrix = tuple(config.pairing[config.index_of(c)] for c in cand)
     witness = eliminate(test_matrix)
     return IndependenceCertificate(candidates=cand, columns=config.names,
@@ -646,9 +650,6 @@ def snc_certificate(config: Configuration, divisor: Sequence[str]) -> list[Viola
     MissingPointDataError (the data cannot decide the question).
     """
     names = list(divisor)
-    for name in names:
-        if not config.has_curve(name):
-            raise UnknownCurveError(name)
     in_divisor = set(names)
     out: list[Violation] = []
 

@@ -7,32 +7,22 @@ Six constructions ship with the package, named
 
 Each pairs a JSON document (configuration + blow-ups + contraction plan with
 its smoothing hypothesis) with the externally known values it must
-reproduce; ``verify_example`` runs the verification pipeline
-(``qgsurf.pipeline``) and diffs every expectation.
+reproduce.  ``verify_example`` runs the verification pipeline
+(``qgsurf.pipeline``) and returns its ``RunResult``, with every broken
+expectation added as a failure of the ``corpus`` stage, so an example passes
+or fails by the same ``RunResult.passed`` as ``verify`` on the same document.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
-from typing import Optional
 
 from . import config as config_mod
 from . import pipeline
-from .config import Configuration, Document
 from .errors import UnknownExampleError
-from .smoothing import SingularSurfaceReport
-
-EXAMPLE_NAMES = (
-    "enriques-k1",
-    "enriques-k2",
-    "enriques-k3-kondo2",
-    "enriques-k3-kondo7",
-    "enriques-k4",
-    "enriques-k5-symplectic",
-)
 
 
 @dataclass(frozen=True)
@@ -45,7 +35,6 @@ class Expected:
     pi1: str
     moduli_dim: int
     p_g: int
-    ample_positive: bool
 
 
 def _chain_multiset(chains):
@@ -57,41 +46,43 @@ EXPECTED: dict[str, Expected] = {
         K2=1, blowup_count=5,
         chains=_chain_multiset([(4, 2, 3, 2), (4, 2, 3, 2), (4,), (4,)]),
         indices=(3, 3, 2, 2), gcd=1, pi1="criterion-satisfied",
-        moduli_dim=8, p_g=0, ample_positive=True,
+        moduli_dim=8, p_g=0,
     ),
     "enriques-k2": Expected(
         K2=2, blowup_count=7,
         chains=_chain_multiset([(6, 2, 2), (7, 3, 2, 2, 2, 2), (3, 3)]),
         indices=(4, 6, 2), gcd=2, pi1="inconclusive",
-        moduli_dim=6, p_g=0, ample_positive=True,
+        moduli_dim=6, p_g=0,
     ),
     "enriques-k3-kondo2": Expected(
         K2=3, blowup_count=12,
         chains=_chain_multiset([(5, 2), (9, 2, 2, 2, 2, 2), (2, 9, 2, 2, 2, 2, 3)]),
         indices=(3, 7, 13), gcd=1, pi1="criterion-satisfied",
-        moduli_dim=4, p_g=0, ample_positive=True,
+        moduli_dim=4, p_g=0,
     ),
     "enriques-k3-kondo7": Expected(
         K2=3, blowup_count=10,
         chains=_chain_multiset([(5, 2), (9, 2, 2, 2, 2, 2), (8, 2, 2, 2, 2)]),
         indices=(3, 7, 6), gcd=1, pi1="criterion-satisfied",
-        moduli_dim=4, p_g=0, ample_positive=True,
+        moduli_dim=4, p_g=0,
     ),
     "enriques-k4": Expected(
         K2=4, blowup_count=15,
         chains=_chain_multiset([(2, 2, 9, 2, 2, 2, 2, 4),
                                 (2, 2, 7, 6, 2, 3, 2, 2, 2, 2, 4)]),
         indices=(19, 73), gcd=1, pi1="criterion-satisfied",
-        moduli_dim=2, p_g=0, ample_positive=True,
+        moduli_dim=2, p_g=0,
     ),
     "enriques-k5-symplectic": Expected(
         K2=5, blowup_count=12,
         chains=_chain_multiset([(6, 2, 2),
                                 (5, 8, 6, 2, 3, 2, 2, 2, 2, 2, 3, 2, 2, 2)]),
         indices=(4, 151), gcd=1, pi1="criterion-satisfied",
-        moduli_dim=0, p_g=0, ample_positive=True,
+        moduli_dim=0, p_g=0,
     ),
 }
+
+EXAMPLE_NAMES = tuple(EXPECTED)
 
 
 @dataclass(frozen=True)
@@ -110,44 +101,18 @@ def builtin(name: str) -> NamedExample:
     return NamedExample(name=name, document=json.loads(data), expected=EXPECTED[name])
 
 
-@dataclass
-class ExampleResult:
-    name: str
-    failures: list[str]
-    run: pipeline.RunResult
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    @property
-    def report(self) -> Optional[SingularSurfaceReport]:
-        return self.run.report
-
-    @property
-    def document(self) -> Document:
-        return self.run.document
-
-    @property
-    def final(self) -> Optional[Configuration]:
-        return self.run.final
-
-    @property
-    def euler_deficit(self) -> Optional[int]:
-        return None if self.run.euler is None else self.run.euler.deficit
-
-
-def verify_example(name: str) -> ExampleResult:
+def verify_example(name: str) -> pipeline.RunResult:
     """The verification pipeline on one example, diffed against its expectations.
 
-    On top of the pipeline's own failures (its smoothing hypothesis
-    included), a shipped document must sum its fibers to exactly 12*chi,
-    raise no advisory and reproduce every expected value.
+    The result is the pipeline's own, its failures followed by one
+    ``corpus``-stage failure for each rule a shipped document breaks: it
+    must sum its fibers to exactly 12*chi, raise no advisory and reproduce
+    every expected value.
     """
     example = builtin(name)
     expected = example.expected
     result = pipeline.run(config_mod.parse_unvalidated(example.document))
-    failures = [f"{f.stage}: {f}" for f in result.failures]
+    failures = []
 
     euler = result.euler
     if euler is not None and euler.deficit != 0:
@@ -174,13 +139,12 @@ def verify_example(name: str) -> ExampleResult:
             failures.append(f"moduli {report.moduli_dim} != {expected.moduli_dim}")
         if report.p_g != expected.p_g:
             failures.append(f"p_g {report.p_g} != {expected.p_g}")
-        if report.ample.verdict != expected.ample_positive:
-            failures.append(f"ampleness verdict {report.ample.verdict}")
 
-    return ExampleResult(name=name, failures=failures, run=result)
+    return replace(result, failures=result.failures + tuple(
+        pipeline.Failure("corpus", m) for m in failures))
 
 
-def verify_all() -> list[ExampleResult]:
+def verify_all() -> list[pipeline.RunResult]:
     """Verify every shipped example; results in canonical name order."""
     return [verify_example(name) for name in EXAMPLE_NAMES]
 
@@ -199,5 +163,5 @@ def results_table(results) -> str:
         else:
             k2 = indices = gcd_s = pi1 = ample = "-"
         status = "pass" if r.passed else "FAIL"
-        lines.append(f"{r.name:24} {k2:>3} {indices:16} {gcd_s:>3} {pi1:22} {ample:6} {status:6}")
+        lines.append(f"{r.document.name:24} {k2:>3} {indices:16} {gcd_s:>3} {pi1:22} {ample:6} {status:6}")
     return "\n".join(lines)

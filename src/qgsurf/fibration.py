@@ -47,9 +47,9 @@ def parse_tag(tag: str) -> tuple[str, int]:
     return reduced, mult
 
 
-def _fiber_numbers(tag: str) -> tuple[int, int]:
-    """(Euler number, component count) of a fiber of the given type."""
-    reduced, _ = parse_tag(tag)
+def _fiber_numbers(reduced: str) -> tuple[int, int]:
+    """(Euler number, component count) of a fiber of a reduced type that
+    ``parse_tag`` has already accepted."""
     if reduced in _ADDITIVE:
         return _ADDITIVE[reduced]
     n = int(reduced[1:].rstrip("*"))  # I_n or I_n*
@@ -63,12 +63,12 @@ def euler_number(tag: str) -> int:
     (I_n* -> n+6, II -> 2, III -> 3, IV -> 4, IV* -> 8, III* -> 9, II* -> 10).
     Multiplicity does not change the Euler number.
     """
-    return _fiber_numbers(tag)[0]
+    return _fiber_numbers(parse_tag(tag)[0])[0]
 
 
 def component_count(tag: str) -> int:
     """Number of irreducible components of a fiber of the given type."""
-    return _fiber_numbers(tag)[1]
+    return _fiber_numbers(parse_tag(tag)[0])[1]
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class FiberSpec:
         return ("2" if self.multiplicity == 2 else "") + self.type
 
     def is_fully_tracked(self) -> bool:
-        return len(self.components) == component_count(self.type)
+        return len(self.components) == _fiber_numbers(self.type)[1]
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,10 @@ class FibrationData:
                 out.append(Violation("fibration", f.tag,
                                      f"components shared across fibers: {sorted(overlap)}"))
             seen.update(f.components)
-            if len(f.components) > component_count(f.type):
+            count = _fiber_numbers(f.type)[1]
+            if len(f.components) > count:
                 out.append(Violation("fibration", f.tag,
-                                     f"{len(f.components)} components exceed the type's {component_count(f.type)}"))
+                                     f"{len(f.components)} components exceed the type's {count}"))
         if config.surface.kind == "enriques":
             doubles = sum(1 for f in self.fibers if f.multiplicity == 2)
             if doubles > 2:
@@ -135,7 +136,7 @@ def euler_sum_check(fibration: FibrationData, chi: int) -> EulerCheck:
     (fibers may be left undeclared) and flagged; a negative one means the
     declaration overshoots the topology.
     """
-    total = sum(euler_number(f.tag) for f in fibration.fibers)
+    total = sum(_fiber_numbers(f.type)[0] for f in fibration.fibers)
     target = 12 * chi
     deficit = target - total
     note = ""

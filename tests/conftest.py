@@ -26,7 +26,7 @@ def scan_full():
 @pytest.fixture(scope="session")
 def corpus_results():
     """All six shipped examples, verified once per session."""
-    return {r.name: r for r in corpus.verify_all()}
+    return {r.document.name: r for r in corpus.verify_all()}
 
 
 @pytest.fixture(scope="session")

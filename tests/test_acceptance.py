@@ -69,7 +69,7 @@ def test_criterion_04_euler_lint(corpus_results):
     assert check.total == 12 == check.target
     assert check.deficit == 0 and check.verdict
     for name in EXAMPLE_NAMES:
-        assert corpus_results[name].euler_deficit == 0, name
+        assert corpus_results[name].euler.deficit == 0, name
     _ok("criterion 4: I9 + 3*I1 sums to 12 = 12*chi, deficit 0 (exact)")
 
 

@@ -14,6 +14,7 @@ from qgsurf.config import (
 )
 from qgsurf.corpus import builtin
 from qgsurf.errors import (
+    DomainError,
     MissingPointDataError,
     SchemaError,
     UnknownCurveError,
@@ -181,6 +182,12 @@ def test_independence_unknown_curve(corpus_results):
         independence_certificate(cfg, ["S1", "nope"])
 
 
+def test_independence_without_candidates_is_a_domain_error(corpus_results):
+    cfg = corpus_results["enriques-k1"].document.configuration
+    with pytest.raises(DomainError, match="at least one candidate curve"):
+        independence_certificate(cfg, [])
+
+
 def test_independence_permutation_and_monotonicity(corpus_results):
     cfg = corpus_results["enriques-k1"].document.configuration
     cands = ["S1", "S2", "G1", "G2", "G3", "G5", "G6", "G7", "G8", "G9"]
@@ -227,6 +234,12 @@ def test_snc_missing_point_data():
     cfg = parse(doc).configuration
     with pytest.raises(MissingPointDataError):
         snc_certificate(cfg, ["A", "B"])
+
+
+def test_snc_unknown_curve_names_the_first_unknown():
+    cfg = parse(MINIMAL).configuration
+    with pytest.raises(UnknownCurveError, match="^X$"):
+        snc_certificate(cfg, ["G1", "X", "Y"])
 
 
 def test_snc_node_is_not_simple_crossing():

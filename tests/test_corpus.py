@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qgsurf import cli, corpus
+from qgsurf import cli, corpus, pipeline
 from qgsurf import config as config_mod
 from qgsurf.blowup import apply_blowups
 from qgsurf.corpus import (
@@ -15,6 +15,7 @@ from qgsurf.corpus import (
     verify_example,
 )
 from qgsurf.errors import UnknownExampleError
+from qgsurf.pipeline import Failure
 from qgsurf.smoothing import validate_plan
 
 
@@ -148,7 +149,7 @@ def test_staged_certificates_reach_declared_rank(corpus_results):
         "enriques-k5-symplectic": None,
     }
     for name, rank in expected_ranks.items():
-        cert = corpus_results[name].run.independence
+        cert = corpus_results[name].independence
         assert (None if cert is None else cert.rank) == rank, name
 
 
@@ -167,11 +168,11 @@ def test_expectation_mismatch_fails_the_example(monkeypatch):
     monkeypatch.setitem(corpus.EXPECTED, "enriques-k1", wrong)
     result = verify_example("enriques-k1")
     assert not result.passed
-    assert result.failures == ["K2 1 != 2"]
+    assert result.failures == (Failure("corpus", "K2 1 != 2"),)
     out = io.StringIO()
     assert cli.run(["example", "enriques-k1"], out=out) == 1
     lines = out.getvalue().splitlines()
-    assert "failure=K2 1 != 2" in lines
+    assert "failure=corpus: K2 1 != 2" in lines
     assert lines[-1] == "status=fail"
 
 
@@ -183,8 +184,24 @@ def test_example_fails_on_unlisted_fibers(monkeypatch):
     monkeypatch.setattr(corpus, "builtin",
                         lambda name: dataclasses.replace(example, document=doc))
     result = verify_example("enriques-k1")
-    assert result.run.passed
-    assert result.failures == [
-        "euler sum 11 != 12",
-        "advisory: an I9 fiber implies three I1-type fibers; only 2 declared",
-    ]
+    assert all(f.stage == "corpus" for f in result.failures)
+    assert result.failures == (
+        Failure("corpus", "euler sum 11 != 12"),
+        Failure("corpus", "advisory: an I9 fiber implies three I1-type fibers; only 2 declared"),
+    )
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_example_is_verify_of_the_shipped_document(name):
+    # `example NAME` judges the shipped document exactly as `verify` does and
+    # only adds corpus-stage failures
+    path = Path(__file__).resolve().parents[1] / "corpus" / f"{name}.json"
+    verified = pipeline.run(config_mod.parse_unvalidated(path.read_bytes()))
+    example = verify_example(name)
+    assert example.report == verified.report
+    assert example.independence == verified.independence
+    assert example.euler == verified.euler
+    assert example.advisories == verified.advisories
+    assert example.stages[-1] == verified.stages[-1]
+    assert [f for f in example.failures if f.stage != "corpus"] == list(verified.failures)
+

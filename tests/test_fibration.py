@@ -157,7 +157,7 @@ def test_i9_lint_only_for_enriques_or_rational():
 
 def test_corpus_euler_deficit_zero(corpus_results):
     for name, result in corpus_results.items():
-        assert result.euler_deficit == 0, name
+        assert result.euler.deficit == 0, name
 
 
 def test_fibration_validate_component_overlap():

@@ -228,7 +228,7 @@ def test_report_paths_never_solve(monkeypatch):
     monkeypatch.setattr(ratlin, "solve_unique", refuse)
     monkeypatch.setattr(wahl, "solve_unique", refuse, raising=False)
     results = corpus.verify_all()
-    assert [r.name for r in results if not r.passed] == []
+    assert [r.document.name for r in results if not r.passed] == []
     assert all(r.report is not None for r in results)
     code = cli.run(["enumerate-classT", "--max-len", "6", "--max-entry", "9"],
                    out=io.StringIO())
