@@ -12,7 +12,6 @@ blow-up.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from typing import Sequence
 
 from .config import BlowupStep, Configuration, CurveClass, PointSpec, point_violations
@@ -27,7 +26,7 @@ def _consume_point(points: Sequence[PointSpec], branches) -> list[PointSpec]:
     for i, p in enumerate(remaining):
         if sorted(p.branches) == want:
             if p.count > 1:
-                remaining[i] = replace(p, count=p.count - 1)
+                remaining[i] = p._replace(count=p.count - 1)
             else:
                 del remaining[i]
             break
@@ -58,8 +57,8 @@ def blow_up(config: Configuration, step: BlowupStep) -> Configuration:
     for cname, m in step.branches:
         i = config.index_of(cname)
         c = new_curves[i]
-        new_curves[i] = replace(c, self_int=c.self_int - m * m, K_deg=c.K_deg + m,
-                                genus=c.genus - m * (m - 1) // 2)
+        new_curves[i] = c._replace(self_int=c.self_int - m * m, K_deg=c.K_deg + m,
+                                   genus=c.genus - m * (m - 1) // 2)
         grid[i][i] -= m * m
         grid[i][n] = m
         grid[n][i] = m
@@ -76,8 +75,7 @@ def blow_up(config: Configuration, step: BlowupStep) -> Configuration:
     points.extend(PointSpec(name=f"{label}:{cname}", branches=((label, 1), (cname, 1)), count=m)
                   for cname, m in step.branches)
 
-    return replace(
-        config,
+    return config._replace(
         curves=tuple(new_curves),
         pairing=tuple(tuple(row) for row in grid),
         points=tuple(points),

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -30,8 +29,7 @@ from .ratlin import Elimination, eliminate
 SURFACE_KINDS = ("enriques", "k3", "e", "other")
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(NamedTuple):
     kind: str
     chi: int
     K2: int
@@ -39,20 +37,18 @@ class SurfaceInvariants:
     n: Optional[int] = None  # declared for kind == "e"
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(NamedTuple):
     name: str
     self_int: int
     K_deg: int
     genus: int
-    tags: frozenset[str] = field(default_factory=frozenset)
+    tags: frozenset[str] = frozenset()
 
     def adjunction_holds(self) -> bool:
         return 2 * self.genus - 2 == self.self_int + self.K_deg
 
 
-@dataclass(frozen=True)
-class PointSpec:
+class PointSpec(NamedTuple):
     """A point and the branches (curve, multiplicity) through it.  A blow-up
     writes the transverse crossings of its exceptional curve with one branch
     curve as one record with ``count`` > 1; declared points are single."""
@@ -62,8 +58,7 @@ class PointSpec:
     count: int = 1
 
 
-@dataclass(frozen=True)
-class BlowupStep:
+class BlowupStep(NamedTuple):
     """One blow-up: the new exceptional curve's label and the branches
     (curve, multiplicity) passing through the blown-up point."""
 
@@ -71,8 +66,7 @@ class BlowupStep:
     label: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class SmoothingHypothesis:
+class SmoothingHypothesis(NamedTuple):
     """The obstruction-vanishing hypothesis a plan relies on (Lee-Park): after
     ``stage`` blow-ups the curves ``independent`` are numerically independent
     and the divisor ``snc`` is simple normal crossing."""
@@ -82,16 +76,14 @@ class SmoothingHypothesis:
     snc: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ContractionPlan:
+class ContractionPlan(NamedTuple):
     chains: tuple[tuple[str, ...], ...]
     declared_q: int = 0
     assumptions: tuple[str, ...] = ()
     smoothing: Optional[SmoothingHypothesis] = None
 
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
+class IndependenceCertificate(NamedTuple):
     """Rank of the (candidates x all curves) pairing matrix, with its witness.
 
     Row i of ``test_matrix`` is candidate i paired with every curve, named in
@@ -106,8 +98,16 @@ class IndependenceCertificate:
     witness: Elimination
 
 
-@dataclass(frozen=True)
-class Configuration:
+class _NameTable(dict):
+    """Curve name -> position in ``Configuration.curves``."""
+
+    __slots__ = ()
+
+    def __missing__(self, name):
+        raise UnknownCurveError(name)
+
+
+class _ConfigurationFields(NamedTuple):
     surface: SurfaceInvariants
     curves: tuple[CurveClass, ...]
     pairing: tuple[tuple[int, ...], ...]  # symmetric, diagonal = self_int
@@ -115,25 +115,32 @@ class Configuration:
     fibration: Optional[FibrationData] = None
     blowup_count: int = 0
 
-    def _index_table(self) -> dict[str, int]:
-        try:
-            return self._index
-        except AttributeError:
-            table = {c.name: i for i, c in enumerate(self.curves)}
-            object.__setattr__(self, "_index", table)
-            return table
+
+class Configuration(_ConfigurationFields):
+    """A surface's named curves with their pairing, points and fibration.
+
+    The fields are the named tuple ``_ConfigurationFields``; the curve-name
+    table lives in the instance ``__dict__``, outside equality and hashing.
+    The first ``index_of`` or ``has_curve`` call builds it and binds its
+    lookups on the instance, shadowing both methods, so each later call is
+    one dict lookup.  ``_replace`` returns a new instance, which builds its
+    own table from its own curves.
+    """
+
+    def _bind_names(self) -> None:
+        table = _NameTable((c.name, i) for i, c in enumerate(self.curves))
+        self.index_of, self.has_curve = table.__getitem__, table.__contains__
 
     def index_of(self, name: str) -> int:
-        try:
-            return self._index_table()[name]
-        except KeyError:
-            raise UnknownCurveError(name) from None
+        self._bind_names()
+        return self.index_of(name)
+
+    def has_curve(self, name: str) -> bool:
+        self._bind_names()
+        return self.has_curve(name)
 
     def curve(self, name: str) -> CurveClass:
         return self.curves[self.index_of(name)]
-
-    def has_curve(self, name: str) -> bool:
-        return name in self._index_table()
 
     def pairing_of(self, a: str, b: str) -> int:
         return self.pairing[self.index_of(a)][self.index_of(b)]
@@ -147,8 +154,7 @@ class Configuration:
         return tuple(c.name for c in self.curves)
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """A parsed input file: configuration plus its blow-up list and plan."""
 
     configuration: Configuration

@@ -16,17 +16,16 @@ or fails by the same ``RunResult.passed`` as ``verify`` on the same document.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from . import config as config_mod
 from . import pipeline
 from .errors import UnknownExampleError
 
 
-@dataclass(frozen=True)
-class Expected:
+class Expected(NamedTuple):
     K2: int
     blowup_count: int
     chains: tuple[tuple[int, ...], ...]   # multiset, stored sorted
@@ -85,8 +84,7 @@ EXPECTED: dict[str, Expected] = {
 EXAMPLE_NAMES = tuple(EXPECTED)
 
 
-@dataclass(frozen=True)
-class NamedExample:
+class NamedExample(NamedTuple):
     name: str
     document: dict
     expected: Expected
@@ -140,7 +138,7 @@ def verify_example(name: str) -> pipeline.RunResult:
         if report.p_g != expected.p_g:
             failures.append(f"p_g {report.p_g} != {expected.p_g}")
 
-    return replace(result, failures=result.failures + tuple(
+    return result._replace(failures=result.failures + tuple(
         pipeline.Failure("corpus", m) for m in failures))
 
 

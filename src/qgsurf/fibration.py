@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import UnknownCurveError, UnknownTagError, Violation
 
@@ -71,8 +70,7 @@ def component_count(tag: str) -> int:
     return _fiber_numbers(parse_tag(tag)[0])[1]
 
 
-@dataclass(frozen=True)
-class FiberSpec:
+class FiberSpec(NamedTuple):
     type: str                      # reduced Kodaira tag, e.g. "I9"
     multiplicity: int              # 1 or 2
     components: tuple[str, ...]    # tracked component curves (may be partial)
@@ -85,8 +83,7 @@ class FiberSpec:
         return len(self.components) == _fiber_numbers(self.type)[1]
 
 
-@dataclass(frozen=True)
-class FibrationData:
+class FibrationData(NamedTuple):
     fibers: tuple[FiberSpec, ...]
     two_sections: tuple[str, ...] = ()
     multiple_fiber_disjoint_from: tuple[str, ...] = ()
@@ -120,8 +117,7 @@ class FibrationData:
         return out
 
 
-@dataclass(frozen=True)
-class EulerCheck:
+class EulerCheck(NamedTuple):
     total: int
     target: int
     verdict: bool

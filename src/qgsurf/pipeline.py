@@ -21,8 +21,7 @@ crossings the points do not declare are input errors and raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .blowup import replay
 from .config import (
@@ -44,8 +43,7 @@ from .fibration import (
 from .smoothing import SingularSurfaceReport, build_report
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     """One reason a document fails, with the stage that found it."""
 
     stage: str
@@ -55,8 +53,7 @@ class Failure:
         return self.message
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """What one run found: failures, lint results, every stage, the report."""
 
     document: Document

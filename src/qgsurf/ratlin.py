@@ -22,17 +22,15 @@ Entries must be integers; no floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import index
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import SingularMatrixError
 
 
-@dataclass(frozen=True)
-class Elimination:
+class Elimination(NamedTuple):
     """What one elimination of an integer matrix M certifies.
 
     ``minor`` is the determinant of M on ``pivot_rows`` x ``pivot_cols``

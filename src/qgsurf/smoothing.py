@@ -23,10 +23,9 @@ plan functions (``contract_invariants``, ``pi1_criterion``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .config import Configuration, ContractionPlan
 from .errors import (
@@ -41,6 +40,9 @@ from .wahl import ChainSummary, summarize
 PI1_SATISFIED = "criterion-satisfied"
 PI1_INCONCLUSIVE = "inconclusive"
 
+# ambient kinds with irregularity q = 0; only "other" keeps its declared q
+_REGULAR_KINDS = ("enriques", "k3", "e")
+
 
 def chain_entries(config: Configuration, chain: Sequence[str]) -> tuple[int, ...]:
     """Negated self-intersections of the named chain, in order."""
@@ -52,8 +54,9 @@ def validate_plan(config: Configuration, plan: ContractionPlan) -> list[Violatio
 
     Checks: names resolve, chains are pairwise disjoint curve sets, every
     chain is a genuine linear chain of rational curves with entries <= -2
-    (consecutive pairing 1, nonconsecutive 0), and each chain is accepted by
-    the smoothability recognizer.
+    (consecutive pairing 1, nonconsecutive 0), each chain is accepted by
+    the smoothability recognizer, and the declared q is 0 unless the
+    surface kind is "other".
     """
     return _check_plan(config, plan)[0]
 
@@ -103,6 +106,11 @@ def _check_plan(config: Configuration, plan: ContractionPlan
                 out.append(Violation("plan-smoothability", label,
                                      f"chain {list(summary.chain)} is not smoothable"))
         summaries.append(summary)
+    kind = config.surface.kind
+    if kind in _REGULAR_KINDS and plan.declared_q != 0:
+        # q(X_t) <= q(Y) by semicontinuity, as the singularities are rational
+        out.append(Violation("plan-q", "plan.q",
+                             f"declared q = {plan.declared_q}, but kind {kind!r} has q = 0"))
     return out, summaries
 
 
@@ -126,16 +134,14 @@ def pullback_degree(config: Configuration, plan: ContractionPlan, curve: str) ->
     return next(e.value for e in entries if e.curve == curve)
 
 
-@dataclass(frozen=True)
-class AmpleEntry:
+class AmpleEntry(NamedTuple):
     curve: str
     K_deg: int
     dp_term: Fraction
     value: Fraction
 
 
-@dataclass(frozen=True)
-class AmplenessCertificate:
+class AmplenessCertificate(NamedTuple):
     """Positivity of the pulled-back canonical class on every tracked,
     non-contracted curve.  PARTIAL by construction: curves outside the
     tracked model are not (and cannot be) covered by the data."""
@@ -150,8 +156,7 @@ def ampleness_certificate(config: Configuration, plan: ContractionPlan) -> Ample
     return build_report(config, plan).ample
 
 
-@dataclass(frozen=True)
-class Pi1Criterion:
+class Pi1Criterion(NamedTuple):
     indices: tuple[int, ...]
     gcd: int
     verdict: str
@@ -174,8 +179,7 @@ def moduli_dimension(chi: int, K2: int) -> int:
     return 10 * chi - 2 * K2
 
 
-@dataclass(frozen=True)
-class TopologyReport:
+class TopologyReport(NamedTuple):
     K2: int
     c2: int
     b2plus: int
@@ -218,8 +222,7 @@ def topology_report(K2: int, chi: int, pi1_is_Z2: bool) -> TopologyReport:
     )
 
 
-@dataclass(frozen=True)
-class SingularSurfaceReport:
+class SingularSurfaceReport(NamedTuple):
     """Everything the pipeline knows about X and its smoothing X_t."""
 
     K2_X: Fraction

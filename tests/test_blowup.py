@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -121,7 +120,7 @@ def test_declared_point_and_blowup_step_share_the_point_rules(branches, expected
     """A declared point P is flagged by validate exactly as blow_up flags a
     step at P's branches: both run config.point_violations."""
     cfg = make_config([("A", -2, 0, 0), ("G", 0, 2, 2)], [("A", "G", 1)])
-    declared = replace(cfg, points=(PointSpec("P", branches),))
+    declared = cfg._replace(points=(PointSpec("P", branches),))
     assert validate(declared) == expected
     with pytest.raises(ValidationError) as info:
         blow_up(cfg, BlowupStep(branches=branches, label="P"))

@@ -629,6 +629,21 @@ def test_failed_snc_certificate_fails_verify(tmp_path):
     assert [f.stage for f in result.failures] == ["plan", "plan"]
 
 
+@pytest.mark.parametrize("q", [1, 10**400], ids=["1", "10^400"])
+def test_declared_q_on_an_enriques_ambient_fails_verify(tmp_path, q):
+    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc["plan"]["q"] = q
+    code, text = invoke("verify", _write(tmp_path, doc))
+    lines = text.splitlines()
+    assert code == 1
+    assert [line for line in lines if line.startswith("violation=")] == [
+        f"violation=plan-q[plan.q]: declared q = {q}, but kind 'enriques' has q = 0"]
+    assert not any(line.startswith("p_g=") for line in lines)
+    assert lines[-1] == "status=fail"
+    result = pipeline.run(parse_unvalidated(doc))
+    assert [f.stage for f in result.failures] == ["plan"]
+
+
 def test_counted_crossings_keep_verify_bounded(tmp_path, fresh_env):
     # a blow-up at a point of multiplicity 10^12 leaves one crossing record
     # with a count, not 10^12 records: under a 256 MB address-space cap,

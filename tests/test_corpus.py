@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import io
 from pathlib import Path
 
@@ -164,7 +163,7 @@ def test_parse_each_corpus_file_from_text():
 
 
 def test_expectation_mismatch_fails_the_example(monkeypatch):
-    wrong = dataclasses.replace(corpus.EXPECTED["enriques-k1"], K2=2)
+    wrong = corpus.EXPECTED["enriques-k1"]._replace(K2=2)
     monkeypatch.setitem(corpus.EXPECTED, "enriques-k1", wrong)
     result = verify_example("enriques-k1")
     assert not result.passed
@@ -182,7 +181,7 @@ def test_example_fails_on_unlisted_fibers(monkeypatch):
     doc = copy.deepcopy(example.document)
     doc["fibration"]["fibers"].remove({"type": "I1", "multiplicity": 1, "components": []})
     monkeypatch.setattr(corpus, "builtin",
-                        lambda name: dataclasses.replace(example, document=doc))
+                        lambda name: example._replace(document=doc))
     result = verify_example("enriques-k1")
     assert all(f.stage == "corpus" for f in result.failures)
     assert result.failures == (

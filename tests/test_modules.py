@@ -107,15 +107,21 @@ def test_each_subcommand_loads_only_its_modules(fresh_env, argv, loaded):
         "import io, sys\n"
         "from qgsurf import cli\n"
         "assert cli.run(sys.argv[1:], io.StringIO()) == 0\n"
-        "print('numpy' in sys.modules, 'dataclasses' in sys.modules)\n" + LOADED)
+        "print(*(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')))\n" + LOADED)
     flags, modules = _fresh(fresh_env, code, *argv).split("\n", 1)
     assert modules.split() == loaded
-    numpy, dataclasses = flags.split()
-    assert numpy == "False"
-    if loaded == CHAIN_SET:
-        # the chain path's records are named tuples, so dataclasses (and the
-        # inspect it imports) is never loaded
-        assert dataclasses == "False"
+    # every record is a named tuple, so no subcommand loads dataclasses or
+    # the inspect it imports
+    assert flags.split() == ["False", "False", "False"]
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in [a.name for a in node.names], path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
 
 
 # The public names of the package and the module that defines each.

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qgsurf.config import Configuration, CurveClass, SurfaceInvariants
-from qgsurf.errors import CurveContractedError, DomainError, PlanInvalidError
+from qgsurf.errors import CurveContractedError, DomainError, PlanInvalidError, Violation
 from qgsurf.smoothing import (
     ContractionPlan,
     ampleness_certificate,
@@ -78,6 +78,22 @@ def test_validate_plan_rejects_unsmoothable_chain():
     plan = ContractionPlan(chains=(tuple(names_for([2, 3, 2])),))
     violations = validate_plan(cfg, plan)
     assert any(v.kind == "plan-smoothability" for v in violations)
+
+
+@pytest.mark.parametrize("kind", ["enriques", "k3", "e"])
+def test_validate_plan_rejects_declared_q_on_a_regular_ambient(kind):
+    # these ambients have q = 0, and a smoothing of rational singularities
+    # cannot raise it
+    cfg = chain_config([4], kind=kind)
+    assert validate_plan(cfg, ContractionPlan(chains=(("Z0",),), declared_q=1)) == [
+        Violation("plan-q", "plan.q", f"declared q = 1, but kind {kind!r} has q = 0")]
+    assert validate_plan(cfg, ContractionPlan(chains=(("Z0",),))) == []
+
+
+def test_other_ambient_keeps_its_declared_q():
+    cfg = chain_config([4], kind="other")
+    report = build_report(cfg, ContractionPlan(chains=(("Z0",),), declared_q=2))
+    assert (report.q, report.p_g) == (2, 2)
 
 
 def test_contract_invariants_direct():
