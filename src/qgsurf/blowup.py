@@ -11,7 +11,6 @@ blow-up.
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 from .config import BlowupStep, Configuration, CurveClass, PointSpec, point_violations
@@ -20,11 +19,14 @@ from .errors import QgsurfError, SchemaError, ValidationError
 
 def _consume_point(points: Sequence[PointSpec], branches) -> list[PointSpec]:
     """Take the blown-up point from the first record whose branch multiset
-    matches the step: a counted record loses one, a single point goes."""
+    matches the step: a counted record loses one, a single point goes.  A
+    record whose first branch is not one of the step's cannot match and is
+    passed over unsorted."""
     want = sorted(branches)
+    firsts = set(branches)
     remaining = list(points)
     for i, p in enumerate(remaining):
-        if sorted(p.branches) == want:
+        if p.branches[0] in firsts and sorted(p.branches) == want:
             if p.count > 1:
                 remaining[i] = p._replace(count=p.count - 1)
             else:
@@ -51,21 +53,24 @@ def blow_up(config: Configuration, step: BlowupStep) -> Configuration:
         raise SchemaError(f"exceptional curve label {label!r} already in use")
 
     n = len(config.curves)
+    index_of = config.index_of  # bound by point_violations above
+    ids = [index_of(cname) for cname, _ in step.branches]
     new_curves = list(config.curves)
-    grid = [list(row) + [0] for row in config.pairing]
-    grid.append([0] * n + [-1])
-    for cname, m in step.branches:
-        i = config.index_of(cname)
+    rows = [row + (0,) for row in config.pairing]
+    exceptional = [0] * n + [-1]
+    # only the branch curves' rows change: C.C drops by m^2, C.E = m, and two
+    # branch curves lose m*m' from their mutual pairing
+    for i, (_, m) in zip(ids, step.branches):
         c = new_curves[i]
         new_curves[i] = c._replace(self_int=c.self_int - m * m, K_deg=c.K_deg + m,
                                    genus=c.genus - m * (m - 1) // 2)
-        grid[i][i] -= m * m
-        grid[i][n] = m
-        grid[n][i] = m
-    for (ca, ma), (cb, mb) in itertools.combinations(step.branches, 2):
-        i, j = config.index_of(ca), config.index_of(cb)
-        grid[i][j] -= ma * mb
-        grid[j][i] -= ma * mb
+        row = list(rows[i])
+        for j, (_, mj) in zip(ids, step.branches):
+            row[j] -= m * mj
+        row[n] = m
+        rows[i] = tuple(row)
+        exceptional[i] = m
+    rows.append(tuple(exceptional))
     new_curves.append(CurveClass(name=label, self_int=-1, K_deg=-1, genus=0,
                                  tags=frozenset({"exceptional"})))
 
@@ -75,12 +80,7 @@ def blow_up(config: Configuration, step: BlowupStep) -> Configuration:
     points.extend(PointSpec(name=f"{label}:{cname}", branches=((label, 1), (cname, 1)), count=m)
                   for cname, m in step.branches)
 
-    return config._replace(
-        curves=tuple(new_curves),
-        pairing=tuple(tuple(row) for row in grid),
-        points=tuple(points),
-        blowup_count=config.blowup_count + 1,
-    )
+    return config._child(label, tuple(new_curves), tuple(rows), tuple(points))
 
 
 def replay(config: Configuration, steps: Sequence[BlowupStep]) -> tuple[Configuration, ...]:

@@ -124,20 +124,39 @@ class Configuration(_ConfigurationFields):
     The first ``index_of`` or ``has_curve`` call builds it and binds its
     lookups on the instance, shadowing both methods, so each later call is
     one dict lookup.  ``_replace`` returns a new instance, which builds its
-    own table from its own curves.
+    own table from its own curves; a blow-up stage made by ``_child`` starts
+    with a copy of its parent's table.
     """
 
-    def _bind_names(self) -> None:
-        table = _NameTable((c.name, i) for i, c in enumerate(self.curves))
+    def _bind(self, table: _NameTable) -> _NameTable:
+        self._table = table
         self.index_of, self.has_curve = table.__getitem__, table.__contains__
+        return table
+
+    def _name_table(self) -> _NameTable:
+        """The curve-name table, built and bound on first use."""
+        table = self.__dict__.get("_table")
+        if table is None:
+            table = self._bind(_NameTable((c.name, i) for i, c in enumerate(self.curves)))
+        return table
+
+    def _child(self, label: str, curves: tuple[CurveClass, ...],
+               pairing: tuple[tuple[int, ...], ...], points: tuple[PointSpec, ...]
+               ) -> Configuration:
+        """The stage after one blow-up: the given fields, one more blow-up,
+        and this stage's name table plus ``label``, the last of ``curves``."""
+        table = _NameTable(self._name_table())
+        table[label] = len(self.curves)
+        child = self._make((self.surface, curves, pairing, points, self.fibration,
+                            self.blowup_count + 1))
+        child._bind(table)
+        return child
 
     def index_of(self, name: str) -> int:
-        self._bind_names()
-        return self.index_of(name)
+        return self._name_table()[name]
 
     def has_curve(self, name: str) -> bool:
-        self._bind_names()
-        return self.has_curve(name)
+        return name in self._name_table()
 
     def curve(self, name: str) -> CurveClass:
         return self.curves[self.index_of(name)]
@@ -562,19 +581,24 @@ def validate(config: Configuration) -> list[Violation]:
                                  f"smooth rational curve must be a (-2)-curve, got {c.self_int}"))
 
     n = len(config.curves)
-    for i in range(n):
-        if config.pairing[i][i] != config.curves[i].self_int:
-            out.append(Violation("pairing-diagonal", config.curves[i].name,
-                                 "diagonal differs from declared self-intersection"))
-        for j in range(i + 1, n):
-            if config.pairing[i][j] != config.pairing[j][i]:
-                out.append(Violation("pairing-symmetry",
-                                     f"{config.curves[i].name}.{config.curves[j].name}",
-                                     "pairing not symmetric"))
-            elif config.pairing[i][j] < 0:
-                out.append(Violation("pairing-sign",
-                                     f"{config.curves[i].name}.{config.curves[j].name}",
-                                     f"negative off-diagonal {config.pairing[i][j]}"))
+    pairing = config.pairing
+    # one whole-matrix test; the loop below runs only to name what fails it
+    if not (all(pairing[i][i] == c.self_int for i, c in enumerate(config.curves))
+            and tuple(zip(*pairing)) == pairing
+            and all(min(pairing[i][i + 1:], default=0) >= 0 for i in range(n))):
+        for i in range(n):
+            if pairing[i][i] != config.curves[i].self_int:
+                out.append(Violation("pairing-diagonal", config.curves[i].name,
+                                     "diagonal differs from declared self-intersection"))
+            for j in range(i + 1, n):
+                if pairing[i][j] != pairing[j][i]:
+                    out.append(Violation("pairing-symmetry",
+                                         f"{config.curves[i].name}.{config.curves[j].name}",
+                                         "pairing not symmetric"))
+                elif pairing[i][j] < 0:
+                    out.append(Violation("pairing-sign",
+                                         f"{config.curves[i].name}.{config.curves[j].name}",
+                                         f"negative off-diagonal {pairing[i][j]}"))
 
     out.extend(point_violations(config, config.points))
     if config.fibration is not None:
@@ -598,29 +622,39 @@ def point_violations(config: Configuration, points: Sequence[PointSpec]) -> list
     multiplicity m fits its curve's genus (genus >= m(m-1)/2), and on each
     pair of curves the local intersections m_a*m_b, summed over the points,
     stay within the pairing.  Declared points and blow-up steps are both
-    checked here."""
+    checked here.  A pair's violation names the pair in sorted order and
+    compares with the pairing entry in that order."""
     out: list[Violation] = []
-    sound = []
+    position = config._name_table().get
+    curves, pairing = config.curves, config.pairing
+    local: dict[tuple[int, int], int] = {}  # (i, j), i < j -> local intersection
     for p in points:
-        branch_curves = [c for c, _ in p.branches]
-        unknown = [c for c in branch_curves if not config.has_curve(c)]
-        if unknown:
-            out.append(Violation("point", p.name,
-                                 f"branch references unknown curve {unknown[0]!r}"))
+        branches = p.branches
+        ids = [position(c) for c, _ in branches]
+        if None in ids:
+            unknown = branches[ids.index(None)][0]
+            out.append(Violation("point", p.name, f"branch references unknown curve {unknown!r}"))
             continue
-        if len(set(branch_curves)) != len(branch_curves):
+        if len(set(ids)) != len(ids):
             out.append(Violation("point", p.name, "repeated curve in branches"))
             continue
-        sound.append(p)
-        for ca, ma in p.branches:
-            if config.curve(ca).genus < ma * (ma - 1) // 2:
+        for x, (ca, ma) in enumerate(branches):
+            i = ids[x]
+            if curves[i].genus < ma * (ma - 1) // 2:
                 out.append(Violation("point", p.name,
                                      f"multiplicity {ma} exceeds genus budget of {ca}"))
-    for key, total in _local_intersections(sound).items():
-        a, b = sorted(key)
-        if total > config.pairing_of(a, b):
-            out.append(Violation("point-pairing", f"{a}.{b}",
-                                 f"declared points account for {total} > pairing {config.pairing_of(a, b)}"))
+            for y in range(x + 1, len(ids)):
+                j = ids[y]
+                key = (i, j) if i < j else (j, i)
+                local[key] = local.get(key, 0) + p.count * ma * branches[y][1]
+    for (i, j), total in local.items():
+        if total > pairing[i][j] or total > pairing[j][i]:
+            a, b = curves[i].name, curves[j].name
+            if b < a:
+                i, j, a, b = j, i, b, a
+            if total > pairing[i][j]:
+                out.append(Violation("point-pairing", f"{a}.{b}",
+                                     f"declared points account for {total} > pairing {pairing[i][j]}"))
     return out
 
 

@@ -13,9 +13,10 @@ grows past those minors.  The pivot of each column is its first nonzero
 entry at or below the current row, so the pivot columns are the first
 independent columns, read from left to right.
 
-``eliminate`` carries an identity block through the loop and returns a
-witness a reader can check by hand: the pivot rows and columns, the nonzero
-maximal minor on them and one integer relation per dependent row.
+``eliminate`` returns a witness a reader can check by hand: the pivot rows
+and columns, the nonzero maximal minor on them and one integer relation per
+dependent row, read from an identity block that it carries through the loop
+only when the rank falls short.
 ``rank``, ``determinant`` and ``solve_unique`` are views over the same loop.
 Entries must be integers; no floating point is used anywhere.
 """
@@ -104,23 +105,29 @@ def _odd(perm: Sequence[int]) -> bool:
 def eliminate(rows: Sequence[Sequence[int]]) -> Elimination:
     """Rank of an integer matrix, with its witness (see ``Elimination``).
 
-    The relations are read off the identity block carried through the loop:
-    a row left zero in the matrix columns holds, in that block, the integer
-    combination of input rows that produced it.
+    The rank, pivots and minor come from one elimination of the matrix.
+    Only when the rank falls short of the row count does a second one run,
+    with an identity block carried through the loop: a row left zero in the
+    matrix columns holds, in that block, the integer combination of input
+    rows that produced it.  The block never changes a pivot, so both runs
+    agree on rank, pivots and minor.
     """
     grid = _grid(rows)
     n_rows, n_cols = len(grid), len(grid[0])
-    for i, row in enumerate(grid):
-        row.extend(int(i == j) for j in range(n_rows))
     order, pivot_cols, last = _bareiss(grid, n_cols)
     r = len(pivot_cols)
     relations = []
-    for k in sorted(range(r, n_rows), key=order.__getitem__):
-        coeffs = grid[k][n_cols:]
-        g = gcd(*coeffs)
-        if coeffs[order[k]] < 0:
-            g = -g
-        relations.append(tuple(c // g for c in coeffs))
+    if r < n_rows:
+        grid = _grid(rows)
+        for i, row in enumerate(grid):
+            row.extend(int(i == j) for j in range(n_rows))
+        order, pivot_cols, last = _bareiss(grid, n_cols)
+        for k in sorted(range(r, n_rows), key=order.__getitem__):
+            coeffs = grid[k][n_cols:]
+            g = gcd(*coeffs)
+            if coeffs[order[k]] < 0:
+                g = -g
+            relations.append(tuple(c // g for c in coeffs))
     return Elimination(
         rank=r,
         pivot_rows=tuple(sorted(order[:r])),

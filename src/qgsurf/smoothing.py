@@ -24,7 +24,8 @@ plan functions (``contract_invariants``, ``pi1_criterion``,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .config import Configuration, ContractionPlan
@@ -42,11 +43,6 @@ PI1_INCONCLUSIVE = "inconclusive"
 
 # ambient kinds with irregularity q = 0; only "other" keeps its declared q
 _REGULAR_KINDS = ("enriques", "k3", "e")
-
-
-def chain_entries(config: Configuration, chain: Sequence[str]) -> tuple[int, ...]:
-    """Negated self-intersections of the named chain, in order."""
-    return tuple(-config.curve(name).self_int for name in chain)
 
 
 def validate_plan(config: Configuration, plan: ContractionPlan) -> list[Violation]:
@@ -68,40 +64,43 @@ def _check_plan(config: Configuration, plan: ContractionPlan
     out: list[Violation] = []
     summaries: list[Optional[ChainSummary]] = []
     seen: dict[str, int] = {}
+    position = config._name_table().get
+    curves, pairing = config.curves, config.pairing
     for ci, chain in enumerate(plan.chains):
         label = f"chain{ci}"
-        ok_names = True
-        for name in chain:
-            if not config.has_curve(name):
+        start = len(out)  # every violation from here on is this chain's
+        ids = [position(name) for name in chain]
+        for name, i in zip(chain, ids):
+            if i is None:
                 out.append(Violation("plan-name", label, f"unknown curve {name!r}"))
-                ok_names = False
                 continue
             if name in seen:
                 out.append(Violation("plan-overlap", label,
                                      f"{name} already in chain{seen[name]}"))
             seen[name] = ci
-        if not ok_names:
+        if None in ids:
             summaries.append(None)
             continue
-        for name in chain:
-            curve = config.curve(name)
+        for name, i in zip(chain, ids):
+            curve = curves[i]
             if curve.genus != 0:
                 out.append(Violation("plan-genus", label,
                                      f"{name} has genus {curve.genus}; chains are rational"))
             if curve.self_int > -2:
                 out.append(Violation("plan-self", label,
                                      f"{name} has self-intersection {curve.self_int} > -2"))
-        for i in range(len(chain)):
-            for j in range(i + 1, len(chain)):
+        for i, a in enumerate(ids):
+            row = pairing[a]
+            for j in range(i + 1, len(ids)):
                 want = 1 if j == i + 1 else 0
-                got = config.pairing_of(chain[i], chain[j])
+                got = row[ids[j]]
                 if got != want:
                     out.append(Violation(
                         "plan-shape", label,
                         f"{chain[i]}.{chain[j]} = {got}, expected {want}"))
         summary = None
-        if not any(v.subject == label for v in out):
-            summary = summarize(chain_entries(config, chain))
+        if len(out) == start:
+            summary = summarize(tuple(-curves[i].self_int for i in ids))
             if summary.class_t is None:
                 out.append(Violation("plan-smoothability", label,
                                      f"chain {list(summary.chain)} is not smoothable"))
@@ -194,18 +193,25 @@ class TopologyReport(NamedTuple):
     homeomorphism_target: Optional[str] = None
 
 
-def topology_report(K2: int, chi: int, pi1_is_Z2: bool) -> TopologyReport:
+def topology_report(K2: int, chi: int, pi1_is_Z2: bool, q: int = 0) -> TopologyReport:
     """Topological invariants of the smoothing (chi = 1 surfaces only).
 
-    The surface itself has c2 = 12 - K^2, b2+ = 1, b2- = 9 - K^2.  When the
-    fundamental group is Z/2, the universal double cover has chi 2,
-    c1^2 = 2K^2, c2 = 24 - 2K^2, b2+ = 3, b2- = 19 - 2K^2 and signature
-    2K^2 - 16; |sigma| not divisible by 16 forces an odd intersection form,
-    hence the homeomorphism type 3CP2 # (19-2k) CP2bar.
+    The surface itself has c2 = 12 - K^2 (Noether), b1 = 2q,
+    b2 = c2 - 2 + 2*b1 and b2+ = 2*p_g + 1 with p_g = q; for q = 0 these
+    are b2+ = 1 and b2- = 9 - K^2.  When the fundamental group is Z/2 (so
+    q = 0), the universal double cover has chi 2, c1^2 = 2K^2,
+    c2 = 24 - 2K^2, b2+ = 3, b2- = 19 - 2K^2 and signature 2K^2 - 16;
+    |sigma| not divisible by 16 forces an odd intersection form, hence the
+    homeomorphism type 3CP2 # (19-2k) CP2bar.
     """
     if chi != 1:
         raise DomainError(f"topology report requires chi = 1, got {chi}")
-    base = dict(K2=K2, c2=12 - K2, b2plus=1, b2minus=9 - K2)
+    if pi1_is_Z2 and q != 0:
+        raise DomainError(f"fundamental group Z/2 requires q = 0, got q = {q}")
+    c2, b1 = 12 - K2, 2 * q
+    b2 = c2 - 2 + 2 * b1  # c2 = 2 - 2*b1 + b2, the Euler number
+    b2plus = 2 * q + 1
+    base = dict(K2=K2, c2=c2, b2plus=b2plus, b2minus=b2 - b2plus)
     if not pi1_is_Z2:
         return TopologyReport(**base)
     sigma = 2 * K2 - 16
@@ -321,18 +327,22 @@ def build_report(config: Configuration, plan: ContractionPlan) -> SingularSurfac
            else PI1_INCONCLUSIVE)
 
     # (f* K_X).C = K.C - sum over chain curves E of a_E (E.C), a_E = x_E / m:
-    # per chain, m times the inner sum is an integer for every curve C
-    weighted = []
+    # over the common denominator M of the chains, M times the sum is the
+    # integer sum of (M / m) x_E (E.C), so each column builds one Fraction
+    denominator = lcm(*(s.m for s in summaries))
+    coefficients, rows = [], []
     for names, s in zip(plan.chains, summaries):
-        w = [0] * len(config.curves)
+        scale = denominator // s.m
         for name, x in zip(names, s.numerators):
-            w = [acc + x * e for acc, e in zip(w, config.pairing[config.index_of(name)])]
-        weighted.append((s.m, w))
+            coefficients.append(scale * x)
+            rows.append(config.pairing[config.index_of(name)])
+    totals = ([sum(map(mul, coefficients, column)) for column in zip(*rows)] if rows
+              else [0] * len(config.curves))
     contracted = {name for chain in plan.chains for name in chain}
     ample_entries = []
-    for col, c in enumerate(config.curves):
+    for c, total in zip(config.curves, totals):
         if c.name not in contracted:
-            dp = -sum((Fraction(w[col], m) for m, w in weighted if w[col]), Fraction(0))
+            dp = Fraction(-total, denominator)
             ample_entries.append(AmpleEntry(curve=c.name, K_deg=c.K_deg, dp_term=dp,
                                             value=c.K_deg + dp))
     ample = AmplenessCertificate(entries=tuple(ample_entries),
@@ -351,7 +361,8 @@ def build_report(config: Configuration, plan: ContractionPlan) -> SingularSurfac
         ample=ample,
         moduli_dim=moduli_dimension(chi, int(k2)) if integral else None,
         general_type=bool(k2 > 0 and ample.verdict),
-        topology=(topology_report(int(k2), chi, pi1_is_Z2=(pi1 == PI1_SATISFIED))
+        topology=(topology_report(int(k2), chi, pi1_is_Z2=(pi1 == PI1_SATISFIED),
+                                  q=plan.declared_q)
                   if integral and chi == 1 else None),
         assumptions=plan.assumptions,
         blowup_count=config.blowup_count,

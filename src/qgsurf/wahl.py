@@ -28,11 +28,11 @@ tests' oracle for the discrepancy formula.
 
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from . import kernel
 from .errors import InvalidFractionError, NotClassTError
 
 Chain = tuple[int, ...]
@@ -245,6 +245,7 @@ def exhaustive_scan(max_len: int, max_entry: int):
     Returns (total, accepted, negdef_failures, roundtrip_failures): the
     number of chains visited, the recognizer-accepted ones (lexicographic
     order), and the counts of negative-definiteness / continued-fraction
-    round-trip failures (both 0 unless something is deeply wrong).
+    round-trip failures (both 0 unless something is deeply wrong).  The
+    kernel is imported here, so the other subcommands never load it.
     """
-    return kernel.scan_chains(max_len, max_entry)
+    return importlib.import_module(".kernel", __package__).scan_chains(max_len, max_entry)

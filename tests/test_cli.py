@@ -644,6 +644,23 @@ def test_declared_q_on_an_enriques_ambient_fails_verify(tmp_path, q):
     assert [f.stage for f in result.failures] == ["plan"]
 
 
+@pytest.mark.parametrize("q, line", [
+    (1, "topology.c2=11 b2plus=3 b2minus=10"),
+    (0, "topology.c2=11 b2plus=1 b2minus=8"),
+], ids=["q1", "q0"])
+def test_topology_on_kind_other_follows_the_declared_q(tmp_path, q, line):
+    # b1 = 2q, b2 = c2 - 2 + 2*b1 and b2+ = 2*p_g + 1: with q = 1 the k1
+    # construction has p_g = 1, b2 = 13, b2+ = 3; with q = 0 the line is as before
+    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc["surface"]["kind"] = "other"
+    doc["plan"]["q"] = q
+    code, text = invoke("verify", _write(tmp_path, doc))
+    lines = text.splitlines()
+    assert code == 0 and lines[-1] == "status=pass"
+    assert f"p_g={q}" in lines
+    assert [x for x in lines if x.startswith("topology.")] == [line]
+
+
 def test_counted_crossings_keep_verify_bounded(tmp_path, fresh_env):
     # a blow-up at a point of multiplicity 10^12 leaves one crossing record
     # with a count, not 10^12 records: under a 256 MB address-space cap,

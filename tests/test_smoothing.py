@@ -239,6 +239,20 @@ def test_topology_without_cover():
     assert top.cover_sigma is None and top.homeomorphism_target is None
 
 
+@pytest.mark.parametrize("k, q, b2plus, b2minus", [
+    (1, 0, 1, 8), (1, 1, 3, 10), (3, 2, 5, 10), (0, 1, 3, 11)])
+def test_topology_uses_b1_and_pg_from_q(k, q, b2plus, b2minus):
+    top = topology_report(k, 1, pi1_is_Z2=False, q=q)
+    assert (top.c2, top.b2plus, top.b2minus) == (12 - k, b2plus, b2minus)
+    # Euler number 2 - 2*b1 + b2 with b1 = 2q, and b2+ = 2*p_g + 1 with p_g = q
+    assert 2 - 4 * q + top.b2plus + top.b2minus == top.c2
+
+
+def test_topology_cover_needs_q_zero():
+    with pytest.raises(DomainError):
+        topology_report(1, 1, pi1_is_Z2=True, q=1)
+
+
 def test_topology_requires_chi_one():
     with pytest.raises(DomainError):
         topology_report(3, 2, pi1_is_Z2=True)
