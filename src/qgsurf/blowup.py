@@ -11,10 +11,15 @@ blow-up.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add
 from typing import Sequence
 
 from .config import BlowupStep, Configuration, CurveClass, PointSpec, point_violations
 from .errors import QgsurfError, SchemaError, ValidationError
+
+
+_EXCEPTIONAL = frozenset({"exceptional"})  # the tags of every exceptional curve
 
 
 def _consume_point(points: Sequence[PointSpec], branches) -> list[PointSpec]:
@@ -56,14 +61,14 @@ def blow_up(config: Configuration, step: BlowupStep) -> Configuration:
     index_of = config.index_of  # bound by point_violations above
     ids = [index_of(cname) for cname, _ in step.branches]
     new_curves = list(config.curves)
-    rows = [row + (0,) for row in config.pairing]
+    rows = list(map(add, config.pairing, repeat((0,))))  # each row gains C.E = 0
     exceptional = [0] * n + [-1]
     # only the branch curves' rows change: C.C drops by m^2, C.E = m, and two
     # branch curves lose m*m' from their mutual pairing
     for i, (_, m) in zip(ids, step.branches):
-        c = new_curves[i]
-        new_curves[i] = c._replace(self_int=c.self_int - m * m, K_deg=c.K_deg + m,
-                                   genus=c.genus - m * (m - 1) // 2)
+        name, self_int, k_deg, genus, tags = new_curves[i]
+        new_curves[i] = CurveClass(name, self_int - m * m, k_deg + m,
+                                   genus - m * (m - 1) // 2, tags)
         row = list(rows[i])
         for j, (_, mj) in zip(ids, step.branches):
             row[j] -= m * mj
@@ -71,14 +76,13 @@ def blow_up(config: Configuration, step: BlowupStep) -> Configuration:
         rows[i] = tuple(row)
         exceptional[i] = m
     rows.append(tuple(exceptional))
-    new_curves.append(CurveClass(name=label, self_int=-1, K_deg=-1, genus=0,
-                                 tags=frozenset({"exceptional"})))
+    new_curves.append(CurveClass(label, -1, -1, 0, _EXCEPTIONAL))
 
     points = _consume_point(config.points, step.branches)
     # the exceptional curve meets each branch curve in m transverse points,
     # written as one record with count m
-    points.extend(PointSpec(name=f"{label}:{cname}", branches=((label, 1), (cname, 1)), count=m)
-                  for cname, m in step.branches)
+    points.extend([PointSpec(f"{label}:{cname}", ((label, 1), (cname, 1)), m)
+                   for cname, m in step.branches])
 
     return config._child(label, tuple(new_curves), tuple(rows), tuple(points))
 

@@ -5,8 +5,8 @@ enumerate-classT, export-dot FILE, info.  Exit status: 0 all checks pass,
 1 verification failure, 2 input or schema error.  What fails is decided in
 ``qgsurf.pipeline``; ``example`` and ``verify-all`` print the same
 ``RunResult``, whose ``corpus``-stage failures are the broken corpus
-expectations, each failure as ``STAGE: MESSAGE``.  Output is deterministic;
---output json mirrors the report structures.
+expectations.  All three print each failure as ``STAGE: MESSAGE``.
+Output is deterministic; --output json mirrors the report structures.
 
 Only the chain analytics (``wahl``) are imported with this module.  The
 handlers that need ``config``, ``pipeline`` or ``corpus`` import them when
@@ -118,7 +118,7 @@ def _cmd_verify(args, out) -> int:
             f"euler_sum={euler.total} target={euler.target} deficit={euler.deficit}"
             + (f" note={euler.note}" if euler.note else ""))
     lint_lines.extend(f"advisory={a}" for a in result.advisories)
-    failures = [str(f) for f in result.failures]
+    failures = _failure_texts(result)
     status = "pass" if result.passed else "fail"
 
     if args.output == "json":
@@ -139,6 +139,11 @@ def _cmd_verify(args, out) -> int:
             print(f"violation={f}", file=out)
         print(f"status={status}", file=out)
     return EXIT_OK if result.passed else EXIT_FAIL
+
+
+def _failure_texts(result) -> list[str]:
+    """Each failure of a run as ``STAGE: MESSAGE``."""
+    return [f"{f.stage}: {f}" for f in result.failures]
 
 
 def _witness_fields(cert) -> dict:
@@ -182,7 +187,7 @@ def _cmd_example(args, out) -> int:
     corpus = importlib.import_module(".corpus", __package__)
     result = corpus.verify_example(args.name)
     deficit = None if result.euler is None else result.euler.deficit
-    failures = [f"{f.stage}: {f}" for f in result.failures]
+    failures = _failure_texts(result)
     if args.output == "json":
         blob = {
             "example": args.name,
@@ -212,7 +217,7 @@ def _cmd_verify_all(args, out) -> int:
     if args.output == "json":
         blob = [
             {"example": r.document.name, "passed": r.passed,
-             "failures": [f"{f.stage}: {f}" for f in r.failures],
+             "failures": _failure_texts(r),
              "K2": None if r.report is None else str(r.report.K2_X),
              "indices": None if r.report is None else list(r.report.indices),
              "gcd": None if r.report is None else r.report.gcd_indices,

@@ -11,8 +11,9 @@ linear algebra is exact.
 
 from __future__ import annotations
 
-import itertools
 import json
+from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -27,6 +28,9 @@ from .fibration import FiberSpec, FibrationData, parse_tag
 from .ratlin import Elimination, eliminate
 
 SURFACE_KINDS = ("enriques", "k3", "e", "other")
+
+# the curve name and the multiplicity of a (name, multiplicity) branch
+_branch_curve, _branch_multiplicity = itemgetter(0), itemgetter(1)
 
 
 class SurfaceInvariants(NamedTuple):
@@ -288,7 +292,23 @@ def _parse_surface(obj) -> SurfaceInvariants:
     return SurfaceInvariants(kind=kind, chi=chi, K2=k2, K_num_trivial=knt, n=n)
 
 
+# Each record parser below starts with one whole-record test with exact types
+# (so no bool passes for an int) and builds the record when it passes; the
+# per-field checks after it run only to name what fails the test.
+
+
+def _plain_strings(raw) -> bool:
+    """The whole-record test of an array of strings."""
+    return type(raw) is list and set(map(type, raw)) <= {str}
+
+
 def _parse_curve(obj) -> CurveClass:
+    if type(obj) is dict and obj.keys() <= _CURVE_KEYS:
+        name, tags = obj.get("name"), obj.get("tags", [])
+        self_int, genus, k_deg = obj.get("self"), obj.get("genus"), obj.get("Kdeg")
+        if (type(name) is str and name and type(self_int) is int and type(genus) is int
+                and type(k_deg) is int and _plain_strings(tags)):
+            return CurveClass(name, self_int, k_deg, genus, frozenset(tags))
     obj = _no_extras(obj, _CURVE_KEYS, "curves[]")
     name = _name(_need(obj, "name", "curves[]"), "curves[].name")
     where = f"curve {name}"
@@ -309,22 +329,40 @@ def _parse_pairing(raw, curves: tuple[CurveClass, ...]) -> tuple[tuple[int, ...]
         grid[i][i] = c.self_int
     seen_pairs = set()
     for item in _array(raw, "pairing"):
-        if not isinstance(item, list) or len(item) != 3:
-            raise SchemaError("pairing: entries are [nameA, nameB, value]")
+        if not (type(item) is list and len(item) == 3 and type(item[0]) is str
+                and type(item[1]) is str and type(item[2]) is int):
+            if not isinstance(item, list) or len(item) != 3:
+                raise SchemaError("pairing: entries are [nameA, nameB, value]")
+            a, b, value = item
+            if not isinstance(a, str) or not isinstance(b, str):
+                raise SchemaError(f"pairing: curve names must be strings, got {a!r}, {b!r}")
+            _as_int(value, f"pairing {a}.{b}")
         a, b, value = item
-        if not isinstance(a, str) or not isinstance(b, str):
-            raise SchemaError(f"pairing: curve names must be strings, got {a!r}, {b!r}")
-        value = _as_int(value, f"pairing {a}.{b}")
-        _declared((a, b), idx, "pairing")
-        if a == b:
+        i, j = idx.get(a), idx.get(b)
+        if i is None or j is None:
+            _declared((a, b), idx, "pairing")
+        if i == j:
             raise SchemaError(f"pairing {a}.{b}: self-intersections belong in the curve entry")
-        key = frozenset((a, b))
+        key = (i, j) if i < j else (j, i)
         if key in seen_pairs:
             raise SchemaError(f"pairing {a}.{b}: duplicate pair")
         seen_pairs.add(key)
-        grid[idx[a]][idx[b]] = value
-        grid[idx[b]][idx[a]] = value
-    return tuple(tuple(row) for row in grid)
+        grid[i][j] = grid[j][i] = value
+    return tuple(map(tuple, grid))
+
+
+def _plain_branches(raw) -> bool:
+    """The whole-record test of a branch list: [curveName, multiplicity >= 1]
+    pairs with exact types."""
+    if type(raw) is not list:
+        return False
+    for b in raw:
+        if type(b) is not list or len(b) != 2:
+            return False
+        name, m = b
+        if type(name) is not str or type(m) is not int or m < 1:
+            return False
+    return True
 
 
 def _parse_branches(raw, where: str) -> tuple[tuple[str, int], ...]:
@@ -347,6 +385,14 @@ def _parse_points(raw, known: set[str]) -> tuple[PointSpec, ...]:
     points = []
     point_names = set()
     for item in _array(raw, "points"):
+        if type(item) is dict and len(item) == 2:
+            pname, branches = item.get("name"), item.get("branches")
+            if (type(pname) is str and pname and pname not in point_names
+                    and _plain_branches(branches) and branches
+                    and known.issuperset(map(_branch_curve, branches))):
+                point_names.add(pname)
+                points.append(PointSpec(pname, tuple(map(tuple, branches))))
+                continue
         item = _no_extras(item, _POINT_KEYS, "points[]")
         pname = _name(_need(item, "name", "points[]"), "points[].name")
         if pname in point_names:
@@ -362,6 +408,12 @@ def _parse_points(raw, known: set[str]) -> tuple[PointSpec, ...]:
 
 
 def _parse_fiber(raw, known: set[str]) -> FiberSpec:
+    if type(raw) is dict and raw.keys() <= _FIBER_KEYS and type(raw.get("type")) is str:
+        reduced, mult = parse_tag(raw["type"])
+        given, components = raw.get("multiplicity", mult), raw.get("components", [])
+        if (type(given) is int and given == mult and _plain_strings(components)
+                and known.issuperset(components)):
+            return FiberSpec(reduced, mult, tuple(components))
     raw = _no_extras(raw, _FIBER_KEYS, "fibration.fibers[]")
     tag = _need(raw, "type", "fibration.fibers[]")
     reduced, mult_from_tag = parse_tag(tag)
@@ -396,6 +448,10 @@ def _parse_fibration(obj, known: set[str]) -> FibrationData:
 
 
 def _parse_blowup(item) -> BlowupStep:
+    if type(item) is dict and item.keys() <= _STEP_KEYS:
+        label, branches = item.get("label"), item.get("branches")
+        if (label is None or type(label) is str and label) and _plain_branches(branches):
+            return BlowupStep(tuple(map(tuple, branches)), label)
     item = _no_extras(item, _STEP_KEYS, "blowups[]")
     branches = _parse_branches(_need(item, "branches", "blowups[]"), "blowups[]")
     label = item.get("label")
@@ -425,6 +481,13 @@ def _parse_smoothing(raw, steps: int) -> SmoothingHypothesis:
 
 
 def _parse_plan(raw, steps: int) -> ContractionPlan:
+    if type(raw) is dict and raw.keys() <= _PLAN_KEYS:
+        chains, q = raw.get("chains", []), raw.get("q", 0)
+        assumptions = raw.get("assumptions", [])
+        if (type(chains) is list and all(c and _plain_strings(c) for c in chains)
+                and type(q) is int and q >= 0 and _plain_strings(assumptions)):
+            smoothing = _parse_smoothing(raw["smoothing"], steps) if "smoothing" in raw else None
+            return ContractionPlan(tuple(map(tuple, chains)), q, tuple(assumptions), smoothing)
     raw = _no_extras(raw, _PLAN_KEYS, "plan")
     chains = tuple(_strings(chain, "plan.chains[]")
                    for chain in _array(raw.get("chains", []), "plan.chains"))
@@ -472,7 +535,7 @@ def parse_unvalidated(document) -> Document:
     raw_curves = _need(document, "curves", "top level")
     if not isinstance(raw_curves, list) or not raw_curves:
         raise SchemaError("curves: expected a nonempty array")
-    curves = tuple(_parse_curve(c) for c in raw_curves)
+    curves = tuple(map(_parse_curve, raw_curves))
     known = {c.name for c in curves}
     if len(known) != len(curves):
         raise SchemaError("curves: duplicate curve names")
@@ -485,7 +548,7 @@ def parse_unvalidated(document) -> Document:
                    if "fibration" in document else None),
     )
 
-    blowups = tuple(_parse_blowup(item) for item in _array(document.get("blowups", []), "blowups"))
+    blowups = tuple(map(_parse_blowup, _array(document.get("blowups", []), "blowups")))
     plan = _parse_plan(document["plan"], len(blowups)) if "plan" in document else None
     name = document.get("name")
     if name is not None and not isinstance(name, str):
@@ -606,14 +669,16 @@ def validate(config: Configuration) -> list[Violation]:
     return out
 
 
-def _local_intersections(points: Sequence[PointSpec]) -> dict[frozenset, int]:
-    """For each pair of branch curves, the local intersection m_a*m_b summed
-    over the points, a record with a count standing for that many points."""
-    local: dict[frozenset, int] = {}
-    for p in points:
-        for (ca, ma), (cb, mb) in itertools.combinations(p.branches, 2):
-            key = frozenset((ca, cb))
-            local[key] = local.get(key, 0) + p.count * ma * mb
+def _pair_totals(resolved) -> dict[tuple[int, int], int]:
+    """The local intersection count*m_a*m_b of each pair of branches, summed
+    over the points, at the pair's index pair (i, j), i <= j.  A point comes
+    as (ids, branches, count), ``ids[x]`` the curve index of ``branches[x]``;
+    pairs are keyed in the order they first occur."""
+    local: dict[tuple[int, int], int] = {}
+    for ids, branches, count in resolved:
+        for (i, ma), (j, mb) in combinations(zip(ids, map(_branch_multiplicity, branches)), 2):
+            key = (i, j) if i < j else (j, i)
+            local[key] = local.get(key, 0) + count * ma * mb
     return local
 
 
@@ -627,27 +692,24 @@ def point_violations(config: Configuration, points: Sequence[PointSpec]) -> list
     out: list[Violation] = []
     position = config._name_table().get
     curves, pairing = config.curves, config.pairing
-    local: dict[tuple[int, int], int] = {}  # (i, j), i < j -> local intersection
+    sound = []  # (ids, branches, count) of the points that pass the branch rules
     for p in points:
         branches = p.branches
-        ids = [position(c) for c, _ in branches]
+        ids = list(map(position, map(_branch_curve, branches)))
         if None in ids:
             unknown = branches[ids.index(None)][0]
             out.append(Violation("point", p.name, f"branch references unknown curve {unknown!r}"))
             continue
-        if len(set(ids)) != len(ids):
-            out.append(Violation("point", p.name, "repeated curve in branches"))
-            continue
-        for x, (ca, ma) in enumerate(branches):
-            i = ids[x]
+        if len(ids) > 1:
+            if len(set(ids)) != len(ids):
+                out.append(Violation("point", p.name, "repeated curve in branches"))
+                continue
+            sound.append((ids, branches, p.count))
+        for (ca, ma), i in zip(branches, ids):
             if curves[i].genus < ma * (ma - 1) // 2:
                 out.append(Violation("point", p.name,
                                      f"multiplicity {ma} exceeds genus budget of {ca}"))
-            for y in range(x + 1, len(ids)):
-                j = ids[y]
-                key = (i, j) if i < j else (j, i)
-                local[key] = local.get(key, 0) + p.count * ma * branches[y][1]
-    for (i, j), total in local.items():
+    for (i, j), total in _pair_totals(sound).items():
         if total > pairing[i][j] or total > pairing[j][i]:
             a, b = curves[i].name, curves[j].name
             if b < a:
@@ -690,32 +752,40 @@ def snc_certificate(config: Configuration, divisor: Sequence[str]) -> list[Viola
     MissingPointDataError (the data cannot decide the question).
     """
     names = list(divisor)
-    in_divisor = set(names)
+    index_of, curves, pairing = config.index_of, config.curves, config.pairing
+    ids = list(map(index_of, names))
     out: list[Violation] = []
 
-    for name in names:
-        if config.curve(name).genus != 0:
+    for name, i in zip(names, ids):
+        if curves[i].genus != 0:
             out.append(Violation("snc-component", name,
-                                 f"component has genus {config.curve(name).genus}, not rational"))
+                                 f"component has genus {curves[i].genus}, not rational"))
 
+    # local intersections are summed only over the branches on the divisor:
+    # the accounting below reads no other pair
+    in_divisor = set(names)
+    on_divisor = []
     for p in config.points:
-        if not any(c in in_divisor for c, _ in p.branches):
+        inside = [b for b in p.branches if b[0] in in_divisor]
+        if not inside:
             continue
-        if any(m != 1 for _, m in p.branches):
+        if set(map(_branch_multiplicity, p.branches)) != {1}:
             out.append(Violation("snc-point", p.name,
                                  "non-transverse branch (multiplicity > 1)"))
         if len(p.branches) > 2:
             out.append(Violation("snc-point", p.name,
                                  f"triple point ({len(p.branches)} branches)"))
+        if len(inside) > 1:
+            on_divisor.append((list(map(index_of, map(_branch_curve, inside))), inside, p.count))
+    accounted = _pair_totals(on_divisor)
 
-    accounted = _local_intersections(config.points)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            entry = config.pairing_of(a, b)
+    for x, (a, i) in enumerate(zip(names, ids)):
+        row = pairing[i]
+        for b, j in zip(names[x + 1:], ids[x + 1:]):
+            entry = row[j]
             if entry <= 0:
                 continue
-            key = frozenset((a, b))
-            have = accounted.get(key, 0)
+            have = accounted.get((i, j) if i < j else (j, i), 0)
             if have == 0:
                 raise MissingPointDataError(
                     f"{a}.{b} = {entry} but no declared points on the pair")

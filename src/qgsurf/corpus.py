@@ -91,12 +91,14 @@ class NamedExample(NamedTuple):
 
 
 def builtin(name: str) -> NamedExample:
-    """Load a shipped example by name."""
+    """Load a shipped example by name; its JSON is decoded as ``verify``
+    decodes a file, so a repeated key is the same SchemaError."""
     if name not in EXAMPLE_NAMES:
         raise UnknownExampleError(
             f"unknown example {name!r}; known: {', '.join(EXAMPLE_NAMES)}")
     data = resources.files("qgsurf").joinpath(f"corpus_data/{name}.json").read_text()
-    return NamedExample(name=name, document=json.loads(data), expected=EXPECTED[name])
+    document = json.loads(data, object_pairs_hook=config_mod._unique_keys)
+    return NamedExample(name=name, document=document, expected=EXPECTED[name])
 
 
 def verify_example(name: str) -> pipeline.RunResult:

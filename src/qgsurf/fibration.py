@@ -11,7 +11,7 @@ import re
 from collections import Counter
 from typing import NamedTuple, Optional
 
-from .errors import UnknownCurveError, UnknownTagError, Violation
+from .errors import UnknownTagError, Violation
 
 _TAG_RE = re.compile(r"^(2)?(I\d+\*?|II\*?|III\*?|IV\*?)$")
 
@@ -96,8 +96,8 @@ class FibrationData(NamedTuple):
             if f.multiplicity == 2 and _i_n(f.type) is None:
                 out.append(Violation("fibration", f.tag,
                                      "multiple fiber must have reduced type I_n"))
-            repeated = sorted(c for c, k in Counter(f.components).items() if k > 1)
-            if repeated:
+            if len(set(f.components)) != len(f.components):
+                repeated = sorted(c for c, k in Counter(f.components).items() if k > 1)
                 out.append(Violation("fibration", f.tag,
                                      f"components repeated within the fiber: {repeated}"))
             overlap = seen.intersection(f.components)
@@ -155,13 +155,12 @@ def two_section_incidence_check(config) -> list:
     fib = config.fibration
     if fib is None:
         return out
+    tracked = [f for f in fib.fibers if f.is_fully_tracked() and f.components]
+    index_of = config.index_of
     for s in fib.two_sections:
-        if not config.has_curve(s):
-            raise UnknownCurveError(s)
-        for f in fib.fibers:
-            if not f.is_fully_tracked() or not f.components:
-                continue
-            total = sum(config.pairing_of(s, c) for c in f.components)
+        row = config.pairing[index_of(s)]
+        for f in tracked:
+            total = sum([row[index_of(c)] for c in f.components])
             expected = 1 if f.multiplicity == 2 else 2
             if total != expected:
                 out.append(Violation(

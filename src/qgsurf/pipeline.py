@@ -5,10 +5,22 @@
     base        validate the configuration as declared;
     fibration   Euler sum against 12*chi, 2-section incidence, I9 lint;
     blow-ups    replay the blow-up list once, keeping every stage;
-    final       validate the configuration after the last blow-up;
+    final       the point rules (``config.point_violations``) on the
+                configuration after the last blow-up, when there is one;
     plan        build the smoothing report, when the document has a plan, and
                 check the plan's smoothing hypothesis: the independence and
                 SNC certificates on the configuration after its stage.
+
+The final stage needs no other rule of ``validate``: ``blow_up`` keeps them
+all on a valid base.  The surface and the fibration are the base's own
+objects; each proper transform keeps adjunction, and the step's point rule
+(genus >= m(m-1)/2 and m*m' <= the pairing) keeps the genus and the pairing
+nonnegative; the pairing stays symmetric with the self-intersections on its
+diagonal by construction; and the K-degree and enriques-rational rules hold
+before blow-ups only.  The declared points left over from the base can break
+the point rules, as when a blow-up lowers a curve's genus below the budget of
+a second node on it or a step through three curves lowers their pairings
+below the crossings declared on them.
 
 A document fails on base or final violations, a negative Euler deficit,
 2-section violations, plan violations, a non-positive ampleness certificate
@@ -30,6 +42,7 @@ from .config import (
     IndependenceCertificate,
     SmoothingHypothesis,
     independence_certificate,
+    point_violations,
     snc_certificate,
     validate,
 )
@@ -106,10 +119,13 @@ def run(doc: Document) -> RunResult:
     stages, report, independence = (), None, None
     if base_valid:
         stages = replay(base, doc.blowups)
-        failures.extend(Failure("final", str(v)) for v in validate(stages[-1]))
+        final = stages[-1]
+        if doc.blowups:
+            failures.extend(Failure("final", str(v))
+                            for v in point_violations(final, final.points))
         if doc.plan is not None:
             try:
-                report = build_report(stages[-1], doc.plan)
+                report = build_report(final, doc.plan)
             except PlanInvalidError as exc:
                 failures.extend(Failure("plan", str(v)) for v in exc.violations)
             else:

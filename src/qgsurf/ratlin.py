@@ -6,8 +6,10 @@ row i below it by
 
     (p_k * row_i - a_i * pivot_row) / p_{k-1},
 
-with p_k the pivot, a_i the row's entry in the pivot column and p_{-1} = 1.
-The division is exact: after k steps every entry is a (k+1) x (k+1) minor of
+with p_k the pivot, a_i the row's entry in the pivot column and p_{-1} = 1;
+a row with a_i = 0 is only scaled by p_k / p_{k-1}, and left alone when
+p_k = p_{k-1}, as it is for most rows of a sparse pairing matrix.  The
+division is exact: after k steps every entry is a (k+1) x (k+1) minor of
 the input (Sylvester's identity), so no fraction is ever formed and no entry
 grows past those minors.  The pivot of each column is its first nonzero
 entry at or below the current row, so the pivot columns are the first
@@ -87,8 +89,11 @@ def _bareiss(grid: list[list[int]], n_cols: int) -> tuple[list[int], list[int], 
         for i in range(r + 1, n_rows):
             row = grid[i]
             a = row[col]
-            row[col] = 0
-            row[col + 1:] = [(pivot * x - a * y) // prev for x, y in zip(row[col + 1:], tail)]
+            if a:
+                row[col] = 0
+                row[col + 1:] = [(pivot * x - a * y) // prev for x, y in zip(row[col + 1:], tail)]
+            elif pivot != prev:
+                row[col + 1:] = [pivot * x // prev for x in row[col + 1:]]
         pivot_cols.append(col)
         prev = pivot
         r += 1

@@ -69,7 +69,7 @@ def _check_plan(config: Configuration, plan: ContractionPlan
     for ci, chain in enumerate(plan.chains):
         label = f"chain{ci}"
         start = len(out)  # every violation from here on is this chain's
-        ids = [position(name) for name in chain]
+        ids = list(map(position, chain))
         for name, i in zip(chain, ids):
             if i is None:
                 out.append(Violation("plan-name", label, f"unknown curve {name!r}"))
@@ -91,6 +91,11 @@ def _check_plan(config: Configuration, plan: ContractionPlan
                                      f"{name} has self-intersection {curve.self_int} > -2"))
         for i, a in enumerate(ids):
             row = pairing[a]
+            # one test per row (1 with the next curve, 0 with every later one);
+            # the loop runs only to name what fails it
+            later = list(map(row.__getitem__, ids[i + 1:]))
+            if not later or (later[0] == 1 and not any(later[1:])):
+                continue
             for j in range(i + 1, len(ids)):
                 want = 1 if j == i + 1 else 0
                 got = row[ids[j]]
@@ -319,7 +324,12 @@ def build_report(config: Configuration, plan: ContractionPlan) -> SingularSurfac
     violations, summaries = _check_plan(config, plan)
     if violations:
         raise PlanInvalidError(violations)
-    k2 = config.ambient_K2 + sum((s.contribution for s in summaries), Fraction(0))
+    # K^2 and every (f* K_X).C below are read over the common denominator M
+    # of the chains, as integers, and each builds one Fraction
+    denominator = lcm(*(s.m for s in summaries))
+    k2 = Fraction(config.ambient_K2 * denominator
+                  + sum([s.contribution_numerator * (denominator // s.m) for s in summaries]),
+                  denominator)
     chi = config.surface.chi
     indices = tuple(s.class_t.index for s in summaries)
     g = gcd(*indices)
@@ -327,9 +337,7 @@ def build_report(config: Configuration, plan: ContractionPlan) -> SingularSurfac
            else PI1_INCONCLUSIVE)
 
     # (f* K_X).C = K.C - sum over chain curves E of a_E (E.C), a_E = x_E / m:
-    # over the common denominator M of the chains, M times the sum is the
-    # integer sum of (M / m) x_E (E.C), so each column builds one Fraction
-    denominator = lcm(*(s.m for s in summaries))
+    # M times the sum is the integer sum of (M / m) x_E (E.C)
     coefficients, rows = [], []
     for names, s in zip(plan.chains, summaries):
         scale = denominator // s.m
@@ -339,14 +347,15 @@ def build_report(config: Configuration, plan: ContractionPlan) -> SingularSurfac
     totals = ([sum(map(mul, coefficients, column)) for column in zip(*rows)] if rows
               else [0] * len(config.curves))
     contracted = {name for chain in plan.chains for name in chain}
-    ample_entries = []
+    ample_entries, values = [], []  # values: M times each (f* K_X).C
     for c, total in zip(config.curves, totals):
         if c.name not in contracted:
-            dp = Fraction(-total, denominator)
-            ample_entries.append(AmpleEntry(curve=c.name, K_deg=c.K_deg, dp_term=dp,
-                                            value=c.K_deg + dp))
+            value = c.K_deg * denominator - total
+            values.append(value)
+            ample_entries.append(AmpleEntry(c.name, c.K_deg, Fraction(-total, denominator),
+                                            Fraction(value, denominator)))
     ample = AmplenessCertificate(entries=tuple(ample_entries),
-                                 verdict=all(e.value > 0 for e in ample_entries))
+                                 verdict=min(values, default=1) > 0)
 
     integral = k2.denominator == 1
     return SingularSurfaceReport(

@@ -1,14 +1,16 @@
 """The document pipeline's per-entry checks as they were before their fast
 paths: the tests' oracles.
 
-``qgsurf.config.point_violations`` resolves each branch once and keys local
-intersections by index pairs, ``qgsurf.config.validate`` tests the whole
-pairing matrix before it looks at single entries, and
-``qgsurf.ratlin.eliminate`` carries its identity block only when the rank
-falls short.  The functions here do none of that: they resolve names per
-lookup, key by frozensets of names, walk every entry and always carry the
-block, so the fast paths are checked against code that takes none of their
-shortcuts.
+``qgsurf.config.point_violations`` and ``snc_certificate`` resolve each
+branch once and key local intersections by index pairs,
+``qgsurf.config.validate`` tests the whole pairing matrix before it looks at
+single entries, ``qgsurf.fibration.two_section_incidence_check`` reads
+pairing rows by index, and ``qgsurf.ratlin.eliminate`` carries its identity
+block only when the rank falls short and leaves a row alone when its pivot
+step would not change it.  The functions here do none of that: they resolve
+names per lookup, key by frozensets of names, walk every entry, update every
+row and always carry the block, so the fast paths are checked against code
+that takes none of their shortcuts.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from qgsurf.errors import Violation
-from qgsurf.ratlin import Elimination, _bareiss, _grid, _odd
+from qgsurf.errors import MissingPointDataError, UnknownCurveError, Violation
+from qgsurf.ratlin import Elimination, _grid, _odd
 
 
 def _local_intersections(points) -> dict[frozenset, int]:
@@ -97,3 +99,112 @@ def eliminate(rows) -> Elimination:
         minor=-last if _odd(order[:r]) else last,
         relations=tuple(relations),
     )
+
+
+def _bareiss(grid: list[list[int]], n_cols: int) -> tuple[list[int], list[int], int]:
+    """Fraction-free row echelon form of ``grid``, in place.
+
+    Pivots are sought in the first ``n_cols`` columns; later columns are
+    carried along.  Returns (order, pivot_cols, last): the row now at
+    position k is input row order[k], pivot k sits at (k, pivot_cols[k]),
+    and ``last`` is the determinant of the input on rows order[:rank] and
+    the pivot columns, in those orders (1 when the rank is 0).
+    """
+    n_rows = len(grid)
+    order = list(range(n_rows))
+    pivot_cols: list[int] = []
+    prev = 1
+    r = 0
+    for col in range(n_cols):
+        for p in range(r, n_rows):
+            if grid[p][col]:
+                break
+        else:
+            continue
+        if p != r:
+            grid[r], grid[p] = grid[p], grid[r]
+            order[r], order[p] = order[p], order[r]
+        pivot = grid[r][col]
+        tail = grid[r][col + 1:]
+        for i in range(r + 1, n_rows):
+            row = grid[i]
+            a = row[col]
+            row[col] = 0
+            row[col + 1:] = [(pivot * x - a * y) // prev for x, y in zip(row[col + 1:], tail)]
+        pivot_cols.append(col)
+        prev = pivot
+        r += 1
+        if r == n_rows:
+            break
+    return order, pivot_cols, prev
+
+
+def snc_certificate(config, divisor) -> list[Violation]:
+    """Simple-normal-crossing check for the named divisor.
+
+    Empty iff every point touching a divisor curve is a transverse crossing
+    of at most two branches, every positive pairing inside the divisor is
+    fully accounted for by declared points (a record with a count is that
+    many crossings), and all divisor curves are rational.  A positive pairing with no declared points at all raises
+    MissingPointDataError (the data cannot decide the question).
+    """
+    names = list(divisor)
+    in_divisor = set(names)
+    out: list[Violation] = []
+
+    for name in names:
+        if config.curve(name).genus != 0:
+            out.append(Violation("snc-component", name,
+                                 f"component has genus {config.curve(name).genus}, not rational"))
+
+    for p in config.points:
+        if not any(c in in_divisor for c, _ in p.branches):
+            continue
+        if any(m != 1 for _, m in p.branches):
+            out.append(Violation("snc-point", p.name,
+                                 "non-transverse branch (multiplicity > 1)"))
+        if len(p.branches) > 2:
+            out.append(Violation("snc-point", p.name,
+                                 f"triple point ({len(p.branches)} branches)"))
+
+    accounted = _local_intersections(config.points)
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            entry = config.pairing_of(a, b)
+            if entry <= 0:
+                continue
+            key = frozenset((a, b))
+            have = accounted.get(key, 0)
+            if have == 0:
+                raise MissingPointDataError(
+                    f"{a}.{b} = {entry} but no declared points on the pair")
+            if have != entry:
+                out.append(Violation("snc-accounting", f"{a}.{b}",
+                                     f"declared points account for {have} of pairing {entry}"))
+    return out
+
+
+def two_section_incidence_check(config) -> list:
+    """Check 2-section degrees against every fully tracked fiber.
+
+    A 2-section meets a non-multiple fiber in total degree 2 and the reduced
+    curve of a multiplicity-2 fiber in total degree 1.  Fibers with partial
+    component lists are skipped (the data cannot decide).
+    """
+    out = []
+    fib = config.fibration
+    if fib is None:
+        return out
+    for s in fib.two_sections:
+        if not config.has_curve(s):
+            raise UnknownCurveError(s)
+        for f in fib.fibers:
+            if not f.is_fully_tracked() or not f.components:
+                continue
+            total = sum(config.pairing_of(s, c) for c in f.components)
+            expected = 1 if f.multiplicity == 2 else 2
+            if total != expected:
+                out.append(Violation(
+                    "two-section", f"{s}.{f.tag}",
+                    f"total intersection {total}, expected {expected}"))
+    return out

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qgsurf import blowup
+from qgsurf import blowup, pipeline
 from qgsurf.blowup import BlowupStep, apply_blowups, blow_up
 from qgsurf.config import (
     Configuration,
@@ -10,9 +10,10 @@ from qgsurf.config import (
     PointSpec,
     SurfaceInvariants,
     Violation,
+    point_violations,
     validate,
 )
-from qgsurf.corpus import builtin
+from qgsurf.corpus import EXAMPLE_NAMES, builtin
 from qgsurf import config as config_mod
 from qgsurf.errors import ValidationError
 
@@ -214,6 +215,7 @@ def test_adjunction_conserved_over_randomized_sequences():
             before_k2 = cfg.ambient_K2
             before_chi = cfg.surface.chi
             new = blow_up(cfg, step)
+            assert validate(new) == point_violations(new, new.points)
             assert new.ambient_K2 == before_k2 - 1
             assert new.surface.chi == before_chi
             for c in new.curves:
@@ -262,3 +264,60 @@ def test_replay_leaves_other_exceptions_alone(monkeypatch):
         blowup.replay(cfg, [BlowupStep(branches=(("A", 1),))])
     assert info.value is bug
     assert info.value.args == ("A",)
+
+
+def _random_declared_points(rng, cfg):
+    """Points a valid base may declare: nodes on curves of genus >= 1 (each
+    within its own genus budget, so two nodes on one genus-1 curve pass) and
+    transverse crossings within the pairing."""
+    points = []
+    for c in cfg.curves:
+        for _ in range(rng.randint(0, 2) if c.genus >= 1 else 0):
+            points.append(PointSpec(f"N{len(points)}", ((c.name, 2),)))
+    for i, a in enumerate(cfg.names):
+        for b in cfg.names[i + 1:]:
+            for _ in range(rng.randint(0, cfg.pairing_of(a, b))):
+                points.append(PointSpec(f"X{len(points)}", ((a, 1), (b, 1))))
+    return tuple(points)
+
+
+def _random_later_step(rng, cfg, counter):
+    """A random step, or now and then one through three curves that pairwise
+    meet: blowing that up lowers each pairing without consuming a point."""
+    names = cfg.names
+    triples = [(a, b, c) for i, a in enumerate(names) for j, b in enumerate(names[i + 1:], i + 1)
+               for c in names[j + 1:] if min(cfg.pairing_of(a, b), cfg.pairing_of(a, c),
+                                             cfg.pairing_of(b, c)) >= 1]
+    if triples and rng.random() < 0.2:
+        return BlowupStep(branches=tuple((n, 1) for n in rng.choice(triples)),
+                          label=f"x{counter}")
+    return _random_step(rng, cfg, counter)
+
+
+def test_later_stages_break_only_the_point_rule():
+    """From a valid base, every stage after a blow-up breaks no rule of
+    ``validate`` but the point rule: the surface and fibration are the
+    base's, adjunction and genus >= 0 hold, the pairing keeps its diagonal
+    and symmetry and stays nonnegative, and the K-degree and
+    enriques-rational rules apply before blow-ups only.  This is why the
+    pipeline checks only the point rule on the final stage."""
+    stages = [stage for name in EXAMPLE_NAMES
+              for stage in pipeline.run(config_mod.parse_unvalidated(builtin(name).document)).stages[1:]]
+    rng = random.Random(20261019)
+    broken = 0
+    for trial in range(300):
+        cfg = _random_config(rng)
+        cfg = cfg._replace(points=_random_declared_points(rng, cfg))
+        if validate(cfg):
+            continue
+        for step_no in range(rng.randint(1, 5)):
+            try:
+                cfg = blow_up(cfg, _random_later_step(rng, cfg, step_no))
+            except ValidationError:
+                break
+            stages.append(cfg)
+    for stage in stages:
+        violations = point_violations(stage, stage.points)
+        assert validate(stage) == violations, stage
+        broken += bool(violations)
+    assert broken > 20  # the sequences reach stages that do break the point rule

@@ -432,8 +432,8 @@ def test_readme_sample_document_verdict(tmp_path):
     code, text = invoke("verify", str(path))
     assert code == int(stated)
     assert text.splitlines() == [
-        "violation=plan-smoothability[chain0]: chain [3] is not smoothable",
-        "violation=plan-smoothability[chain1]: chain [3] is not smoothable",
+        "violation=plan: plan-smoothability[chain0]: chain [3] is not smoothable",
+        "violation=plan: plan-smoothability[chain1]: chain [3] is not smoothable",
         "status=fail",
     ]
 
@@ -605,13 +605,13 @@ def test_failed_independence_certificate_fails_verify(tmp_path):
     assert "independence_rank=9" in lines
     assert "independence_relation=-G1-G2-G3-G4-G5-G6-G7-G8-G9+F" in lines
     assert [line for line in lines if line.startswith("violation=")] == [
-        "violation=independence[plan.smoothing]: rank 9 < 10 curves after 0 blow-up(s)"]
+        "violation=plan: independence[plan.smoothing]: rank 9 < 10 curves after 0 blow-up(s)"]
     assert lines[-1] == "status=fail"
     code, text = invoke("--output", "json", "verify", path)
     blob = json.loads(text)
     assert (code, blob["status"], blob["independence_rank"]) == (1, "fail", 9)
     assert blob["violations"] == [
-        "independence[plan.smoothing]: rank 9 < 10 curves after 0 blow-up(s)"]
+        "plan: independence[plan.smoothing]: rank 9 < 10 curves after 0 blow-up(s)"]
     result = pipeline.run(parse_unvalidated(doc))
     assert [f.stage for f in result.failures] == ["plan"]
 
@@ -623,10 +623,46 @@ def test_failed_snc_certificate_fails_verify(tmp_path):
     code, text = invoke("verify", _write(tmp_path, doc))
     assert code == 1
     assert [line for line in text.splitlines() if line.startswith("violation=")] == [
-        "violation=snc-component[F]: component has genus 1, not rational",
-        "violation=snc-point[P1]: non-transverse branch (multiplicity > 1)"]
+        "violation=plan: snc-component[F]: component has genus 1, not rational",
+        "violation=plan: snc-point[P1]: non-transverse branch (multiplicity > 1)"]
     result = pipeline.run(parse_unvalidated(doc))
     assert [f.stage for f in result.failures] == ["plan", "plan"]
+
+
+def _node_blown_up_beside_another(doc):
+    doc["points"].append({"name": "P1c", "branches": [["F", 2]]})
+    doc["blowups"].append({"label": "N", "branches": [["F", 2]]})
+
+
+def _step_through_three_curves(doc):
+    doc["blowups"].append({"label": "T", "branches": [["S1", 1], ["S2", 1], ["F", 1]]})
+
+
+@pytest.mark.parametrize("edit, violations", [
+    (_node_blown_up_beside_another, [
+        "final: point[P1c]: multiplicity 2 exceeds genus budget of F",
+        "plan: ampleness certificate has a non-positive entry"]),
+    (_step_through_three_curves, [
+        "final: point-pairing[S1.S2]: declared points account for 1 > pairing 0",
+        "final: point-pairing[F.S2]: declared points account for 2 > pairing 1",
+        "final: point-pairing[F.S1]: declared points account for 2 > pairing 1",
+        "plan: plan-smoothability[chain2]: chain [5] is not smoothable",
+        "plan: plan-smoothability[chain3]: chain [5] is not smoothable"]),
+], ids=["genus-budget", "point-pairing"])
+def test_final_stage_point_rule_fails_verify(tmp_path, edit, violations):
+    """Faults that only the final stage's point rule sees.  Blowing up one
+    node of the genus-1 curve F leaves the second declared node P1c over F's
+    genus budget; a step through S1, S2 and F lowers their mutual pairings
+    below the crossings declared on them, and consumes none of them."""
+    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    edit(doc)
+    path = _write(tmp_path, doc)
+    code, text = invoke("verify", path)
+    assert code == 1
+    assert [line for line in text.splitlines() if line.startswith("violation=")] == [
+        f"violation={v}" for v in violations]
+    code, text = invoke("--output", "json", "verify", path)
+    assert code == 1 and json.loads(text)["violations"] == violations
 
 
 @pytest.mark.parametrize("q", [1, 10**400], ids=["1", "10^400"])
@@ -637,7 +673,7 @@ def test_declared_q_on_an_enriques_ambient_fails_verify(tmp_path, q):
     lines = text.splitlines()
     assert code == 1
     assert [line for line in lines if line.startswith("violation=")] == [
-        f"violation=plan-q[plan.q]: declared q = {q}, but kind 'enriques' has q = 0"]
+        f"violation=plan: plan-q[plan.q]: declared q = {q}, but kind 'enriques' has q = 0"]
     assert not any(line.startswith("p_g=") for line in lines)
     assert lines[-1] == "status=fail"
     result = pipeline.run(parse_unvalidated(doc))

@@ -420,5 +420,5 @@ def test_validate_e_needs_positive_n(tmp_path, n):
     path.write_text(json.dumps(doc))
     out = io.StringIO()
     assert cli.run(["verify", str(path)], out=out) == 1
-    assert f"violation=surface[e]: E(n) needs n >= 1, got n={n}" in out.getvalue()
+    assert f"violation=base: surface[e]: E(n) needs n >= 1, got n={n}" in out.getvalue()
     assert out.getvalue().endswith("status=fail\n")

@@ -13,7 +13,7 @@ from qgsurf.corpus import (
     results_table,
     verify_example,
 )
-from qgsurf.errors import UnknownExampleError
+from qgsurf.errors import SchemaError, UnknownExampleError
 from qgsurf.pipeline import Failure
 from qgsurf.smoothing import validate_plan
 
@@ -204,3 +204,38 @@ def test_example_is_verify_of_the_shipped_document(name):
     assert example.stages[-1] == verified.stages[-1]
     assert [f for f in example.failures if f.stage != "corpus"] == list(verified.failures)
 
+
+
+class _Packaged:
+    """Stands in for ``importlib.resources``: every packaged file reads as ``text``."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def files(self, package):
+        return self
+
+    def joinpath(self, path):
+        return self
+
+    def read_text(self):
+        return self.text
+
+
+def test_repeated_key_in_a_packaged_document_is_an_input_error(monkeypatch, capsys, tmp_path):
+    """``example`` decodes the packaged JSON as ``verify`` decodes a file, so
+    a repeated key is the same SchemaError (exit 2) under both."""
+    text = corpus.resources.files("qgsurf").joinpath("corpus_data/enriques-k1.json").read_text()
+    repeated = text.replace('"name": "enriques-k1"', '"name": "x", "name": "enriques-k1"', 1)
+    assert repeated != text
+    path = tmp_path / "repeated.json"
+    path.write_text(repeated)
+    message = "error: duplicate key 'name' in a JSON object\n"
+    assert cli.run(["verify", str(path)], io.StringIO()) == 2
+    assert capsys.readouterr().err == message
+
+    monkeypatch.setattr(corpus, "resources", _Packaged(repeated))
+    with pytest.raises(SchemaError, match="duplicate key 'name' in a JSON object"):
+        builtin("enriques-k1")
+    assert cli.run(["example", "enriques-k1"], io.StringIO()) == 2
+    assert capsys.readouterr().err == message

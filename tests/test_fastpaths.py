@@ -1,11 +1,13 @@
 """The pipeline's fast paths against the checks they replaced.
 
-``point_violations``, ``validate``'s pairing test and ``eliminate`` are
-compared with the per-entry versions kept in ``pipeline_oracle`` on
-mutated stages of the shipped documents and on random integer matrices:
-the violation lists must be equal, in the same order, and so must the
-elimination witnesses.  Every blow-up stage starts from a copy of its
-parent's name table; each must resolve exactly its own curves.
+``point_violations``, ``validate``'s pairing test, ``snc_certificate``,
+``two_section_incidence_check`` and ``eliminate`` are compared with the
+per-entry versions kept in ``pipeline_oracle`` on mutated stages of the
+shipped documents and on random integer matrices: the violation lists must
+be equal, in the same order, an input error must be the same error with
+the same message, and the elimination witnesses must be equal.  Every
+blow-up stage starts from a copy of its parent's name table; each must
+resolve exactly its own curves.
 """
 
 import pytest
@@ -14,9 +16,16 @@ from hypothesis import strategies as st
 
 import pipeline_oracle as oracle
 from qgsurf import pipeline
-from qgsurf.config import PointSpec, parse_unvalidated, point_violations, validate
+from qgsurf.config import (
+    PointSpec,
+    parse_unvalidated,
+    point_violations,
+    snc_certificate,
+    validate,
+)
 from qgsurf.corpus import EXAMPLE_NAMES, builtin
-from qgsurf.errors import UnknownCurveError, Violation
+from qgsurf.errors import QgsurfError, UnknownCurveError, Violation
+from qgsurf.fibration import two_section_incidence_check
 from qgsurf.ratlin import eliminate
 
 RUNS = {name: pipeline.run(parse_unvalidated(builtin(name).document)) for name in EXAMPLE_NAMES}
@@ -65,6 +74,58 @@ def test_validate_matches_the_per_entry_oracle(cfg):
     fibration = cfg.fibration.validate(cfg) if cfg.fibration is not None else []
     assert got == (head + oracle.pairing_violations(cfg)
                    + oracle.point_violations(cfg, cfg.points) + fibration)
+
+
+def _one_sided_edit(cfg, data, rows, columns):
+    """The stage, or now and then the stage with one entry (a, b), a in
+    ``rows`` and b in ``columns``, changed on that side only: a check that
+    reads the pairing in the other order then disagrees with its oracle."""
+    if not rows or not columns or not data.draw(st.booleans()):
+        return cfg
+    i = cfg.index_of(data.draw(st.sampled_from(rows)))
+    j = cfg.index_of(data.draw(st.sampled_from(columns)))
+    return _edit(cfg, i, j, cfg.pairing[i][j] + data.draw(st.sampled_from([-1, 1])), both=False)
+
+
+def _outcome(check, *args):
+    """What a check returns, or the type and message of the input error it raises."""
+    try:
+        return check(*args)
+    except QgsurfError as exc:
+        return type(exc), str(exc)
+
+
+@given(mutants(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_snc_certificate_matches_the_oracle(cfg, data):
+    divisor = data.draw(st.lists(st.sampled_from(cfg.names + (UNKNOWN,)), min_size=1, max_size=8))
+    cfg = _one_sided_edit(cfg, data, [n for n in divisor if n != UNKNOWN], cfg.names)
+    assert _outcome(snc_certificate, cfg, divisor) == _outcome(oracle.snc_certificate, cfg, divisor)
+
+
+@pytest.mark.parametrize("name", [n for n in EXAMPLE_NAMES
+                                  if RUNS[n].document.plan.smoothing is not None])
+@pytest.mark.parametrize("extra", [(), ("F",), ("F", UNKNOWN)], ids=["own", "F", "unknown"])
+def test_snc_certificate_of_each_hypothesis_matches_the_oracle(name, extra):
+    hypothesis = RUNS[name].document.plan.smoothing
+    stage, divisor = RUNS[name].stages[hypothesis.stage], hypothesis.snc + extra
+    got = _outcome(snc_certificate, stage, divisor)
+    assert got == _outcome(oracle.snc_certificate, stage, divisor)
+    if not extra:
+        assert got == []
+    elif UNKNOWN in extra:
+        assert got == (UnknownCurveError, UNKNOWN)
+
+
+@given(mutants(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_two_section_check_matches_the_oracle(cfg, data):
+    sections = data.draw(st.lists(st.sampled_from(cfg.names + (UNKNOWN,)), max_size=3))
+    cfg = cfg._replace(fibration=cfg.fibration._replace(two_sections=tuple(sections)))
+    components = [c for f in cfg.fibration.fibers for c in f.components]
+    cfg = _one_sided_edit(cfg, data, [n for n in sections if n != UNKNOWN], components)
+    assert (_outcome(two_section_incidence_check, cfg)
+            == _outcome(oracle.two_section_incidence_check, cfg))
 
 
 def _k4_final():

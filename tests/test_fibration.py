@@ -183,7 +183,7 @@ def test_fiber_repeating_a_component_fails(tmp_path):
     path.write_text(json.dumps(doc))
     out = io.StringIO()
     assert cli.run(["verify", str(path)], out=out) == 1
-    assert "violation=fibration[I9]: components repeated within the fiber: ['G2']" in out.getvalue()
+    assert "violation=base: fibration[I9]: components repeated within the fiber: ['G2']" in out.getvalue()
 
 
 def test_fibration_validate_multiple_fiber_reduced_type():

@@ -56,6 +56,28 @@ def test_blowups_replayed_once(monkeypatch):
         assert len(calls) == steps, name
 
 
+def test_final_stage_checks_only_the_point_rule(monkeypatch):
+    """The base is validated in full; after the blow-ups only the point rule
+    runs, on the final stage, and with no blow-ups nothing runs again."""
+    calls = []
+    validate, point_violations = pipeline.validate, pipeline.point_violations
+    monkeypatch.setattr(pipeline, "validate",
+                        lambda config: calls.append(("validate", config)) or validate(config))
+    monkeypatch.setattr(pipeline, "point_violations",
+                        lambda config, points: calls.append(("points", config))
+                        or point_violations(config, points))
+    for name in EXAMPLE_NAMES:
+        calls.clear()
+        result = _run(DOCUMENTS[name])
+        assert [kind for kind, _ in calls] == ["validate", "points"]
+        assert calls[0][1] is result.stages[0] and calls[1][1] is result.final
+    doc = _k1()
+    doc["blowups"] = []
+    calls.clear()
+    result = _run(doc)
+    assert len(calls) == 1 and calls[0][0] == "validate" and calls[0][1] is result.final
+
+
 def test_invalid_base_stops_before_blowups():
     doc = _k1()
     doc["curves"][0]["self"] = -3

@@ -73,6 +73,33 @@ def test_validate_plan_rejects_broken_shape():
     assert any(v.kind == "plan-shape" for v in violations)
 
 
+def _shape_oracle(cfg, chain, label):
+    """The per-pair shape check, run on every pair of the chain: consecutive
+    curves meet once, others not at all."""
+    out = []
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            want = 1 if j == i + 1 else 0
+            got = cfg.pairing_of(chain[i], chain[j])
+            if got != want:
+                out.append(Violation("plan-shape", label,
+                                     f"{chain[i]}.{chain[j]} = {got}, expected {want}"))
+    return out
+
+
+@pytest.mark.parametrize("a, b, value", [
+    ("Z0", "Z1", 2), ("Z0", "Z1", 0), ("Z1", "Z2", -1), ("Z2", "Z3", 3),
+    ("Z0", "Z2", 1), ("Z0", "Z3", 2), ("Z1", "Z3", -1),
+])
+def test_plan_shape_names_every_pair_it_breaks(a, b, value):
+    # each chain row is tested whole first; a row that fails is named pair by pair
+    cfg = chain_config([4, 2, 3, 2], extra_pairs=[(a, b, value)])
+    chain = tuple(names_for([4, 2, 3, 2]))
+    got = [v for v in validate_plan(cfg, ContractionPlan(chains=(chain,)))
+           if v.kind == "plan-shape"]
+    assert got == _shape_oracle(cfg, chain, "chain0") != []
+
+
 def test_validate_plan_rejects_unsmoothable_chain():
     cfg = chain_config([2, 3, 2])
     plan = ContractionPlan(chains=(tuple(names_for([2, 3, 2])),))
