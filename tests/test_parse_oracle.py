@@ -3,11 +3,10 @@
 Every field of the six shipped documents is in turn replaced by each value
 of a fixed list of bad values and deleted; an object also gains an unknown
 field, and a list element is replaced by the one before it (a repeated
-record).  ``config.parse_unvalidated`` must
-return a Document equal to the oracle's (``parse_oracle``) or raise the same
-exception type with the same message, and that exception must be a
-``QgsurfError``.  A list of more than three elements is mutated at its
-first, second and last element.
+record).  ``config.parse_unvalidated`` must return a Document equal to the
+oracle's (``parse_oracle``) or raise the same exception type with the same
+message, and that exception must be a ``QgsurfError``.  A list of more than
+three elements is mutated at its first, second and last element.
 """
 
 import copy
