@@ -16,11 +16,11 @@ all on a valid base.  The surface and the fibration are the base's own
 objects; each proper transform keeps adjunction, and the step's point rule
 (genus >= m(m-1)/2 and m*m' <= the pairing) keeps the genus and the pairing
 nonnegative; the pairing stays symmetric with the self-intersections on its
-diagonal by construction; and the K-degree and enriques-rational rules hold
-before blow-ups only.  The declared points left over from the base can break
-the point rules, as when a blow-up lowers a curve's genus below the budget of
-a second node on it or a step through three curves lowers their pairings
-below the crossings declared on them.
+diagonal by construction; and the K-degree and enriques-rational rules apply
+before blow-ups only.  The points themselves can still break the point
+rules, as when a blow-up lowers a curve's genus below the budget of a second
+node on it or a step through three curves lowers their pairings below the
+crossings declared on them.
 
 A document fails on base or final violations, a negative Euler deficit,
 2-section violations, plan violations, a non-positive ampleness certificate
