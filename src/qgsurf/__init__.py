@@ -30,7 +30,7 @@ _MODULE_NAMES = {
     "ratlin": ("Elimination", "eliminate", "rank", "solve_unique"),
     "smoothing": ("AmplenessCertificate", "SingularSurfaceReport", "TopologyReport",
                   "ampleness_certificate", "build_report", "contract_invariants",
-                  "moduli_dimension", "pi1_criterion", "pullback_degree", "topology_report",
+                  "moduli_dimension", "pi1_criterion", "topology_report",
                   "validate_plan"),
     "wahl": ("Chain", "ClassTData", "chain_from_fraction", "discrepancies", "generate_class_T",
              "hj_value", "index", "k2_contribution", "recognize_class_T"),

@@ -3,9 +3,10 @@
 Subcommands: verify FILE, example NAME, verify-all, chain B1,B2,...,
 enumerate-classT, export-dot FILE, info.  Exit status: 0 all checks pass,
 1 verification failure, 2 input or schema error.  What fails is decided in
-``qgsurf.pipeline``; ``example`` and ``verify-all`` print the same
-``RunResult``, whose ``corpus``-stage failures are the broken corpus
-expectations.  All three print each failure as ``STAGE: MESSAGE``.
+``qgsurf.pipeline``; ``example`` and ``verify-all`` print the ``RunResult``
+of ``verify`` on the packaged documents, whose ``corpus``-stage failures
+are the broken ``expect`` values.  All three print each failure as
+``STAGE: MESSAGE``.
 Output is deterministic; --output json mirrors the report structures.
 
 Only the chain analytics (``wahl``) are imported with this module.  The

@@ -177,17 +177,33 @@ class Configuration(_ConfigurationFields):
         return tuple(c.name for c in self.curves)
 
 
+class Expectation(NamedTuple):
+    """The values a document declares that its run must reproduce."""
+
+    K2: int
+    blowups: int
+    chains: tuple[tuple[int, ...], ...]   # compared as a multiset
+    indices: tuple[int, ...]              # in plan order
+    gcd: int
+    pi1: str
+    moduli_dim: int
+    p_g: int
+
+
 class Document(NamedTuple):
-    """A parsed input file: configuration plus its blow-up list and plan."""
+    """A parsed input file: configuration plus its blow-up list, plan and
+    expectations."""
 
     configuration: Configuration
     blowups: tuple[BlowupStep, ...] = ()
     plan: Optional[ContractionPlan] = None
     name: Optional[str] = None
     notes: tuple[str, ...] = ()
+    expect: Optional[Expectation] = None
 
 
-_TOP_KEYS = {"surface", "curves", "pairing", "points", "fibration", "blowups", "plan", "name", "notes"}
+_TOP_KEYS = {"surface", "curves", "pairing", "points", "fibration", "blowups", "plan", "name",
+             "notes", "expect"}
 _SURFACE_KEYS = {"kind", "n", "chi", "K2", "K_num_trivial"}
 _CURVE_KEYS = {"name", "self", "genus", "Kdeg", "tags"}
 _POINT_KEYS = {"name", "branches"}
@@ -197,6 +213,7 @@ _FIBER_KEYS = {"type", "multiplicity", "components"}
 _STEP_KEYS = {"label", "branches"}
 _PLAN_KEYS = {"chains", "q", "assumptions", "smoothing"}
 _SMOOTHING_KEYS = {"stage", "independent", "snc"}
+_EXPECT_KEYS = set(Expectation._fields)
 
 
 def _need(mapping: dict, key: str, where: str):
@@ -234,10 +251,15 @@ def _as_bool(value, where: str) -> bool:
 
 
 def _name(value, where: str) -> str:
-    """A curve name, point name or blow-up label: a nonempty string."""
+    """A curve name, point name, blow-up label or pi_1 verdict: a nonempty string."""
     if not isinstance(value, str) or not value:
         raise SchemaError(f"{where}: expected a nonempty string")
     return value
+
+
+def _ints(value, where: str) -> tuple[int, ...]:
+    """An array of integers: a chain or a list of indices."""
+    return tuple(_as_int(item, where) for item in _array(value, where))
 
 
 def _strings(value, where: str) -> tuple[str, ...]:
@@ -502,6 +524,36 @@ def _parse_plan(raw, steps: int) -> ContractionPlan:
                            smoothing=smoothing)
 
 
+def _parse_expect(raw) -> Expectation:
+    """The values the document's run must reproduce; every field is required."""
+    raw = _no_extras(raw, _EXPECT_KEYS, "expect")
+    field = {key: _need(raw, key, "expect") for key in Expectation._fields}
+    return Expectation(
+        K2=_as_int(field["K2"], "expect.K2"),
+        blowups=_as_int(field["blowups"], "expect.blowups"),
+        chains=tuple(_ints(chain, "expect.chains[]")
+                     for chain in _array(field["chains"], "expect.chains")),
+        indices=_ints(field["indices"], "expect.indices"),
+        gcd=_as_int(field["gcd"], "expect.gcd"),
+        pi1=_name(field["pi1"], "expect.pi1"),
+        moduli_dim=_as_int(field["moduli_dim"], "expect.moduli_dim"),
+        p_g=_as_int(field["p_g"], "expect.p_g"),
+    )
+
+
+def decode(data):
+    """The JSON value of a document's text (str, or UTF-8 bytes).
+
+    Text that is not UTF-8, not JSON, nested too deeply, holds an integer
+    too long to convert or repeats a key within one object is a SchemaError.
+    """
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from None
+
+
 def parse(document) -> Document:
     """Parse and validate a configuration document.
 
@@ -520,15 +572,10 @@ def parse(document) -> Document:
 def parse_unvalidated(document) -> Document:
     """Parse without the final validation pass (schema and names only).
 
-    Text that is not UTF-8, not JSON, nested too deeply, holds an integer
-    too long to convert or repeats a key within one object is a SchemaError.
+    Text (str or bytes) is decoded by ``decode`` first.
     """
     if isinstance(document, (str, bytes)):
-        try:
-            text = document.decode("utf-8") if isinstance(document, bytes) else document
-            document = json.loads(text, object_pairs_hook=_unique_keys)
-        except (ValueError, RecursionError) as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from None
+        document = decode(document)
     document = _no_extras(document, _TOP_KEYS, "top level")
 
     surface = _parse_surface(_need(document, "surface", "top level"))
@@ -554,7 +601,9 @@ def parse_unvalidated(document) -> Document:
     if name is not None and not isinstance(name, str):
         raise SchemaError(f"name: expected a string, got {name!r}")
     notes = _strings(document.get("notes", []), "notes")
-    return Document(configuration=configuration, blowups=blowups, plan=plan, name=name, notes=notes)
+    expect = _parse_expect(document["expect"]) if "expect" in document else None
+    return Document(configuration=configuration, blowups=blowups, plan=plan, name=name,
+                    notes=notes, expect=expect)
 
 
 def to_document(doc: Document) -> dict:
@@ -609,6 +658,10 @@ def to_document(doc: Document) -> dict:
             out["plan"]["smoothing"] = {"stage": hypothesis.stage,
                                         "independent": list(hypothesis.independent),
                                         "snc": list(hypothesis.snc)}
+    if doc.expect is not None:
+        out["expect"] = {**doc.expect._asdict(),
+                         "chains": [list(c) for c in doc.expect.chains],
+                         "indices": list(doc.expect.indices)}
     return out
 
 

@@ -57,10 +57,6 @@ class MissingPointDataError(QgsurfError):
     """A positive pairing entry inside an SNC divisor has no declared points."""
 
 
-class CurveContractedError(QgsurfError):
-    """pullback_degree was asked for a curve inside a contracted chain."""
-
-
 class PlanInvalidError(ValidationError):
     """A contraction plan with outstanding violations was used for invariants."""
 

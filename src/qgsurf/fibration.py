@@ -65,11 +65,6 @@ def euler_number(tag: str) -> int:
     return _fiber_numbers(parse_tag(tag)[0])[0]
 
 
-def component_count(tag: str) -> int:
-    """Number of irreducible components of a fiber of the given type."""
-    return _fiber_numbers(parse_tag(tag)[0])[1]
-
-
 class FiberSpec(NamedTuple):
     type: str                      # reduced Kodaira tag, e.g. "I9"
     multiplicity: int              # 1 or 2

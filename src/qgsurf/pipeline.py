@@ -9,7 +9,10 @@
                 configuration after the last blow-up, when there is one;
     plan        build the smoothing report, when the document has a plan, and
                 check the plan's smoothing hypothesis: the independence and
-                SNC certificates on the configuration after its stage.
+                SNC certificates on the configuration after its stage;
+    corpus      when the document declares ``expect``: the corpus rules
+                (Euler deficit 0, no advisory) and every expected value
+                (``_expectation_failures``).
 
 The final stage needs no other rule of ``validate``: ``blow_up`` keeps them
 all on a valid base.  The surface and the fibration are the base's own
@@ -23,12 +26,14 @@ node on it or a step through three curves lowers their pairings below the
 crossings declared on them.
 
 A document fails on base or final violations, a negative Euler deficit,
-2-section violations, plan violations, a non-positive ampleness certificate
-and a failed independence or SNC certificate.  A positive deficit (fibers
-left undeclared) and the I9 advisory are reported but never fail.  The
-blow-up and plan stages run only on a valid base configuration.  A blow-up step that cannot be applied, a
-hypothesis naming a curve absent at its stage and an SNC divisor whose
-crossings the points do not declare are input errors and raise.
+2-section violations, plan violations, a non-positive ampleness certificate,
+a failed independence or SNC certificate and, when it declares ``expect``,
+a value it does not reproduce.  A positive deficit (fibers left undeclared)
+and the I9 advisory are reported, and fail only a document that declares
+``expect``.  The blow-up and plan stages run only on a valid base
+configuration.  A blow-up step that cannot be applied, a hypothesis naming
+a curve absent at its stage and an SNC divisor whose crossings the points
+do not declare are input errors and raise.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .blowup import replay
 from .config import (
     Configuration,
     Document,
+    Expectation,
     IndependenceCertificate,
     SmoothingHypothesis,
     independence_certificate,
@@ -102,6 +108,41 @@ def _smoothing_failures(stages: tuple[Configuration, ...], hypothesis: Smoothing
     return cert, [Failure("plan", str(v)) for v in violations]
 
 
+def _expectation_failures(result: RunResult, expect: Expectation) -> list[str]:
+    """What a run breaks of the corpus rules and of the declared values:
+    the fibers must sum to exactly 12*chi with no advisory, the chains match
+    as a multiset and the indices in plan order."""
+    failures = []
+    euler = result.euler
+    if euler is not None and euler.deficit != 0:
+        failures.append(f"euler sum {euler.total} != {euler.target}")
+    failures.extend(f"advisory: {a}" for a in result.advisories)
+
+    final = result.final
+    if final is not None and final.blowup_count != expect.blowups:
+        failures.append(f"blowup count {final.blowup_count} != {expect.blowups}")
+
+    report = result.report
+    if report is not None:
+        if report.K2_X != expect.K2:
+            failures.append(f"K2 {report.K2_X} != {expect.K2}")
+        if sorted(report.chains) != sorted(expect.chains):
+            failures.append(f"chains {report.chains} != expected")
+        if report.indices != expect.indices:
+            failures.append(f"indices {report.indices} != {expect.indices}")
+        if report.gcd_indices != expect.gcd:
+            failures.append(f"gcd {report.gcd_indices} != {expect.gcd}")
+        if report.pi1_verdict != expect.pi1:
+            failures.append(f"pi1 {report.pi1_verdict} != {expect.pi1}")
+        if report.moduli_dim != expect.moduli_dim:
+            failures.append(f"moduli {report.moduli_dim} != {expect.moduli_dim}")
+        if report.p_g != expect.p_g:
+            failures.append(f"p_g {report.p_g} != {expect.p_g}")
+    elif result.document.plan is None:
+        failures.append("no plan to check the expected values against")
+    return failures
+
+
 def run(doc: Document) -> RunResult:
     base = doc.configuration
     failures = [Failure("base", str(v)) for v in validate(base)]
@@ -136,6 +177,10 @@ def run(doc: Document) -> RunResult:
                 independence, cert_failures = _smoothing_failures(stages, doc.plan.smoothing)
                 failures.extend(cert_failures)
 
-    return RunResult(document=doc, failures=tuple(failures), euler=euler,
-                     advisories=advisories, stages=stages, report=report,
-                     independence=independence)
+    result = RunResult(document=doc, failures=tuple(failures), euler=euler,
+                       advisories=advisories, stages=stages, report=report,
+                       independence=independence)
+    if doc.expect is not None:
+        result = result._replace(failures=result.failures + tuple(
+            Failure("corpus", m) for m in _expectation_failures(result, doc.expect)))
+    return result

@@ -18,7 +18,7 @@ and summarizes each chain once (``wahl.summarize``), and K^2, the indices
 and their gcd, the pi_1 verdict, the ampleness entries, the moduli
 dimension and the topology are all read from those summaries.  The public
 plan functions (``contract_invariants``, ``pi1_criterion``,
-``ampleness_certificate``, ``pullback_degree``) return views of that report.
+``ampleness_certificate``) return views of that report.
 """
 
 from __future__ import annotations
@@ -29,13 +29,7 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .config import Configuration, ContractionPlan
-from .errors import (
-    CurveContractedError,
-    DomainError,
-    PlanInvalidError,
-    UnknownCurveError,
-    Violation,
-)
+from .errors import DomainError, PlanInvalidError, Violation
 from .wahl import ChainSummary, summarize
 
 PI1_SATISFIED = "criterion-satisfied"
@@ -122,20 +116,6 @@ def contract_invariants(config: Configuration, plan: ContractionPlan):
     """(K^2 of X_t, chi, p_g); requires a violation-free plan."""
     report = build_report(config, plan)
     return report.K2_X, report.chi, report.p_g
-
-
-def pullback_degree(config: Configuration, plan: ContractionPlan, curve: str) -> Fraction:
-    """Exact degree of the pulled-back canonical class on a model curve.
-
-    K.C plus, for every chain, the pairing of C with the chain weighted by
-    the negated discrepancies; requires a violation-free plan.
-    """
-    if not config.has_curve(curve):
-        raise UnknownCurveError(curve)
-    if any(curve in chain for chain in plan.chains):
-        raise CurveContractedError(curve)
-    entries = build_report(config, plan).ample.entries
-    return next(e.value for e in entries if e.curve == curve)
 
 
 class AmpleEntry(NamedTuple):

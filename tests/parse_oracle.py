@@ -6,13 +6,11 @@ list, blow-up step, fiber, plan) with one exact-type test and builds it
 directly when the test passes; the per-field checks run only to name what
 fails.  The functions here run the per-field checks on every record, so the
 fast paths are checked against code that takes none of their shortcuts.
-The shared field helpers and the sections without a fast path (surface,
-smoothing hypothesis) are the package's own.
+The shared field helpers, the JSON decoding and the sections without a fast
+path (surface, smoothing hypothesis, expectations) are the package's own.
 """
 
 from __future__ import annotations
-
-import json
 
 from qgsurf.config import (
     _CURVE_KEYS,
@@ -36,10 +34,11 @@ from qgsurf.config import (
     _name,
     _need,
     _no_extras,
+    _parse_expect,
     _parse_smoothing,
     _parse_surface,
     _strings,
-    _unique_keys,
+    decode,
 )
 from qgsurf.errors import SchemaError
 from qgsurf.fibration import FiberSpec, FibrationData, parse_tag
@@ -177,17 +176,9 @@ def _parse_plan(raw, steps: int) -> ContractionPlan:
 
 
 def parse_unvalidated(document) -> Document:
-    """Parse without the final validation pass (schema and names only).
-
-    Text that is not UTF-8, not JSON, nested too deeply, holds an integer
-    too long to convert or repeats a key within one object is a SchemaError.
-    """
+    """Parse without the final validation pass (schema and names only)."""
     if isinstance(document, (str, bytes)):
-        try:
-            text = document.decode("utf-8") if isinstance(document, bytes) else document
-            document = json.loads(text, object_pairs_hook=_unique_keys)
-        except (ValueError, RecursionError) as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from None
+        document = decode(document)
     document = _no_extras(document, _TOP_KEYS, "top level")
 
     surface = _parse_surface(_need(document, "surface", "top level"))
@@ -213,4 +204,6 @@ def parse_unvalidated(document) -> Document:
     if name is not None and not isinstance(name, str):
         raise SchemaError(f"name: expected a string, got {name!r}")
     notes = _strings(document.get("notes", []), "notes")
-    return Document(configuration=configuration, blowups=blowups, plan=plan, name=name, notes=notes)
+    expect = _parse_expect(document["expect"]) if "expect" in document else None
+    return Document(configuration=configuration, blowups=blowups, plan=plan, name=name,
+                    notes=notes, expect=expect)

@@ -136,7 +136,7 @@ def test_exceptional_names_auto_increment():
 
 
 def test_point_consumption_tracks_blowups():
-    doc = builtin("enriques-k2").document
+    doc = builtin("enriques-k2")
     parsed = config_mod.parse(doc)
     base = parsed.configuration
     assert any(p.name == "P1" for p in base.points)
@@ -302,7 +302,7 @@ def test_later_stages_break_only_the_point_rule():
     enriques-rational rules apply before blow-ups only.  This is why the
     pipeline checks only the point rule on the final stage."""
     stages = [stage for name in EXAMPLE_NAMES
-              for stage in pipeline.run(config_mod.parse_unvalidated(builtin(name).document)).stages[1:]]
+              for stage in pipeline.run(config_mod.parse_unvalidated(builtin(name))).stages[1:]]
     rng = random.Random(20261019)
     broken = 0
     for trial in range(300):

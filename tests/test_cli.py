@@ -161,7 +161,7 @@ def test_verify_subcommand_on_file(tmp_path):
 def builtin_document(name):
     from qgsurf import config as config_mod
 
-    return config_mod.parse(builtin(name).document)
+    return config_mod.parse(builtin(name))
 
 
 def test_verify_subcommand_missing_file():
@@ -186,6 +186,33 @@ def test_verify_subcommand_violation_exits_one(tmp_path):
     code, text = invoke("verify", str(path))
     assert code == 1
     assert "adjunction" in text
+
+
+def test_verify_holds_a_document_to_its_expectations(tmp_path):
+    doc = builtin("enriques-k1")
+    doc["expect"]["K2"] = 2
+    path = tmp_path / "k1-wrong-K2.json"
+    path.write_text(json.dumps(doc))
+    code, text = invoke("verify", str(path))
+    assert code == 1
+    lines = text.splitlines()
+    assert "violation=corpus: K2 1 != 2" in lines
+    assert lines[-1] == "status=fail"
+
+
+def test_verify_holds_a_document_with_expectations_to_the_corpus_rules(tmp_path):
+    # without `expect` a positive deficit and the I9 advisory never fail
+    # (test_verify_positive_deficit_is_a_note_not_a_failure)
+    doc = builtin("enriques-k1")
+    doc["fibration"]["fibers"].remove({"type": "I1", "multiplicity": 1, "components": []})
+    path = tmp_path / "k1-two-I1.json"
+    path.write_text(json.dumps(doc))
+    code, text = invoke("verify", str(path))
+    assert code == 1
+    assert [line for line in text.splitlines() if line.startswith("violation=")] == [
+        "violation=corpus: euler sum 11 != 12",
+        "violation=corpus: advisory: an I9 fiber implies three I1-type fibers; only 2 declared",
+    ]
 
 
 def test_enumerate_classt():
@@ -337,6 +364,16 @@ def _set_point_name_empty(doc):
     doc["points"][0]["name"] = ""
 
 
+def _set_expect(key, value):
+    def edit(doc):
+        doc["expect"][key] = value
+    return edit
+
+
+def _drop_expect_field(doc):
+    del doc["expect"]["p_g"]
+
+
 @pytest.mark.parametrize("edit", [
     _set("pairing", 5),
     _set("pairing", "G1"),
@@ -353,13 +390,19 @@ def _set_point_name_empty(doc):
     _repeat_two_section,
     _repeat_disjoint_curve,
     _set_point_name_empty,
+    _set_expect("extra", 1),
+    _drop_expect_field,
+    _set_expect("gcd", True),
+    _set_expect("K2", "1"),
+    _set_expect("chains", [None]),
 ], ids=["pairing-int", "pairing-string", "pairing-list-name", "notes-string",
         "name-int", "two-sections-string", "blowup-branches-int", "plan-q-negative",
         "class-known-string", "multiplicity-bool", "blowup-label-empty",
         "multiple-fiber-III", "two-sections-repeated", "disjoint-from-repeated",
-        "point-name-empty"])
+        "point-name-empty", "expect-unknown-field", "expect-missing-field",
+        "expect-gcd-bool", "expect-K2-string", "expect-chains-null"])
 def test_verify_malformed_document_exits_two(tmp_path, capsys, edit):
-    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc = builtin("enriques-k1")
     edit(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -386,7 +429,7 @@ def test_undecodable_file_exits_two(tmp_path, capsys, command, payload):
 
 
 def test_duplicate_key_exits_two(tmp_path, capsys):
-    text = json.dumps(builtin("enriques-k1").document)
+    text = json.dumps(builtin("enriques-k1"))
     path = tmp_path / "dup.json"
     path.write_text(text[:-1] + ', "plan": {}}')
     code, out = invoke("verify", str(path))
@@ -396,7 +439,7 @@ def test_duplicate_key_exits_two(tmp_path, capsys):
 
 
 def test_verify_blowup_at_unknown_curve_exits_two(tmp_path, capsys):
-    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc = builtin("enriques-k1")
     step = doc["blowups"][0]
     step["branches"][0][0] = "Z"
     path = tmp_path / "bad.json"
@@ -410,7 +453,7 @@ def test_verify_blowup_at_unknown_curve_exits_two(tmp_path, capsys):
 
 
 def test_unlabeled_blowup_at_unknown_curve_names_its_step_once(tmp_path, capsys):
-    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc = builtin("enriques-k1")
     step = doc["blowups"][0]
     del step["label"]
     step["branches"][0][0] = "Z"
@@ -458,7 +501,8 @@ def test_verify_rational_elliptic_i9_advisory(tmp_path):
 
 
 def test_verify_positive_deficit_is_a_note_not_a_failure(tmp_path):
-    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc = builtin("enriques-k1")
+    del doc["expect"]  # a document declaring `expect` is held to deficit 0
     fibers = doc["fibration"]["fibers"]
     fibers.remove({"type": "I1", "multiplicity": 1, "components": []})
     code, text = invoke("verify", _write(tmp_path, doc))
@@ -569,7 +613,7 @@ def _set_smoothing(value):
         "repeated-snc", "stage-negative", "stage-past-blowups", "stage-bool", "missing-list",
         "empty-list"])
 def test_malformed_smoothing_section_exits_two(tmp_path, capsys, edit, message):
-    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc = builtin("enriques-k1")
     edit(doc)
     path = _write(tmp_path, doc)
     for command in ("verify", "export-dot"):
@@ -579,7 +623,7 @@ def test_malformed_smoothing_section_exits_two(tmp_path, capsys, edit, message):
 
 def test_smoothing_name_unknown_at_its_stage_exits_two(tmp_path, capsys):
     # E is k2's first exceptional curve: it exists after one blow-up, not before
-    doc = json.loads(json.dumps(builtin("enriques-k2").document))
+    doc = builtin("enriques-k2")
     doc["plan"]["smoothing"]["stage"] = 0
     assert invoke("verify", _write(tmp_path, doc)) == (2, "")
     assert capsys.readouterr().err == (
@@ -589,14 +633,14 @@ def test_smoothing_name_unknown_at_its_stage_exits_two(tmp_path, capsys):
 def test_undeclared_crossing_in_the_snc_divisor_exits_two(tmp_path, capsys):
     # without the point P0, S1.S2 = 1 has no declared crossing: the SNC check
     # cannot decide, which is an input error, not a traceback
-    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc = builtin("enriques-k1")
     doc["points"] = [p for p in doc["points"] if p["name"] != "P0"]
     assert invoke("verify", _write(tmp_path, doc)) == (2, "")
     assert capsys.readouterr().err == "error: S1.S2 = 1 but no declared points on the pair\n"
 
 
 def test_failed_independence_certificate_fails_verify(tmp_path):
-    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc = builtin("enriques-k1")
     doc["plan"]["smoothing"]["independent"] = [f"G{i}" for i in range(1, 10)] + ["F"]
     path = _write(tmp_path, doc)
     code, text = invoke("verify", path)
@@ -618,7 +662,7 @@ def test_failed_independence_certificate_fails_verify(tmp_path):
 
 def test_failed_snc_certificate_fails_verify(tmp_path):
     # the nodal fiber F has genus 1 and its node P1 is not a transverse crossing
-    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc = builtin("enriques-k1")
     doc["plan"]["smoothing"]["snc"].append("F")
     code, text = invoke("verify", _write(tmp_path, doc))
     assert code == 1
@@ -654,7 +698,8 @@ def test_final_stage_point_rule_fails_verify(tmp_path, edit, violations):
     node of the genus-1 curve F leaves the second declared node P1c over F's
     genus budget; a step through S1, S2 and F lowers their mutual pairings
     below the crossings declared on them, and consumes none of them."""
-    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc = builtin("enriques-k1")
+    del doc["expect"]  # the extra step breaks the declared blow-up count too
     edit(doc)
     path = _write(tmp_path, doc)
     code, text = invoke("verify", path)
@@ -667,7 +712,7 @@ def test_final_stage_point_rule_fails_verify(tmp_path, edit, violations):
 
 @pytest.mark.parametrize("q", [1, 10**400], ids=["1", "10^400"])
 def test_declared_q_on_an_enriques_ambient_fails_verify(tmp_path, q):
-    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc = builtin("enriques-k1")
     doc["plan"]["q"] = q
     code, text = invoke("verify", _write(tmp_path, doc))
     lines = text.splitlines()
@@ -687,7 +732,8 @@ def test_declared_q_on_an_enriques_ambient_fails_verify(tmp_path, q):
 def test_topology_on_kind_other_follows_the_declared_q(tmp_path, q, line):
     # b1 = 2q, b2 = c2 - 2 + 2*b1 and b2+ = 2*p_g + 1: with q = 1 the k1
     # construction has p_g = 1, b2 = 13, b2+ = 3; with q = 0 the line is as before
-    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc = builtin("enriques-k1")
+    del doc["expect"]  # which declares p_g = 0
     doc["surface"]["kind"] = "other"
     doc["plan"]["q"] = q
     code, text = invoke("verify", _write(tmp_path, doc))

@@ -48,7 +48,7 @@ def test_parse_accepts_json_text():
 
 
 def test_parse_corpus_k1_curve_count():
-    doc = parse(builtin("enriques-k1").document)
+    doc = parse(builtin("enriques-k1"))
     assert len(doc.configuration.curves) == 13
     assert doc.configuration.fibration is not None
     assert len(doc.blowups) == 5
@@ -291,10 +291,38 @@ def test_to_document_round_trip(corpus_results):
         assert again.configuration == doc.configuration, name
         assert again.blowups == doc.blowups
         assert again.plan == doc.plan
+        assert again.expect == doc.expect
+        assert written["expect"] == builtin(name)["expect"], name
         # the smoothing section is written as read; k5 makes no smoothing claim
-        raw = builtin(name).document["plan"].get("smoothing")
+        raw = builtin(name)["plan"].get("smoothing")
         assert written["plan"].get("smoothing") == raw, name
         assert (raw is None) == (name == "enriques-k5-symplectic") == (doc.plan.smoothing is None)
+
+
+def _expect_without(key):
+    def edit(expect):
+        del expect[key]
+    return edit
+
+
+def _expect_set(key, value):
+    def edit(expect):
+        expect[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _expect_set("extra", 1),
+    _expect_without("p_g"),
+    _expect_set("gcd", True),
+    _expect_set("K2", "1"),
+    _expect_set("chains", [None]),
+], ids=["unknown-field", "missing-field", "gcd-bool", "K2-string", "chains-null"])
+def test_parse_rejects_malformed_expect(edit):
+    doc = builtin("enriques-k1")
+    edit(doc["expect"])
+    with pytest.raises(SchemaError, match=r"^expect"):
+        parse(doc)
 
 
 def test_declared_points_have_no_count():
@@ -377,7 +405,7 @@ def test_parse_rejects_non_string_name():
 
 
 def test_parse_rejects_string_two_sections():
-    doc = builtin("enriques-k1").document
+    doc = builtin("enriques-k1")
     bad = json.loads(json.dumps(doc))
     bad["fibration"]["two_sections"] = "S1"
     with pytest.raises(SchemaError, match="two_sections"):

@@ -1,5 +1,5 @@
-import copy
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -21,14 +21,21 @@ from qgsurf.smoothing import validate_plan
 def test_builtin_known_names():
     for name in EXAMPLE_NAMES:
         example = builtin(name)
-        assert example.name == name
-        assert "curves" in example.document
+        assert example["name"] == name
+        assert "curves" in example
 
 
 def test_builtin_expected_values():
-    assert builtin("enriques-k1").expected.K2 == 1
-    assert (8, 2, 2, 2, 2) in builtin("enriques-k3-kondo7").expected.chains
-    assert builtin("enriques-k5-symplectic").expected.blowup_count == 12
+    assert builtin("enriques-k1")["expect"]["K2"] == 1
+    assert [8, 2, 2, 2, 2] in builtin("enriques-k3-kondo7")["expect"]["chains"]
+    assert builtin("enriques-k5-symplectic")["expect"]["blowups"] == 12
+
+
+def test_every_shipped_document_declares_expect():
+    for name in EXAMPLE_NAMES:
+        expect = config_mod.parse(builtin(name)).expect
+        assert isinstance(expect, config_mod.Expectation), name
+        assert expect.p_g == 0 and expect.K2 in (1, 2, 3, 4, 5), name
 
 
 def test_corpus_mirror_matches_packaged_documents():
@@ -77,8 +84,7 @@ def test_expected_blowup_counts(corpus_results):
 
 
 def test_negative_control_corrupted_self_intersection():
-    example = builtin("enriques-k2")
-    doc = copy.deepcopy(example.document)
+    doc = builtin("enriques-k2")
     for curve in doc["curves"]:
         if curve["name"] == "G4":
             curve["self"] = -3  # breaks adjunction
@@ -88,8 +94,7 @@ def test_negative_control_corrupted_self_intersection():
 
 
 def test_negative_control_corrupted_pairing():
-    example = builtin("enriques-k1")
-    doc = copy.deepcopy(example.document)
+    doc = builtin("enriques-k1")
     doc["pairing"] = [p for p in doc["pairing"] if p[:2] != ["G6", "G7"]]
     # the now-dangling cycle point is caught at parse time already
     with pytest.raises(config_mod.ValidationError):
@@ -162,9 +167,26 @@ def test_parse_each_corpus_file_from_text():
         assert doc.notes
 
 
+class _Packaged:
+    """Stands in for ``importlib.resources``: every packaged file reads as ``text``."""
+
+    def __init__(self, text):
+        self.data = text.encode("utf-8")
+
+    def files(self, package):
+        return self
+
+    def joinpath(self, path):
+        return self
+
+    def read_bytes(self):
+        return self.data
+
+
 def test_expectation_mismatch_fails_the_example(monkeypatch):
-    wrong = corpus.EXPECTED["enriques-k1"]._replace(K2=2)
-    monkeypatch.setitem(corpus.EXPECTED, "enriques-k1", wrong)
+    doc = builtin("enriques-k1")
+    doc["expect"]["K2"] = 2
+    monkeypatch.setattr(corpus, "resources", _Packaged(json.dumps(doc)))
     result = verify_example("enriques-k1")
     assert not result.passed
     assert result.failures == (Failure("corpus", "K2 1 != 2"),)
@@ -176,12 +198,11 @@ def test_expectation_mismatch_fails_the_example(monkeypatch):
 
 
 def test_example_fails_on_unlisted_fibers(monkeypatch):
-    # the pipeline only notes a positive deficit; a shipped document is held to 0
-    example = builtin("enriques-k1")
-    doc = copy.deepcopy(example.document)
+    # the pipeline only notes a positive deficit; a document declaring
+    # `expect` is held to 0
+    doc = builtin("enriques-k1")
     doc["fibration"]["fibers"].remove({"type": "I1", "multiplicity": 1, "components": []})
-    monkeypatch.setattr(corpus, "builtin",
-                        lambda name: example._replace(document=doc))
+    monkeypatch.setattr(corpus, "resources", _Packaged(json.dumps(doc)))
     result = verify_example("enriques-k1")
     assert all(f.stage == "corpus" for f in result.failures)
     assert result.failures == (
@@ -192,8 +213,7 @@ def test_example_fails_on_unlisted_fibers(monkeypatch):
 
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_example_is_verify_of_the_shipped_document(name):
-    # `example NAME` judges the shipped document exactly as `verify` does and
-    # only adds corpus-stage failures
+    # `example NAME` is `verify` of the shipped document: one pipeline, one result
     path = Path(__file__).resolve().parents[1] / "corpus" / f"{name}.json"
     verified = pipeline.run(config_mod.parse_unvalidated(path.read_bytes()))
     example = verify_example(name)
@@ -202,24 +222,7 @@ def test_example_is_verify_of_the_shipped_document(name):
     assert example.euler == verified.euler
     assert example.advisories == verified.advisories
     assert example.stages[-1] == verified.stages[-1]
-    assert [f for f in example.failures if f.stage != "corpus"] == list(verified.failures)
-
-
-
-class _Packaged:
-    """Stands in for ``importlib.resources``: every packaged file reads as ``text``."""
-
-    def __init__(self, text):
-        self.text = text
-
-    def files(self, package):
-        return self
-
-    def joinpath(self, path):
-        return self
-
-    def read_text(self):
-        return self.text
+    assert example.failures == verified.failures
 
 
 def test_repeated_key_in_a_packaged_document_is_an_input_error(monkeypatch, capsys, tmp_path):

@@ -28,7 +28,7 @@ from qgsurf.errors import QgsurfError, UnknownCurveError, Violation
 from qgsurf.fibration import two_section_incidence_check
 from qgsurf.ratlin import eliminate
 
-RUNS = {name: pipeline.run(parse_unvalidated(builtin(name).document)) for name in EXAMPLE_NAMES}
+RUNS = {name: pipeline.run(parse_unvalidated(builtin(name))) for name in EXAMPLE_NAMES}
 STAGES = [stage for result in RUNS.values() for stage in result.stages]
 UNKNOWN = "no-such-curve"
 # kinds validate reports before the pairing and the points

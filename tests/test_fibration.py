@@ -177,7 +177,7 @@ def test_fibration_validate_component_overlap():
 def test_fiber_repeating_a_component_fails(tmp_path):
     # nine names for I9's nine components, but G2 twice and G9 missing: the
     # fiber must not count as fully tracked with G2 counted twice
-    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc = builtin("enriques-k1")
     doc["fibration"]["fibers"][0]["components"][8] = "G2"
     path = tmp_path / "repeat.json"
     path.write_text(json.dumps(doc))
@@ -219,7 +219,7 @@ def test_smooth_fiber_tag_rejected(bad):
 
 
 def test_document_with_smooth_fiber_is_an_input_error(tmp_path, capsys):
-    doc = json.loads(json.dumps(builtin("enriques-k1").document))
+    doc = builtin("enriques-k1")
     doc["fibration"]["fibers"].append({"type": "I0", "components": []})
     path = tmp_path / "i0.json"
     path.write_text(json.dumps(doc))

@@ -139,7 +139,7 @@ PUBLIC = {
     **dict.fromkeys(["Elimination", "eliminate", "rank", "solve_unique"], "ratlin"),
     **dict.fromkeys(["AmplenessCertificate", "SingularSurfaceReport", "TopologyReport",
                      "ampleness_certificate", "build_report", "contract_invariants",
-                     "moduli_dimension", "pi1_criterion", "pullback_degree", "topology_report",
+                     "moduli_dimension", "pi1_criterion", "topology_report",
                      "validate_plan"], "smoothing"),
     **dict.fromkeys(["Chain", "ClassTData", "chain_from_fraction", "discrepancies",
                      "generate_class_T", "hj_value", "index", "k2_contribution",
@@ -150,7 +150,7 @@ SUBMODULES = ["blowup", "config", "corpus", "errors", "fibration", "kernel", "pi
 
 
 def test_public_names_are_the_defining_modules_objects():
-    assert len(PUBLIC) == 49
+    assert len(PUBLIC) == 48
     assert sorted(qgsurf.__all__) == sorted(PUBLIC)
     for name, module in PUBLIC.items():
         value = getattr(qgsurf, name)

@@ -12,7 +12,7 @@ from qgsurf import config as config_mod
 from qgsurf.corpus import EXAMPLE_NAMES, builtin, verify_example
 from qgsurf.errors import QgsurfError
 
-DOCUMENTS = {name: builtin(name).document for name in EXAMPLE_NAMES}
+DOCUMENTS = {name: builtin(name) for name in EXAMPLE_NAMES}
 
 
 def _run(doc: dict) -> pipeline.RunResult:
@@ -95,7 +95,24 @@ def test_failures_name_their_stage():
     assert [(f.stage, str(f)) for f in result.failures] == [
         ("fibration", "declared fibers exceed 12*chi"),
         ("plan", "plan-name[chain4]: unknown curve 'ZZ'"),
+        ("corpus", "euler sum 16 != 12"),
     ]
+
+
+def test_expected_chains_are_a_multiset_and_indices_in_plan_order():
+    doc = _k1()
+    doc["expect"]["chains"].reverse()
+    assert _run(doc).passed
+    doc["expect"]["indices"].reverse()
+    assert _run(doc).failures == (
+        pipeline.Failure("corpus", "indices (3, 3, 2, 2) != (2, 2, 3, 3)"),)
+
+
+def test_expected_values_need_a_plan():
+    doc = _k1()
+    del doc["plan"]
+    assert _run(doc).failures == (
+        pipeline.Failure("corpus", "no plan to check the expected values against"),)
 
 
 def test_unappliable_blowup_raises_with_its_step():

@@ -14,31 +14,28 @@ from qgsurf.smoothing import pi1_criterion
 
 RECORDS = [
     "SurfaceInvariants", "CurveClass", "PointSpec", "BlowupStep", "SmoothingHypothesis",
-    "ContractionPlan", "IndependenceCertificate", "Configuration", "Document",
+    "ContractionPlan", "IndependenceCertificate", "Configuration", "Expectation", "Document",
     "FiberSpec", "FibrationData", "EulerCheck",
     "Elimination",
     "AmpleEntry", "AmplenessCertificate", "Pi1Criterion", "TopologyReport",
     "SingularSurfaceReport",
     "Failure", "RunResult",
-    "Expected", "NamedExample",
 ]
 
 
 @pytest.fixture(scope="module")
 def instances():
     """One instance of every record, taken from a run of the k1 example."""
-    example = corpus.builtin("enriques-k1")
     result = corpus.verify_example("enriques-k1")
     doc, cfg, report = result.document, result.final, result.report
     return [
         cfg.surface, cfg.curves[0], cfg.points[0], doc.blowups[0], doc.plan.smoothing,
-        doc.plan, result.independence, cfg, doc,
+        doc.plan, result.independence, cfg, doc.expect, doc,
         cfg.fibration.fibers[0], cfg.fibration, result.euler,
         result.independence.witness,
         report.ample.entries[0], report.ample, pi1_criterion(cfg, doc.plan), report.topology,
         report,
         Failure("plan", "message"), result,
-        example.expected, example,
     ]
 
 
