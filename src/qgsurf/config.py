@@ -7,6 +7,11 @@ A document adds a blow-up list and a contraction plan; this module owns the
 whole document format: ``parse_unvalidated`` reads every section and
 ``to_document`` writes every section.  All data are integers; derived
 linear algebra is exact.
+
+Each record has one parser, which reads it once, field by field, and each
+field's rule is written once; a cheap guard (an exact-type test, or a
+superset test of the curve names) may stand only before a call that
+formats a message and raises.
 """
 
 from __future__ import annotations
@@ -226,9 +231,8 @@ def _no_extras(value, allowed: set, where: str) -> dict:
     """The value as an object whose fields are all in ``allowed``."""
     if not isinstance(value, dict):
         raise SchemaError(f"{where}: expected an object")
-    extra = set(value) - allowed
-    if extra:
-        raise SchemaError(f"{where}: unknown field(s) {sorted(extra)}")
+    if not allowed.issuperset(value):
+        raise SchemaError(f"{where}: unknown field(s) {sorted(value.keys() - allowed)}")
     return value
 
 
@@ -314,32 +318,24 @@ def _parse_surface(obj) -> SurfaceInvariants:
     return SurfaceInvariants(kind=kind, chi=chi, K2=k2, K_num_trivial=knt, n=n)
 
 
-# Each record parser below starts with one whole-record test with exact types
-# (so no bool passes for an int) and builds the record when it passes; the
-# per-field checks after it run only to name what fails the test.
-
-
-def _plain_strings(raw) -> bool:
-    """The whole-record test of an array of strings."""
-    return type(raw) is list and set(map(type, raw)) <= {str}
+def _int_field(obj: dict, key: str, where: str) -> int:
+    """The required integer field ``key`` of the record ``obj`` at ``where``."""
+    value = obj.get(key)
+    if type(value) is not int:
+        value = _as_int(_need(obj, key, where), f"{where}.{key}")
+    return value
 
 
 def _parse_curve(obj) -> CurveClass:
-    if type(obj) is dict and obj.keys() <= _CURVE_KEYS:
-        name, tags = obj.get("name"), obj.get("tags", [])
-        self_int, genus, k_deg = obj.get("self"), obj.get("genus"), obj.get("Kdeg")
-        if (type(name) is str and name and type(self_int) is int and type(genus) is int
-                and type(k_deg) is int and _plain_strings(tags)):
-            return CurveClass(name, self_int, k_deg, genus, frozenset(tags))
     obj = _no_extras(obj, _CURVE_KEYS, "curves[]")
     name = _name(_need(obj, "name", "curves[]"), "curves[].name")
     where = f"curve {name}"
     tags = _strings(obj.get("tags", []), f"{where}.tags")
     return CurveClass(
         name=name,
-        self_int=_as_int(_need(obj, "self", where), f"{where}.self"),
-        genus=_as_int(_need(obj, "genus", where), f"{where}.genus"),
-        K_deg=_as_int(_need(obj, "Kdeg", where), f"{where}.Kdeg"),
+        self_int=_int_field(obj, "self", where),
+        genus=_int_field(obj, "genus", where),
+        K_deg=_int_field(obj, "Kdeg", where),
         tags=frozenset(tags),
     )
 
@@ -351,15 +347,13 @@ def _parse_pairing(raw, curves: tuple[CurveClass, ...]) -> tuple[tuple[int, ...]
         grid[i][i] = c.self_int
     seen_pairs = set()
     for item in _array(raw, "pairing"):
-        if not (type(item) is list and len(item) == 3 and type(item[0]) is str
-                and type(item[1]) is str and type(item[2]) is int):
-            if not isinstance(item, list) or len(item) != 3:
-                raise SchemaError("pairing: entries are [nameA, nameB, value]")
-            a, b, value = item
-            if not isinstance(a, str) or not isinstance(b, str):
-                raise SchemaError(f"pairing: curve names must be strings, got {a!r}, {b!r}")
-            _as_int(value, f"pairing {a}.{b}")
+        if not isinstance(item, list) or len(item) != 3:
+            raise SchemaError("pairing: entries are [nameA, nameB, value]")
         a, b, value = item
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise SchemaError(f"pairing: curve names must be strings, got {a!r}, {b!r}")
+        if type(value) is not int:
+            _as_int(value, f"pairing {a}.{b}")
         i, j = idx.get(a), idx.get(b)
         if i is None or j is None:
             _declared((a, b), idx, "pairing")
@@ -373,30 +367,19 @@ def _parse_pairing(raw, curves: tuple[CurveClass, ...]) -> tuple[tuple[int, ...]
     return tuple(map(tuple, grid))
 
 
-def _plain_branches(raw) -> bool:
-    """The whole-record test of a branch list: [curveName, multiplicity >= 1]
-    pairs with exact types."""
-    if type(raw) is not list:
-        return False
-    for b in raw:
-        if type(b) is not list or len(b) != 2:
-            return False
-        name, m = b
-        if type(name) is not str or type(m) is not int or m < 1:
-            return False
-    return True
-
-
 def _parse_branches(raw, where: str) -> tuple[tuple[str, int], ...]:
     """[curveName, multiplicity] pairs, shared by points and blow-up steps."""
+    if type(raw) is not list:
+        raw = _array(raw, f"{where}.branches")
     branches = []
-    for item in _array(raw, f"{where}.branches"):
+    for item in raw:
         if not isinstance(item, list) or len(item) != 2:
             raise SchemaError(f"{where}: each branch is [curveName, multiplicity]")
         cname, mult = item
         if not isinstance(cname, str):
             raise SchemaError(f"{where}: branch curve name must be a string")
-        mult = _as_int(mult, f"{where}: branch multiplicity")
+        if type(mult) is not int:
+            mult = _as_int(mult, f"{where}: branch multiplicity")
         if mult < 1:
             raise SchemaError(f"{where}: branch multiplicity must be >= 1")
         branches.append((cname, mult))
@@ -407,14 +390,6 @@ def _parse_points(raw, known: set[str]) -> tuple[PointSpec, ...]:
     points = []
     point_names = set()
     for item in _array(raw, "points"):
-        if type(item) is dict and len(item) == 2:
-            pname, branches = item.get("name"), item.get("branches")
-            if (type(pname) is str and pname and pname not in point_names
-                    and _plain_branches(branches) and branches
-                    and known.issuperset(map(_branch_curve, branches))):
-                point_names.add(pname)
-                points.append(PointSpec(pname, tuple(map(tuple, branches))))
-                continue
         item = _no_extras(item, _POINT_KEYS, "points[]")
         pname = _name(_need(item, "name", "points[]"), "points[].name")
         if pname in point_names:
@@ -424,18 +399,13 @@ def _parse_points(raw, known: set[str]) -> tuple[PointSpec, ...]:
         branches = _parse_branches(_need(item, "branches", where), where)
         if not branches:
             raise SchemaError(f"{where}: branches must be a nonempty list")
-        _declared([c for c, _ in branches], known, where)
+        if not known.issuperset(map(_branch_curve, branches)):
+            _declared([c for c, _ in branches], known, where)
         points.append(PointSpec(name=pname, branches=branches))
     return tuple(points)
 
 
 def _parse_fiber(raw, known: set[str]) -> FiberSpec:
-    if type(raw) is dict and raw.keys() <= _FIBER_KEYS and type(raw.get("type")) is str:
-        reduced, mult = parse_tag(raw["type"])
-        given, components = raw.get("multiplicity", mult), raw.get("components", [])
-        if (type(given) is int and given == mult and _plain_strings(components)
-                and known.issuperset(components)):
-            return FiberSpec(reduced, mult, tuple(components))
     raw = _no_extras(raw, _FIBER_KEYS, "fibration.fibers[]")
     tag = _need(raw, "type", "fibration.fibers[]")
     reduced, mult_from_tag = parse_tag(tag)
@@ -447,7 +417,9 @@ def _parse_fiber(raw, known: set[str]) -> FiberSpec:
     if mult == 2:
         parse_tag("2" + reduced)  # the reduced type of a multiple fiber must be I_n
     where = "fibration.fibers[].components"
-    components = _declared(_strings(raw.get("components", []), where), known, where)
+    components = _strings(raw.get("components", []), where)
+    if not known.issuperset(components):
+        _declared(components, known, where)
     return FiberSpec(type=reduced, multiplicity=mult, components=components)
 
 
@@ -458,7 +430,10 @@ def _parse_fibration(obj, known: set[str]) -> FibrationData:
 
     def curve_names(key: str) -> tuple[str, ...]:
         where = f"fibration.{key}"
-        return _distinct(_declared(_strings(obj.get(key, []), where), known, where), where)
+        names = _strings(obj.get(key, []), where)
+        if not known.issuperset(names):
+            _declared(names, known, where)
+        return _distinct(names, where)
 
     return FibrationData(
         fibers=fibers,
@@ -470,10 +445,6 @@ def _parse_fibration(obj, known: set[str]) -> FibrationData:
 
 
 def _parse_blowup(item) -> BlowupStep:
-    if type(item) is dict and item.keys() <= _STEP_KEYS:
-        label, branches = item.get("label"), item.get("branches")
-        if (label is None or type(label) is str and label) and _plain_branches(branches):
-            return BlowupStep(tuple(map(tuple, branches)), label)
     item = _no_extras(item, _STEP_KEYS, "blowups[]")
     branches = _parse_branches(_need(item, "branches", "blowups[]"), "blowups[]")
     label = item.get("label")
@@ -503,13 +474,6 @@ def _parse_smoothing(raw, steps: int) -> SmoothingHypothesis:
 
 
 def _parse_plan(raw, steps: int) -> ContractionPlan:
-    if type(raw) is dict and raw.keys() <= _PLAN_KEYS:
-        chains, q = raw.get("chains", []), raw.get("q", 0)
-        assumptions = raw.get("assumptions", [])
-        if (type(chains) is list and all(c and _plain_strings(c) for c in chains)
-                and type(q) is int and q >= 0 and _plain_strings(assumptions)):
-            smoothing = _parse_smoothing(raw["smoothing"], steps) if "smoothing" in raw else None
-            return ContractionPlan(tuple(map(tuple, chains)), q, tuple(assumptions), smoothing)
     raw = _no_extras(raw, _PLAN_KEYS, "plan")
     chains = tuple(_strings(chain, "plan.chains[]")
                    for chain in _array(raw.get("chains", []), "plan.chains"))

@@ -45,8 +45,8 @@ def validate_plan(config: Configuration, plan: ContractionPlan) -> list[Violatio
     Checks: names resolve, chains are pairwise disjoint curve sets, every
     chain is a genuine linear chain of rational curves with entries <= -2
     (consecutive pairing 1, nonconsecutive 0), each chain is accepted by
-    the smoothability recognizer, and the declared q is 0 unless the
-    surface kind is "other".
+    the smoothability recognizer, the declared q is 0 unless the surface
+    kind is "other", and p_g = chi - 1 + q is not negative.
     """
     return _check_plan(config, plan)[0]
 
@@ -109,6 +109,12 @@ def _check_plan(config: Configuration, plan: ContractionPlan
         # q(X_t) <= q(Y) by semicontinuity, as the singularities are rational
         out.append(Violation("plan-q", "plan.q",
                              f"declared q = {plan.declared_q}, but kind {kind!r} has q = 0"))
+    chi = config.surface.chi
+    if chi - 1 + plan.declared_q < 0:
+        # p_g = h^0(K) >= 0, so no surface has chi - 1 + q < 0
+        out.append(Violation("plan-q", "plan.q",
+                             f"p_g = chi - 1 + q = {chi} - 1 + {plan.declared_q}"
+                             f" = {chi - 1 + plan.declared_q}, but p_g >= 0"))
     return out, summaries
 
 

@@ -1,13 +1,13 @@
-"""The document parser's section parsers as they were before their one-pass
-record tests: the oracle of ``test_parse_oracle``.
+"""The document parser's section parsers with every per-field check run
+unguarded: the oracle of ``test_parse_oracle``.
 
-``qgsurf.config`` tests each record (curve, pairing entry, point, branch
-list, blow-up step, fiber, plan) with one exact-type test and builds it
-directly when the test passes; the per-field checks run only to name what
-fails.  The functions here run the per-field checks on every record, so the
-fast paths are checked against code that takes none of their shortcuts.
-The shared field helpers, the JSON decoding and the sections without a fast
-path (surface, smoothing hypothesis, expectations) are the package's own.
+``qgsurf.config`` reads each record once, field by field, and puts a cheap
+guard (an exact-type test, or a superset test before the undeclared-curve
+check) in front of some checks, so a check is skipped only where it would
+pass.  The functions here run every check on every record; the package's
+pairing also keys its pairs by curve index, where these key them by name.
+The shared field helpers, the JSON decoding and the sections without a
+guard (surface, smoothing hypothesis, expectations) are the package's own.
 """
 
 from __future__ import annotations

@@ -621,6 +621,18 @@ def test_malformed_smoothing_section_exits_two(tmp_path, capsys, edit, message):
         assert capsys.readouterr().err == f"error: {message}\n", command
 
 
+def test_boolean_self_intersection_exits_two(tmp_path, capsys):
+    # a JSON boolean is never an integer
+    doc = builtin("enriques-k1")
+    curve = doc["curves"][0]
+    curve["self"] = True
+    path = _write(tmp_path, doc)
+    for command in ("verify", "export-dot"):
+        assert invoke(command, path) == (2, ""), command
+        assert capsys.readouterr().err == (
+            f"error: curve {curve['name']}.self: expected an integer, got True\n"), command
+
+
 def test_smoothing_name_unknown_at_its_stage_exits_two(tmp_path, capsys):
     # E is k2's first exceptional curve: it exists after one blow-up, not before
     doc = builtin("enriques-k2")
@@ -741,6 +753,36 @@ def test_topology_on_kind_other_follows_the_declared_q(tmp_path, q, line):
     assert code == 0 and lines[-1] == "status=pass"
     assert f"p_g={q}" in lines
     assert [x for x in lines if x.startswith("topology.")] == [line]
+
+
+def _kind_other(chi, q):
+    """k1's construction on a kind-"other" ambient with the given chi and q."""
+    doc = builtin("enriques-k1")
+    del doc["fibration"], doc["expect"]
+    doc["surface"] = {"kind": "other", "chi": chi, "K2": 0, "K_num_trivial": False}
+    doc["plan"]["q"] = q
+    return doc
+
+
+@pytest.mark.parametrize("chi, q", [(0, 0), (-3, 0), (-3, 2)])
+def test_negative_p_g_fails_verify(tmp_path, chi, q):
+    # p_g = h^0(K) >= 0: chi - 1 + q < 0 is a plan violation, not a report
+    code, text = invoke("verify", _write(tmp_path, _kind_other(chi, q)))
+    lines = text.splitlines()
+    assert code == 1
+    assert [line for line in lines if line.startswith("violation=")] == [
+        f"violation=plan: plan-q[plan.q]: p_g = chi - 1 + q = {chi} - 1 + {q} = {chi - 1 + q},"
+        " but p_g >= 0"]
+    assert not any(line.startswith("p_g=") for line in lines)
+    assert lines[-1] == "status=fail"
+
+
+def test_chi_zero_with_q_one_passes_verify(tmp_path):
+    # chi = 0 and q = 1, as on a ruled surface over an elliptic curve: p_g = 0
+    code, text = invoke("verify", _write(tmp_path, _kind_other(0, 1)))
+    lines = text.splitlines()
+    assert code == 0 and lines[-1] == "status=pass"
+    assert "p_g=0" in lines and "q=1" in lines
 
 
 def test_counted_crossings_keep_verify_bounded(tmp_path, fresh_env):

@@ -1,12 +1,16 @@
-"""The one-pass section parsers against the per-field parsers they replaced.
+"""The package's section parsers against the per-field parsers of ``parse_oracle``.
 
-Every field of the six shipped documents is in turn replaced by each value
-of a fixed list of bad values and deleted; an object also gains an unknown
-field, and a list element is replaced by the one before it (a repeated
-record).  ``config.parse_unvalidated`` must return a Document equal to the
-oracle's (``parse_oracle``) or raise the same exception type with the same
-message, and that exception must be a ``QgsurfError``.  A list of more than
-three elements is mutated at its first, second and last element.
+The package runs the same per-field checks with a cheap guard in front of
+some of them (an exact-type test, or a superset test before the undeclared
+curve check), so a check is skipped only where it would pass.  Every field
+of the six shipped documents is in turn replaced by each value of a fixed
+list of bad values and deleted; an object also gains an unknown field, and
+a list element is replaced by the one before it (a repeated record).
+``config.parse_unvalidated`` must return a Document equal to the oracle's
+or raise the same exception type with the same message, and that exception
+must be a ``QgsurfError``.  A list of more than three elements is mutated
+at its first, second and last element.  ``_Int(1)`` and ``_Str("G1")`` fail
+every exact-type guard and must still parse as the checks behind it parse.
 """
 
 import copy
@@ -20,11 +24,15 @@ from qgsurf.errors import QgsurfError
 
 
 class _Int(int):
-    """An int that is not exactly ``int``: the one-pass test refuses it and
-    the per-field checks accept it."""
+    """An int that is not exactly ``int``: it fails the exact-type guards,
+    and the per-field checks behind them accept it."""
 
 
-BAD_VALUES = (None, True, 1.5, -1, 0, 10**30, "", "G1", [], [None], {}, _Int(1))
+class _Str(str):
+    """A str that is not exactly ``str``, accepted wherever a string is."""
+
+
+BAD_VALUES = (None, True, 1.5, -1, 0, 10**30, "", "G1", [], [None], {}, _Int(1), _Str("G1"))
 DELETE, PREVIOUS, EXTRA = object(), object(), object()
 
 
