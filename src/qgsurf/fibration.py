@@ -104,11 +104,32 @@ class FibrationData(NamedTuple):
             if len(f.components) > count:
                 out.append(Violation("fibration", f.tag,
                                      f"{len(f.components)} components exceed the type's {count}"))
+        out.extend(self._meetings(config))
         if config.surface.kind == "enriques":
             doubles = sum(1 for f in self.fibers if f.multiplicity == 2)
             if doubles > 2:
                 out.append(Violation("fibration", "multiple-fibers",
                                      f"{doubles} multiplicity-2 fibers declared; at most two exist"))
+        return out
+
+    def _meetings(self, config) -> list:
+        """Distinct fibers are disjoint: a violation for each pair of
+        components of two different fibers with a nonzero pairing.  Tags
+        repeat, so the subject is the component pair and the detail names
+        both fibers.  A component shared by two fibers is reported above."""
+        out = []
+        index_of, pairing = config.index_of, config.pairing
+        for k, f in enumerate(self.fibers):
+            for g in self.fibers[k + 1:]:
+                for a in f.components:
+                    row = pairing[index_of(a)]
+                    for b in g.components:
+                        value = row[index_of(b)]
+                        if value and a != b:
+                            out.append(Violation(
+                                "fibration", f"{a}.{b}",
+                                f"components of distinct fibers {f.tag} and {g.tag} "
+                                f"pair to {value}, not 0"))
         return out
 
 

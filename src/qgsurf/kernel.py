@@ -12,13 +12,33 @@ and, per chain, in 64-bit integers:
  * re-expands m/q by ceiling division and compares digits (round trip).
 
 Chains grow by prepending.  Putting b in front of a tail of value m'/q' gives
-m = b*m' - q' and q = m', so the expansion's first digit is ceil(m/q) = b and
-its remainder is (m', q').  A chain therefore round-trips iff that first step
-holds and its tail round-trips.  The step's remainder b*q - m is q' whatever
-b is, so the step holds iff 0 <= q' < m': the round trip is one test per
-tail, shared by all its children, instead of an O(l) re-expansion per chain.
-The children of one tail differ only in b, so m and the determinant step
-from digit b to b + 1 by addition: m + m' and det - det'.
+m = b*m' - q' and q = m'.  A chain also carries p, the continuant of the
+chain without its last entry, and p_tail, that of the chain without both
+ends, which step the same way: p = b*p' - p_tail' and p_tail = p'.  The
+step matrices [[b, -1], [1, 0]] are unimodular and their product is
+[[m, -p], [q, -p_tail]], so for any integer entries
+
+    p*q - m*p_tail = 1,   so   p*q = 1 (mod m).
+
+The children of one tail differ only in b, so each of the three per-chain
+tests is decided once per tail, for all its children at once:
+
+ * round trip: the expansion's first digit is ceil(m/q) = b and its
+   remainder is (m', q'), so a chain round-trips iff 0 <= q' < m' and its
+   tail round-trips, whatever b is;
+ * definiteness: the determinant -b*det' - det'' is affine in b, so if the
+   digits 2 and max_entry both give it the sign (-1)**l, every digit between
+   them does too; only a tail where an end digit fails is counted child by
+   child;
+ * recognition prefilter: every accepted chain has m dividing (q + 1)**2
+   (see ``_recognized``), and here (q + 1)**2 = (m' + 1)**2.  If m' > 0 and
+   q', p' lie in [0, m'), then m >= m' + 1, so the cofactor
+   k = (m' + 1)**2 / m is at most m' + 1, and k*m = 1 with m = -q' and
+   p'*q' = 1 (mod m') give k = -p' (mod m').  So k is m' - p' or, only
+   where that is 1, m' + 1: one modulo per tail finds its at most two
+   candidate digits, and only they take the exact gcd recognition.  A tail
+   outside that range is tested child by child, as is every chain of a
+   table or slab below.
 
 Chains of one length l are indexed by sum((bj - 2) * n**(l - j)),
 n = max_entry - 1, so digits decode from the index and index order is
@@ -31,9 +51,12 @@ lexicographic order.  The scan works in blocks of at most CHUNK chains:
  * each slab is the root of a depth-first walk that prepends one head digit
    at a time to a whole block, so every longer chain is (head, slab chain).
 
-So every block holds between CHUNK/2 and CHUNK chains, except in a length
-that has fewer chains than that in total, and no array the scan builds is
-longer than CHUNK, whatever the bounds.
+The chains of tables and slabs are tested one by one; every longer length is
+tested once per tail, on the block its chains extend, and only the lengths
+below max_len are built.  So every block holds between CHUNK/2 and CHUNK
+chains or tails, except in a length that has fewer chains than that in
+total, and no array the scan builds is longer than CHUNK, whatever the
+bounds.
 
 ``qgsurf._kernel_py`` is the independent per-chain reference; both return
 identical results for equal bounds.
@@ -59,7 +82,7 @@ def _max_numerator(max_len: int, max_entry: int) -> int:
     """Largest m within the bounds: the continuant of [max_entry] * max_len.
 
     A continuant is increasing in every entry >= 2 and in the length, so every
-    m, q and determinant the scan meets is at most this in absolute value.
+    m, p, q and determinant the scan meets is at most this in absolute value.
     """
     prev, cur = 1, max_entry
     for _ in range(max_len - 1):
@@ -70,64 +93,167 @@ def _max_numerator(max_len: int, max_entry: int) -> int:
 def _roundtrips(tail):
     """Whether each chain of tail round-trips once any digit is put in front.
 
-    A state is (m, q, det, det_tail, ok): the value m/q, the determinant of
-    the intersection matrix and that of the chain without its first entry,
-    and whether the chain round-trips.  With b in front of a tail of value
-    m'/q', the first step's remainder b*q - m = b*m' - (b*m' - q') is q'
-    whatever b is, so the step holds iff 0 <= q' < m'.
+    A state is (m, q, p, p_tail, det, det_tail, ok): the value m/q, p, the
+    determinant of the intersection matrix, p and the determinant of the
+    chain without its first entry, and whether the chain round-trips.  With
+    b in front of a tail of value m'/q', the first step's remainder
+    b*q - m = b*m' - (b*m' - q') is q' whatever b is, so the step holds iff
+    0 <= q' < m'.
     """
-    m_t, q_t, _, _, ok_t = tail
-    return ok_t & (m_t > 0) & (q_t >= 0) & (q_t < m_t)
+    m_t, q_t = tail[:2]
+    return tail[-1] & (m_t > 0) & (q_t >= 0) & (q_t < m_t)
 
 
 def _block(np, table, lo, hi):
     """Chains lo..hi-1, by index, of the length one longer than table's.
 
     Index i of that length puts the digit 2 + i // S in front of the chain
-    at index i % S of the table, S = len(table), so b is one digit per chain.
+    at index i % S of the table, S = len(table).  So the block is a run of
+    whole digit rows, each the table with one digit in front, between two
+    partial rows, each a slice of the table with one digit in front; each
+    piece is written into the block as a (digits, tails) matrix.
     """
     size = table[0].size
-    index = np.arange(lo, hi, dtype=np.int64)
-    digit = index // size
-    at = index - digit * size
-    m_t, q_t, det_t, det_tt, _ = tail = tuple(a[at] for a in table)
-    b = digit + 2
-    return b * m_t - q_t, m_t, -b * det_t - det_tt, det_t, _roundtrips(tail)
+    first, start = divmod(lo, size)
+    last, stop = divmod(hi, size)
+    if first == last:
+        pieces = [(first, first + 1, start, stop)]
+    else:
+        pieces = [(first, first + 1, start, size)] if start else []
+        if first + (start > 0) < last:
+            pieces.append((first + (start > 0), last, 0, size))
+        if stop:
+            pieces.append((last, last + 1, 0, stop))
+    block = tuple(np.empty(hi - lo, dtype=a.dtype) for a in table)
+    done = 0
+    for d, e, i, j in pieces:
+        tail = tuple(a[i:j] for a in table)
+        m_t, q_t, p_t, p_tt, det_t, det_tt, _ = tail
+        b = np.arange(d + 2, e + 2)[:, None]
+        m, q, p, p_tail, det, det_tail, ok = (
+            a[done:done + (e - d) * (j - i)].reshape(e - d, j - i) for a in block)
+        np.multiply(b, m_t, out=m)
+        m -= q_t
+        np.multiply(b, p_t, out=p)
+        p -= p_tt
+        np.multiply(-b, det_t, out=det)
+        det -= det_tt
+        q[:], p_tail[:], det_tail[:], ok[:] = m_t, p_t, det_t, _roundtrips(tail)
+        done += m.size
+    return block
+
+
+def _indefinite(length, det):
+    """Whether each determinant breaks the sign (-1)**length that a negative
+    definite matrix of that order has."""
+    return det >= 0 if length & 1 else det <= 0
+
+
+def _recognized(np, m, qq):
+    """Whether each m/(qq - 1) is d*n^2/(d*n*a - 1) with n >= 2, 0 < a < n.
+
+    g = gcd(m, qq), n = m/g, a = qq/g, d = g/n.  Every accepted value has
+    m = g*n dividing g**2, which divides qq**2.
+    """
+    g = np.gcd(m, qq)
+    n = m // g
+    return (n >= 2) & (qq // g < n) & (g % n == 0)
+
+
+def _negdef_failures(np, length, det_t, det_tt, max_entry) -> int:
+    """How many children of the given length fail the sign test, over every
+    digit 2..max_entry put in front of each tail (det_t, det_tt).
+
+    The child's determinant -b*det_t - det_tt is affine in b, so when both
+    end digits pass, all digits between them pass too.
+    """
+    first = -2 * det_t - det_tt
+    last = first - (max_entry - 2) * det_t
+    doubt = _indefinite(length, first) | _indefinite(length, last)
+    if not doubt.any():
+        return 0
+    doubt = np.flatnonzero(doubt)
+    det_t, det_tt = det_t[doubt], det_tt[doubt]
+    return sum(int(np.count_nonzero(_indefinite(length, -b * det_t - det_tt)))
+               for b in range(2, max_entry + 1))
+
+
+def _candidates(np, tail, max_entry):
+    """The children of tail whose m divides (q + 1)**2 = (m' + 1)**2.
+
+    Returns (at, b, m, rest): the child with digit b[j] of tail chain at[j]
+    has value m[j]/m'; rest indexes the tails outside the range the
+    cofactor identity needs (m' > 0 and q', p' in [0, m')), whose children
+    the caller tests one by one.
+    """
+    m_t, q_t, p_t = tail[:3]
+    rest = np.flatnonzero((np.maximum(q_t, p_t) >= m_t) | (np.minimum(q_t, p_t) < 0))
+    square = m_t + 1
+    square *= square
+    k = m_t - p_t
+    k[rest] = 1  # any nonzero divisor: these tails are dropped below
+    hit = square % k == 0
+    hit[rest] = False
+    at = np.flatnonzero(hit)
+    k = k[at]
+    # the second cofactor 2*m' - p' is at most m' + 1 only where m' - p' == 1
+    two = at[k == 1]
+    at = np.concatenate((at, two))
+    m = square[at] // np.concatenate((k, m_t[two] + 1))
+    # m = -q' (mod m'), so b is exact; and b >= 2: a cofactor k <= m' gives
+    # m > m' + 1, and p' = m' - 1 forces q' = m' - 1 (p'*q' = 1), so the
+    # cofactor m' + 1 gives b = 2
+    b = (m + q_t[at]) // m_t[at]
+    keep = b <= max_entry
+    return at[keep], b[keep], m[keep], rest
 
 
 class _Tally:
-    """Per-chain checks over one array of chains, accumulated over the scan."""
+    """The scan's tests over its arrays of chains, accumulated."""
 
-    def __init__(self, np):
+    def __init__(self, np, max_entry):
         self.np = np
+        self.max_entry = max_entry
         self.total = 0
         self.negdef = 0
         self.roundtrip = 0
         self.accepted = []
 
-    def check(self, length, state, chain_at, square=None, broken=None):
-        """Count and test every chain of state.  ``square`` is (q + 1)**2 and
-        ``broken`` the number of chains that fail the round trip; the caller
-        may compute both once for all children of one tail."""
+    def _recognize(self, m, qq, chain_at):
+        """Accept each chain of value m/(qq - 1) that is class T; chain_at(i)
+        is the chain at position i."""
         np = self.np
-        m, q, det, _, ok = state
-        self.total += m.size
-        # a negative definite matrix of order l has determinant of sign (-1)**l
-        self.negdef += int(np.count_nonzero(det >= 0 if length & 1 else det <= 0))
-        if broken is None:
-            broken = m.size - int(np.count_nonzero(ok))
-        self.roundtrip += broken
-        # recognition: g = gcd(m, q+1), n = m/g, a = (q+1)/g, d = g/n.  Every
-        # accepted chain has m = g*n dividing g**2, which divides (q+1)**2, so
-        # the exact gcd runs only on chains passing that cheaper test.
-        if square is None:
-            square = (q + 1) * (q + 1)
-        cand = np.flatnonzero(square % m == 0)
-        m, qq = m[cand], q[cand] + 1
-        g = np.gcd(m, qq)
-        n = m // g
-        hit = (n >= 2) & (qq // g < n) & (g % n == 0)
+        cand = np.flatnonzero((qq * qq) % m == 0)
+        hit = _recognized(np, m[cand], qq[cand])
         self.accepted.extend(chain_at(int(i)) for i in cand[hit])
+
+    def check(self, length, state, chain_at):
+        """Count and test every chain of state, one by one."""
+        np = self.np
+        m, q, _, _, det, _, ok = state
+        self.total += m.size
+        self.negdef += int(np.count_nonzero(_indefinite(length, det)))
+        self.roundtrip += m.size - int(np.count_nonzero(ok))
+        self._recognize(m, q + 1, chain_at)
+
+    def children(self, length, tail, chain_at):
+        """Count and test the chains of the given length that put one digit
+        in front of a chain of tail, once per tail; chain_at(i, b) is the
+        child with digit b of tail chain i."""
+        np, top = self.np, self.max_entry
+        m_t, q_t, _, _, det_t, det_tt, _ = tail
+        size = m_t.size
+        self.total += (top - 1) * size
+        self.roundtrip += (top - 1) * (size - int(np.count_nonzero(_roundtrips(tail))))
+        self.negdef += _negdef_failures(np, length, det_t, det_tt, top)
+        at, b, m, rest = _candidates(np, tail, top)
+        hit = _recognized(np, m, m_t[at] + 1)
+        self.accepted.extend(chain_at(int(i), int(d)) for i, d in zip(at[hit], b[hit]))
+        if rest.size:
+            m_t, q_t = m_t[rest], q_t[rest]
+            for d in range(2, top + 1):
+                self._recognize(d * m_t - q_t, m_t + 1,
+                                lambda i, d=d: chain_at(int(rest[i]), d))
 
 
 def _digits(index: int, length: int, n: int) -> tuple:
@@ -158,10 +284,11 @@ def scan_chains(max_len: int, max_entry: int):
     import numpy as np  # deferred: importing numpy costs more than qgsurf
 
     n = max_entry - 1
-    tally = _Tally(np)
+    tally = _Tally(np, max_entry)
     one = np.ones(1, dtype=np.int64)
     zero = np.zeros(1, dtype=np.int64)
-    table = (one, zero, one, zero, np.ones(1, dtype=bool))  # the empty chain
+    # the empty chain: its step matrix product is the identity
+    table = (one, zero, zero, -one, one, zero, np.ones(1, dtype=bool))
 
     base = 0  # longest length built whole
     while base < max_len and n ** (base + 1) <= CHUNK:
@@ -170,23 +297,21 @@ def scan_chains(max_len: int, max_entry: int):
         tally.check(base, table, lambda i, k=base: _digits(i, k, n))
 
     def extend(tail, lo, head):
-        # every child of tail has q = m_tail and the same round trip, so
-        # both are tested once here; m and det step from digit b to b + 1
-        # by adding m_tail and subtracting det_tail
-        m_t, q_t, det_t, det_tt, _ = tail
-        ok = _roundtrips(tail)
-        broken = ok.size - int(np.count_nonzero(ok))
-        square = (m_t + 1) * (m_t + 1)
+        # every child of tail is tested once per tail; only the lengths below
+        # max_len are built, since only they are tails themselves.  m, p and
+        # det step from digit b to b + 1 by adding m_tail and p_tail and
+        # subtracting det_tail
         length = base + 2 + len(head)
-        m, det = m_t - q_t, -det_t - det_tt  # the digit 1
+        tally.children(length, tail,
+                       lambda i, b: (b,) + head + _digits(lo + i, base + 1, n))
+        if length == max_len:
+            return
+        m_t, q_t, p_t, p_tt, det_t, det_tt, _ = tail
+        ok = _roundtrips(tail)
+        m, p, det = m_t - q_t, p_t - p_tt, -det_t - det_tt  # the digit 1
         for b in range(2, max_entry + 1):
-            m, det = m + m_t, det - det_t
-            child = (m, m_t, det, det_t, ok)
-            chain = (b,) + head
-            tally.check(length, child,
-                        lambda i: chain + _digits(lo + i, base + 1, n), square, broken)
-            if length < max_len:
-                extend(child, lo, chain)
+            m, p, det = m + m_t, p + p_t, det - det_t
+            extend((m, m_t, p, p_t, det, det_t, ok), lo, (b,) + head)
 
     if base < max_len:
         # length base + 1 in slabs of equal size, each the root of the

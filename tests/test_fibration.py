@@ -186,6 +186,28 @@ def test_fiber_repeating_a_component_fails(tmp_path):
     assert "violation=base: fibration[I9]: components repeated within the fiber: ['G2']" in out.getvalue()
 
 
+@pytest.mark.parametrize("a, b, line", [
+    ("F", "G5", "violation=base: fibration[G5.F]: components of distinct fibers I9 and I1 "
+                "pair to 1, not 0"),
+    ("F", "F2", "violation=base: fibration[F.F2]: components of distinct fibers I1 and I1 "
+                "pair to 1, not 0"),
+])
+def test_verify_rejects_distinct_fibers_that_meet(tmp_path, a, b, line):
+    """Distinct fibers are disjoint.  Before the rule, a copy of k1 whose F
+    meets G5 once printed status=pass with ample.F=7/3."""
+    doc = builtin("enriques-k1")
+    doc["pairing"].append([a, b, 1])
+    doc["points"].append({"name": "X", "branches": [[a, 1], [b, 1]]})
+    del doc["expect"]
+    path = tmp_path / "fibers-meet.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert cli.run(["verify", str(path)], out=out) == 1
+    lines = out.getvalue().splitlines()
+    assert [x for x in lines if x.startswith("violation=")] == [line]
+    assert lines[-1] == "status=fail"
+
+
 def test_fibration_validate_multiple_fiber_reduced_type():
     cfg_doc = {
         "surface": {"kind": "enriques", "chi": 1, "K2": 0, "K_num_trivial": True},

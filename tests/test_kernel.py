@@ -1,9 +1,13 @@
-"""Parity between the numpy scan kernel and its pure-Python reference, and
-the size of the blocks the kernel works in."""
+"""Parity between the numpy scan kernel and its pure-Python reference, the
+kernel's per-tail tests against per-child brute force, and the size of the
+blocks the kernel works in."""
 
 import functools
+import itertools
+import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from qgsurf import kernel
@@ -44,15 +48,22 @@ def test_backends_agree(max_len, max_entry, chunk, monkeypatch):
 
 
 def _block_sizes(monkeypatch, max_len, max_entry):
-    """{length: [chains in each block checked at that length]} of one scan."""
+    """{length: [(chains, array length) of each block tested at that length]}
+    of one scan.  A block of chains is tested chain by chain; a block of
+    tails is tested once per tail, for the max_entry - 1 children of each."""
     sizes = {}
-    check = kernel._Tally.check
+    check, children = kernel._Tally.check, kernel._Tally.children
 
-    def recording(self, length, state, *args):
-        sizes.setdefault(length, []).append(state[0].size)
+    def checking(self, length, state, *args):
+        sizes.setdefault(length, []).append((state[0].size, state[0].size))
         return check(self, length, state, *args)
 
-    monkeypatch.setattr(kernel._Tally, "check", recording)
+    def tallying(self, length, tail, *args):
+        sizes.setdefault(length, []).append(((max_entry - 1) * tail[0].size, tail[0].size))
+        return children(self, length, tail, *args)
+
+    monkeypatch.setattr(kernel._Tally, "check", checking)
+    monkeypatch.setattr(kernel._Tally, "children", tallying)
     kernel.scan_chains(max_len, max_entry)
     return sizes
 
@@ -63,10 +74,11 @@ def test_blocks_hold_between_half_and_all_of_chunk(max_len, max_entry, monkeypat
     n = max_entry - 1
     assert sorted(sizes) == list(range(1, max_len + 1))
     for length, blocks in sizes.items():
-        assert sum(blocks) == n ** length
-        assert max(blocks) <= kernel.CHUNK, length
+        chains, arrays = zip(*blocks)
+        assert sum(chains) == n ** length
+        assert max(arrays) <= kernel.CHUNK, length
         if n ** length > kernel.CHUNK:
-            assert min(blocks) > kernel.CHUNK // 2, length
+            assert min(arrays) > kernel.CHUNK // 2, length
 
 
 def test_roundtrip_failures_are_counted_per_chain(monkeypatch):
@@ -108,6 +120,117 @@ def test_scan_peak_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _states(chains):
+    """The kernel's state arrays (m, q, p, p_tail, det, det_tail, ok) of the
+    given chains, read off the product of their step matrices
+    [[b, -1], [1, 0]], which is [[m, -p], [q, -p_tail]]; the determinant of
+    the intersection matrix of a chain of length l is (-1)**l * m."""
+    rows = []
+    for chain in chains:
+        top, bottom = (1, 0), (0, 1)  # the empty product
+        for b in reversed(chain):
+            top, bottom = (b * top[0] - bottom[0], b * top[1] - bottom[1]), top
+        (m, minus_p), (q, minus_p_tail) = top, bottom
+        sign = (-1) ** len(chain)
+        rows.append((m, q, -minus_p, -minus_p_tail, sign * m, -sign * q))
+    return tuple(np.array(c, dtype=np.int64) for c in zip(*rows)) + (
+        np.ones(len(chains), dtype=bool),)
+
+
+def _all_chains(max_len, max_entry):
+    return [c for k in range(max_len + 1)
+            for c in itertools.product(range(2, max_entry + 1), repeat=k)]
+
+
+def _random_chains(seed, count, max_len, max_entry):
+    rng = random.Random(seed)
+    return [tuple(rng.randint(2, max_entry) for _ in range(rng.randint(0, max_len)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("tails, max_entry", [
+    pytest.param(_all_chains(4, 9), 9, id="every-tail-to-5-9"),
+    pytest.param(_random_chains(1, 3000, 7, 12), 12, id="random-7-12"),
+    pytest.param(_random_chains(2, 3000, 18, 3), 3, id="random-18-3"),
+    pytest.param(_random_chains(3, 3000, 3, 300), 300, id="random-3-300"),
+])
+def test_candidate_digits_are_the_divisors_of_the_square(tails, max_entry):
+    """Per tail, the candidates are exactly the digits b whose child value
+    b*m' - q' divides (m' + 1)**2, with that value."""
+    state = _states(tails)
+    at, b, m, rest = kernel._candidates(np, state, max_entry)
+    assert rest.size == 0
+    found = {(int(i), int(d)): int(v) for i, d, v in zip(at, b, m)}
+    assert len(found) == at.size
+    expected = {}
+    for i in range(len(tails)):
+        m_t, q_t = int(state[0][i]), int(state[1][i])
+        for d in range(2, max_entry + 1):
+            if (m_t + 1) ** 2 % (d * m_t - q_t) == 0:
+                expected[i, d] = d * m_t - q_t
+    assert found == expected
+    assert expected
+
+
+def test_states_satisfy_the_identity():
+    """p*q = 1 (mod m), and q, p in [0, m), on every tail of the candidate
+    test: the range in which the per-tail recognition applies."""
+    m, q, p = _states(_all_chains(4, 9))[:3]
+    assert ((p * q) % m == 1 % m).all()
+    assert ((0 <= q) & (q < m) & (0 <= p) & (p < m)).all()
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_entry", [2, 3, 12])
+def test_negdef_count_per_tail_equals_count_per_child(length, max_entry):
+    rng = random.Random(length * 100 + max_entry)
+    pairs = [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(400)]
+    det_t = np.array([a for a, _ in pairs], dtype=np.int64)
+    det_tt = np.array([c for _, c in pairs], dtype=np.int64)
+
+    def indefinite(det):
+        return det >= 0 if length & 1 else det <= 0
+
+    expected = sum(indefinite(-b * a - c) for a, c in pairs
+                   for b in range(2, max_entry + 1))
+    assert kernel._negdef_failures(np, length, det_t, det_tt, max_entry) == expected
+    assert 0 < expected < len(pairs) * (max_entry - 1)
+
+
+def test_tails_outside_the_identity_are_tested_child_by_child(monkeypatch):
+    """Move p of every tail of the last length out of [0, m): all its
+    children take the per-child recognition, and the scan still matches the
+    reference.  The tails are the slabs of the length before the last, so
+    no chain below them inherits the moved p."""
+    # n = 6: lengths 1 and 2 are tables (base = 2), length 3 is cut into six
+    # slabs of 36 chains, and length 4 is tested per tail of each slab
+    monkeypatch.setattr(kernel, "CHUNK", 40)
+    max_len, max_entry, base, n = 4, 7, 2, 6
+    block, candidates = kernel._block, kernel._candidates
+    moved, outside = [], []
+
+    def moving(np, table, lo, hi):
+        state = block(np, table, lo, hi)
+        if table[0].size == n ** base:
+            m, _, p = state[:3]
+            p[0::2] = -1
+            p[1::2] = m[1::2]
+            moved.append(p.size)
+        return state
+
+    def recording(np, tail, top):
+        found = candidates(np, tail, top)
+        outside.append(found[-1].size)
+        return found
+
+    monkeypatch.setattr(kernel, "_block", moving)
+    monkeypatch.setattr(kernel, "_candidates", recording)
+    result = kernel.scan_chains(max_len, max_entry)
+    assert sum(outside) == sum(moved) == n ** (base + 1)
+    assert result == _reference(max_len, max_entry)
+    assert sum(len(c) == max_len for c in result[1]) == 15
 
 
 def test_scan_counts_all_chains():
