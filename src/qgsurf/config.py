@@ -644,6 +644,9 @@ def validate(config: Configuration) -> list[Violation]:
             out.append(Violation("surface", s.kind, f"E(n) needs n >= 1, got n={s.n}"))
         if s.chi != s.n or s.K2 != 0:
             out.append(Violation("surface", s.kind, f"E(n) needs chi=n={s.n} and K2=0"))
+        if s.K_num_trivial is not (s.n == 2):
+            out.append(Violation("surface", s.kind,
+                                 f"E(n) has K = (n-2)F, so n={s.n} needs K_num_trivial={s.n == 2}"))
 
     for c in config.curves:
         if c.genus < 0:

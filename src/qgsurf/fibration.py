@@ -1,7 +1,8 @@
 """Elliptic-fibration bookkeeping.
 
-Kodaira fiber tags, Euler-number accounting against 12*chi, incidence of
-2-sections with declared fibers, and the lint that an I9 fiber on a rational
+Kodaira fiber tags, Euler-number accounting against 12*chi, the
+Shioda-Tate bound on fiber components, incidence of 2-sections with
+declared fibers, and the lint that an I9 fiber on a rational
 or Enriques elliptic surface comes with three I1 fibers.
 """
 
@@ -105,12 +106,32 @@ class FibrationData(NamedTuple):
                 out.append(Violation("fibration", f.tag,
                                      f"{len(f.components)} components exceed the type's {count}"))
         out.extend(self._meetings(config))
+        out.extend(self._shioda_tate(config.surface))
         if config.surface.kind == "enriques":
             doubles = sum(1 for f in self.fibers if f.multiplicity == 2)
             if doubles > 2:
                 out.append(Violation("fibration", "multiple-fibers",
                                      f"{doubles} multiplicity-2 fibers declared; at most two exist"))
         return out
+
+    def _shioda_tate(self, surface) -> list:
+        """Shioda-Tate: the components of each fiber but one span a negative
+        definite sublattice of F^perp / F, which has rank rho - 2.  So the
+        sum over the fibers of (components of the type - 1) is at most
+        rho_max - 2, where rho_max = h^{1,1} is 10 on an Enriques surface,
+        20 on a K3 surface and 10n on E(n); kind ``other`` has no bound."""
+        if surface.kind == "e":
+            rho_max = 10 * surface.n if surface.n >= 1 else None
+        else:
+            rho_max = {"enriques": 10, "k3": 20}.get(surface.kind)
+        if rho_max is None:
+            return []
+        excess = sum(_fiber_numbers(f.type)[1] - 1 for f in self.fibers)
+        if excess <= rho_max - 2:
+            return []
+        return [Violation("fibration", "shioda-tate",
+                          f"sum of (components - 1) over the fibers is {excess}, "
+                          f"above rho_max - 2 = {rho_max - 2}")]
 
     def _meetings(self, config) -> list:
         """Distinct fibers are disjoint: a violation for each pair of

@@ -20,43 +20,44 @@ step matrices [[b, -1], [1, 0]] are unimodular and their product is
 
     p*q - m*p_tail = 1,   so   p*q = 1 (mod m).
 
-The children of one tail differ only in b, so each of the three per-chain
-tests is decided once per tail, for all its children at once:
+Every chain is tested once, as a child of its tail: the children of one
+tail differ only in b, so each of the three per-chain tests is decided once
+per tail, for all its children at once:
 
  * round trip: the expansion's first digit is ceil(m/q) = b and its
    remainder is (m', q'), so a chain round-trips iff 0 <= q' < m' and its
    tail round-trips, whatever b is;
  * definiteness: the determinant -b*det' - det'' is affine in b, so if the
    digits 2 and max_entry both give it the sign (-1)**l, every digit between
-   them does too; only a tail where an end digit fails is counted child by
-   child;
+   them does too; only a tail where an end digit fails is counted digit by
+   digit;
  * recognition prefilter: every accepted chain has m dividing (q + 1)**2
-   (see ``_recognized``), and here (q + 1)**2 = (m' + 1)**2.  If m' > 0 and
-   q', p' lie in [0, m'), then m >= m' + 1, so the cofactor
-   k = (m' + 1)**2 / m is at most m' + 1, and k*m = 1 with m = -q' and
-   p'*q' = 1 (mod m') give k = -p' (mod m').  So k is m' - p' or, only
-   where that is 1, m' + 1: one modulo per tail finds its at most two
-   candidate digits, and only they take the exact gcd recognition.  A tail
-   outside that range is tested child by child, as is every chain of a
-   table or slab below.
+   (see ``_recognized``), and here (q + 1)**2 = (m' + 1)**2.  With entries
+   >= 2 continuants strictly increase, so every tail has m' > 0 and q', p'
+   in [0, m') (the empty chain has m' = 1, q' = p' = 0).  Then m >= m' + 1,
+   so the cofactor k = (m' + 1)**2 / m is at most m' + 1, and k*m = 1 with
+   m = -q' and p'*q' = 1 (mod m') give k = -p' (mod m').  So k is m' - p'
+   or, only where that is 1, m' + 1: one modulo per tail finds its at most
+   two candidate digits, and only they take the exact gcd recognition.
 
 Chains of one length l are indexed by sum((bj - 2) * n**(l - j)),
 n = max_entry - 1, so digits decode from the index and index order is
-lexicographic order.  The scan works in blocks of at most CHUNK chains:
+lexicographic order.  The scan works in blocks of at most CHUNK tails:
 
- * every length with at most CHUNK chains is built whole, as one table;
- * the next length, base + 1, is cut into slabs: contiguous index ranges of
-   equal size, each built from the last table by prepending one digit per
-   chain;
+ * every length below max_len with at most CHUNK chains is built whole, as
+   one table, and each length up to base + 1 is tested as the children of
+   the table before it, the empty chain being the first tail;
+ * if longer chains remain, length base + 1 is cut into slabs: contiguous
+   index ranges of equal size, each built from the last table by
+   prepending one digit per chain;
  * each slab is the root of a depth-first walk that prepends one head digit
-   at a time to a whole block, so every longer chain is (head, slab chain).
+   at a time to a whole block, so every longer chain is (head, slab chain),
+   and is tested on the block it extends.
 
-The chains of tables and slabs are tested one by one; every longer length is
-tested once per tail, on the block its chains extend, and only the lengths
-below max_len are built.  So every block holds between CHUNK/2 and CHUNK
-chains or tails, except in a length that has fewer chains than that in
-total, and no array the scan builds is longer than CHUNK, whatever the
-bounds.
+Only the lengths below max_len are built, since only they are tails.  So
+every length tested in more than one block is tested in blocks of between
+CHUNK/2 and CHUNK tails, and no array the scan builds is longer than CHUNK,
+whatever the bounds.
 
 ``qgsurf._kernel_py`` is the independent per-chain reference; both return
 identical results for equal bounds.
@@ -181,20 +182,15 @@ def _negdef_failures(np, length, det_t, det_tt, max_entry) -> int:
 def _candidates(np, tail, max_entry):
     """The children of tail whose m divides (q + 1)**2 = (m' + 1)**2.
 
-    Returns (at, b, m, rest): the child with digit b[j] of tail chain at[j]
-    has value m[j]/m'; rest indexes the tails outside the range the
-    cofactor identity needs (m' > 0 and q', p' in [0, m')), whose children
-    the caller tests one by one.
+    Returns (at, b, m): the child with digit b[j] of tail chain at[j] has
+    value m[j]/m'.  Every tail is in the range the cofactor identity needs
+    (m' > 0 and q', p' in [0, m')), so each cofactor m' - p' is positive.
     """
     m_t, q_t, p_t = tail[:3]
-    rest = np.flatnonzero((np.maximum(q_t, p_t) >= m_t) | (np.minimum(q_t, p_t) < 0))
     square = m_t + 1
     square *= square
     k = m_t - p_t
-    k[rest] = 1  # any nonzero divisor: these tails are dropped below
-    hit = square % k == 0
-    hit[rest] = False
-    at = np.flatnonzero(hit)
+    at = np.flatnonzero(square % k == 0)
     k = k[at]
     # the second cofactor 2*m' - p' is at most m' + 1 only where m' - p' == 1
     two = at[k == 1]
@@ -205,7 +201,7 @@ def _candidates(np, tail, max_entry):
     # cofactor m' + 1 gives b = 2
     b = (m + q_t[at]) // m_t[at]
     keep = b <= max_entry
-    return at[keep], b[keep], m[keep], rest
+    return at[keep], b[keep], m[keep]
 
 
 class _Tally:
@@ -219,41 +215,19 @@ class _Tally:
         self.roundtrip = 0
         self.accepted = []
 
-    def _recognize(self, m, qq, chain_at):
-        """Accept each chain of value m/(qq - 1) that is class T; chain_at(i)
-        is the chain at position i."""
-        np = self.np
-        cand = np.flatnonzero((qq * qq) % m == 0)
-        hit = _recognized(np, m[cand], qq[cand])
-        self.accepted.extend(chain_at(int(i)) for i in cand[hit])
-
-    def check(self, length, state, chain_at):
-        """Count and test every chain of state, one by one."""
-        np = self.np
-        m, q, _, _, det, _, ok = state
-        self.total += m.size
-        self.negdef += int(np.count_nonzero(_indefinite(length, det)))
-        self.roundtrip += m.size - int(np.count_nonzero(ok))
-        self._recognize(m, q + 1, chain_at)
-
     def children(self, length, tail, chain_at):
         """Count and test the chains of the given length that put one digit
         in front of a chain of tail, once per tail; chain_at(i, b) is the
         child with digit b of tail chain i."""
         np, top = self.np, self.max_entry
-        m_t, q_t, _, _, det_t, det_tt, _ = tail
+        m_t, _, _, _, det_t, det_tt, _ = tail
         size = m_t.size
         self.total += (top - 1) * size
         self.roundtrip += (top - 1) * (size - int(np.count_nonzero(_roundtrips(tail))))
         self.negdef += _negdef_failures(np, length, det_t, det_tt, top)
-        at, b, m, rest = _candidates(np, tail, top)
+        at, b, m = _candidates(np, tail, top)
         hit = _recognized(np, m, m_t[at] + 1)
         self.accepted.extend(chain_at(int(i), int(d)) for i, d in zip(at[hit], b[hit]))
-        if rest.size:
-            m_t, q_t = m_t[rest], q_t[rest]
-            for d in range(2, top + 1):
-                self._recognize(d * m_t - q_t, m_t + 1,
-                                lambda i, d=d: chain_at(int(rest[i]), d))
 
 
 def _digits(index: int, length: int, n: int) -> tuple:
@@ -291,10 +265,13 @@ def scan_chains(max_len: int, max_entry: int):
     table = (one, zero, zero, -one, one, zero, np.ones(1, dtype=bool))
 
     base = 0  # longest length built whole
-    while base < max_len and n ** (base + 1) <= CHUNK:
+    while True:
+        # the chains one longer than the table are its children
+        tally.children(base + 1, table, lambda i, b: (b,) + _digits(i, base, n))
+        if base + 1 == max_len or n ** (base + 1) > CHUNK:
+            break
         table = _block(np, table, 0, n ** (base + 1))
         base += 1
-        tally.check(base, table, lambda i, k=base: _digits(i, k, n))
 
     def extend(tail, lo, head):
         # every child of tail is tested once per tail; only the lengths below
@@ -313,16 +290,13 @@ def scan_chains(max_len: int, max_entry: int):
             m, p, det = m + m_t, p + p_t, det - det_t
             extend((m, m_t, p, p_t, det, det_t, ok), lo, (b,) + head)
 
-    if base < max_len:
+    if base + 1 < max_len:
         # length base + 1 in slabs of equal size, each the root of the
         # chains that extend it by heads of leading digits
         size = n ** (base + 1)
         slabs = -(-size // CHUNK)
         for k in range(slabs):
             lo, hi = size * k // slabs, size * (k + 1) // slabs
-            slab = _block(np, table, lo, hi)
-            tally.check(base + 1, slab, lambda i, lo=lo: _digits(lo + i, base + 1, n))
-            if base + 1 < max_len:
-                extend(slab, lo, ())
+            extend(_block(np, table, lo, hi), lo, ())
 
     return tally.total, sorted(tally.accepted), tally.negdef, tally.roundtrip

@@ -450,3 +450,34 @@ def test_validate_e_needs_positive_n(tmp_path, n):
     assert cli.run(["verify", str(path)], out=out) == 1
     assert f"violation=base: surface[e]: E(n) needs n >= 1, got n={n}" in out.getvalue()
     assert out.getvalue().endswith("status=fail\n")
+
+
+_E_SURFACE = "surface[e]: E(n) has K = (n-2)F, so n={} needs K_num_trivial={}"
+_E_K_DEGREE = "K-degree[{}]: numerically trivial K forces K.C = 0 before blow-ups"
+
+
+@pytest.mark.parametrize("n, flag, curve, expected", [
+    # a (-3)-curve of K-degree 1 on E(2) = a K3 surface, which has none
+    (2, False, ("C", -3, 1), [_E_SURFACE.format(2, True)]),
+    (2, True, ("C", -3, 1), [_E_K_DEGREE.format("C")]),
+    # a section of E(1) has self-intersection -1 and K-degree -1
+    (1, True, ("S", -1, -1), [_E_SURFACE.format(1, False), _E_K_DEGREE.format("S")]),
+    (1, False, ("S", -1, -1), []),
+    (3, True, ("S", -3, 1), [_E_SURFACE.format(3, False), _E_K_DEGREE.format("S")]),
+], ids=["e2-false", "e2-true", "e1-true", "e1-false", "e3-true"])
+def test_validate_e_needs_k_num_trivial_exactly_when_n_is_2(tmp_path, n, flag, curve, expected):
+    """On E(n), K = (n - 2)F, so K is numerically trivial iff n = 2.  Before
+    the rule, E(2) declared with the flag false passed verify with a
+    (-3)-curve."""
+    name, self_int, k_deg = curve
+    doc = doc_with(
+        surface={"kind": "e", "n": n, "chi": n, "K2": 0, "K_num_trivial": flag},
+        curves=[{"name": name, "self": self_int, "genus": 0, "Kdeg": k_deg, "tags": []}])
+    cfg = config_mod.parse_unvalidated(doc).configuration
+    assert [str(v) for v in validate(cfg)] == expected
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert cli.run(["verify", str(path)], out=out) == (1 if expected else 0)
+    assert out.getvalue() == "".join(f"violation=base: {v}\n" for v in expected) + (
+        "status=fail\n" if expected else "status=pass\n")

@@ -249,3 +249,50 @@ def test_document_with_smooth_fiber_is_an_input_error(tmp_path, capsys):
     assert cli.run(["verify", str(path)], out=out) == 2
     assert out.getvalue() == ""
     assert "'I0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("surface, fibers, excess", [
+    ({"kind": "enriques", "chi": 1, "K_num_trivial": True}, ["I9", "I1", "I1", "I1"], None),
+    ({"kind": "enriques", "chi": 1, "K_num_trivial": True}, ["I9", "I2"], (9, 8)),
+    ({"kind": "k3", "chi": 2, "K_num_trivial": True}, ["I19", "I1"], None),
+    ({"kind": "k3", "chi": 2, "K_num_trivial": True}, ["I19", "I2"], (19, 18)),
+    ({"kind": "e", "n": 1, "chi": 1, "K_num_trivial": False}, ["II*", "I1", "I1"], None),
+    ({"kind": "e", "n": 1, "chi": 1, "K_num_trivial": False}, ["II*", "I2"], (9, 8)),
+    ({"kind": "e", "n": 3, "chi": 3, "K_num_trivial": False}, ["I20", "I10"], None),
+    ({"kind": "e", "n": 3, "chi": 3, "K_num_trivial": False}, ["I20", "I11"], (29, 28)),
+    ({"kind": "other", "chi": 1, "K_num_trivial": False}, ["I19", "I19"], None),
+], ids=["enriques-8", "enriques-9", "k3-18", "k3-19", "e1-8", "e1-9", "e3-28", "e3-29",
+        "other"])
+def test_fibration_validate_shioda_tate_bound(surface, fibers, excess):
+    """Sum of (components - 1) over the fibers is at most rho_max - 2: 8 on
+    an Enriques surface and on E(1), 18 on a K3 surface, 10n - 2 on E(n),
+    and no bound on kind other."""
+    doc = {"surface": {**surface, "K2": 0},
+           "curves": [{"name": "A", "self": -2, "genus": 0, "Kdeg": 0, "tags": []}]}
+    cfg = config_mod.parse_unvalidated(doc).configuration
+    fib = FibrationData(fibers=tuple(FiberSpec(type=t, multiplicity=1, components=())
+                                     for t in fibers))
+    found = [str(v) for v in fib.validate(cfg) if v.subject == "shioda-tate"]
+    assert found == ([] if excess is None else [
+        f"fibration[shioda-tate]: sum of (components - 1) over the fibers is {excess[0]}, "
+        f"above rho_max - 2 = {excess[1]}"])
+
+
+def test_verify_rejects_fibers_beyond_the_shioda_tate_bound(tmp_path):
+    """An Enriques mutant of k1 whose fibers are I9 + I3: its Euler sum is
+    12, but 8 + 2 = 10 components beyond one per fiber exceed rho - 2 = 8.
+    Before the rule it printed status=pass."""
+    doc = builtin("enriques-k1")
+    i9 = doc["fibration"]["fibers"][0]
+    doc["fibration"]["fibers"] = [i9, {"type": "I3", "components": []}]
+    del doc["expect"]
+    path = tmp_path / "i9-i3.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert cli.run(["verify", str(path)], out=out) == 1
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "euler_sum=12 target=12 deficit=0"
+    assert [x for x in lines if x.startswith("violation=")] == [
+        "violation=base: fibration[shioda-tate]: sum of (components - 1) over the fibers "
+        "is 10, above rho_max - 2 = 8"]
+    assert lines[-1] == "status=fail"
