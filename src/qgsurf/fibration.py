@@ -1,15 +1,17 @@
 """Elliptic-fibration bookkeeping.
 
 Kodaira fiber tags, Euler-number accounting against 12*chi, the
-Shioda-Tate bound on fiber components, incidence of 2-sections with
-declared fibers, and the lint that an I9 fiber on a rational
-or Enriques elliptic surface comes with three I1 fibers.
+Shioda-Tate bound on fiber components, the configuration and the class of
+each fully tracked fiber, incidence of 2-sections with declared fibers, and
+the lint that an I9 fiber on a rational or Enriques elliptic surface comes
+with three I1 fibers.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .errors import UnknownTagError, Violation
@@ -88,11 +90,13 @@ class FibrationData(NamedTuple):
     def validate(self, config) -> list:
         out = []
         seen: set[str] = set()
+        tracked = []  # the fully tracked fibers that repeat no component
         for f in self.fibers:
             if f.multiplicity == 2 and _i_n(f.type) is None:
                 out.append(Violation("fibration", f.tag,
                                      "multiple fiber must have reduced type I_n"))
-            if len(set(f.components)) != len(f.components):
+            distinct = len(set(f.components)) == len(f.components)
+            if not distinct:
                 repeated = sorted(c for c, k in Counter(f.components).items() if k > 1)
                 out.append(Violation("fibration", f.tag,
                                      f"components repeated within the fiber: {repeated}"))
@@ -105,7 +109,13 @@ class FibrationData(NamedTuple):
             if len(f.components) > count:
                 out.append(Violation("fibration", f.tag,
                                      f"{len(f.components)} components exceed the type's {count}"))
+            elif len(f.components) == count and distinct:
+                tracked.append(f)
         out.extend(self._meetings(config))
+        if config.blowup_count == 0:
+            # a blow-up on a fiber leaves its strict transform, not a fiber
+            out.extend(self._kodaira(config, tracked))
+            out.extend(self._one_class(config, tracked))
         out.extend(self._shioda_tate(config.surface))
         if config.surface.kind == "enriques":
             doubles = sum(1 for f in self.fibers if f.multiplicity == 2)
@@ -133,6 +143,58 @@ class FibrationData(NamedTuple):
                           f"sum of (components - 1) over the fibers is {excess}, "
                           f"above rho_max - 2 = {rho_max - 2}")]
 
+    def _kodaira(self, config, tracked) -> list:
+        """Each fully tracked fiber of type I_n, or 2I_n by its reduced type,
+        is Kodaira's: I_1 is one curve of genus 1 and self-intersection 0 (a
+        nodal rational curve), I_2 two smooth rational (-2)-curves that pair
+        2, and I_n for n >= 3 one connected cycle of n smooth rational
+        (-2)-curves.  The additive types (I_n*, II, III, IV, IV*, III*, II*)
+        are not checked.  A fiber that repeats a component is reported above
+        and skipped here."""
+        out = []
+        for f in tracked:
+            n = _i_n(f.type)
+            if n is not None:
+                reason = _not_i_n(config, f.components)
+                if reason:
+                    out.append(Violation("fibration", f.tag, f"not a Kodaira I{n}: {reason}"))
+        return out
+
+    def _one_class(self, config, tracked) -> list:
+        """The fibers of one fibration share one numerical class: for every
+        fully tracked fiber, multiplicity * (sum of its components) pairs the
+        same way with every curve.  The starred types are skipped, since
+        their class weights components by multiplicities the data do not
+        give.  Only the curves outside the fibers are compared: that every
+        fiber class pairs 0 with the fibers' own curves is what the
+        disjointness and Kodaira rules check.  Like the 2-section check, a
+        curve's pairing with a fiber is read from the curve's row.  Each
+        fiber that differs from the first one is reported once, at the first
+        curve that tells them apart."""
+        tracked = [f for f in tracked if not f.type.endswith("*")]
+        if len(tracked) < 2:
+            return []
+        inside = {c for f in self.fibers for c in f.components}
+        outside = [(c.name, row) for c, row in zip(config.curves, config.pairing)
+                   if c.name not in inside]
+
+        def pairs(f):
+            at = [config.index_of(c) for c in f.components]
+            return [f.multiplicity * sum(map(row.__getitem__, at)) for _, row in outside]
+
+        first = tracked[0]
+        reference = pairs(first)
+        out = []
+        for g in tracked[1:]:
+            for (name, _), x, y in zip(outside, reference, pairs(g)):
+                if x != y:
+                    out.append(Violation(
+                        "fibration", "fiber-class",
+                        f"fibers {first.tag} and {g.tag} pair to {x} and {y} with "
+                        f"{name}, so they are not one class"))
+                    break
+        return out
+
     def _meetings(self, config) -> list:
         """Distinct fibers are disjoint: a violation for each pair of
         components of two different fibers with a nonzero pairing.  Tags
@@ -152,6 +214,51 @@ class FibrationData(NamedTuple):
                                 f"components of distinct fibers {f.tag} and {g.tag} "
                                 f"pair to {value}, not 0"))
         return out
+
+
+def _not_i_n(config, names) -> Optional[str]:
+    """Why the named curves are not a fiber of type I_n, n = len(names), or
+    None when they are one (see ``FibrationData._kodaira``)."""
+    at = [config.index_of(c) for c in names]
+    curves = [config.curves[i] for i in at]
+    if len(names) == 1:
+        c = curves[0]
+        if (c.genus, c.self_int) != (1, 0):
+            return (f"{c.name} has genus {c.genus} and self-intersection {c.self_int}, "
+                    f"not 1 and 0")
+        return None
+    for c in curves:
+        if (c.genus, c.self_int) != (0, -2):
+            return f"{c.name} is not a smooth rational (-2)-curve"
+    rows = [config.pairing[i] for i in at]
+    if len(names) == 2:
+        value = rows[0][at[1]]
+        return None if value == 2 else f"{names[0]}.{names[1]} pair to {value}, not 2"
+    n = len(names)
+    within = itemgetter(*at)  # a row's entries at the fiber's components
+    neighbours = []
+    for k, row in enumerate(rows):
+        # the pairings of component k with the others, in fiber order
+        others = within(row)
+        others = others[:k] + others[k + 1:]
+        if others.count(1) != 2 or others.count(0) != n - 3:
+            for b, value in zip(names[:k] + names[k + 1:], others):
+                if value not in (0, 1):
+                    return f"{names[k]}.{b} pair to {value}, not 0 or 1"
+            return f"{names[k]} meets {others.count(1)} of the other components, not 2"
+        a = others.index(1)
+        b = others.index(1, a + 1)
+        neighbours.append((a + (a >= k), b + (b >= k)))
+    # every component meets two others: walk from the first along its cycle
+    prev, here = None, 0
+    for length in range(1, n + 1):
+        a, b = neighbours[here]
+        prev, here = here, (b if a == prev else a)
+        if here == 0:
+            break
+    if here != 0 or length != n:
+        return "the components do not form a single cycle"
+    return None
 
 
 class EulerCheck(NamedTuple):

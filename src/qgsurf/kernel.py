@@ -59,6 +59,21 @@ every length tested in more than one block is tested in blocks of between
 CHUNK/2 and CHUNK tails, and no array the scan builds is longer than CHUNK,
 whatever the bounds.
 
+Each scan allocates one workspace (``_Workspace``), sized to its longest
+tail, and writes every array as long as a block into it, with ``out=`` or in
+place: the scratch arrays of the per-tail tests, the block each slab and
+table is built in, and one state set per depth of the walk below a slab,
+which the digits of that depth step in place.  Besides the workspace, a
+scan allocates only its tables, copied out of the block because they
+outlive it, and per block the arrays sized by the block's hits (the indices
+that ``flatnonzero`` finds, the candidate digits and the recognized
+chains).  A block of 2**14 int64 entries
+is just under 128 KiB, below glibc's default mmap threshold, so arrays freed
+after every block would leave the top of the heap free for glibc to trim
+and fault back in on the next block.  With the workspace a (6, 12) scan
+that follows another takes a few hundred minor page faults, not over 2,000.
+The workspace is local to the call, so scans stay reentrant.
+
 ``qgsurf._kernel_py`` is the independent per-chain reference; both return
 identical results for equal bounds.
 """
@@ -71,9 +86,16 @@ CHUNK = 1 << 14
 It is sized for cache: the dozen or so 128 KB int64 arrays that a block of
 2**14 chains keeps alive stay in one core's L2, so each elementwise pass of
 the scan reads from cache rather than from memory.  It bounds memory too:
-besides the table, at most one block per chain length is alive, so a scan
-peaks at a few MB whatever the bounds.  On a 2-vCPU Xeon with 2 MB of L2 per
-core, 2**14 scanned the bounds grid fastest of 2**13 to 2**16.
+besides the tables, the workspace holds one block and one state set per
+depth of the walk, so a scan peaks at a few MB whatever the bounds.  With the
+workspace, on a 2-vCPU Xeon with 2 MB of L2 per core (Python 3.11, numpy
+2.4; medians of 40 scans at (6, 12) and of 3 at (8, 12), two rounds in
+alternating order), no value of 2**13 to 2**16 scanned both bounds fastest:
+2**13 took 4.9-5.1 ms at (6, 12) against 5.3-6.3 ms for 2**14, but
+0.43-0.46 s at (8, 12) against 0.31-0.36 s, where it cuts the slabs one
+length earlier and tests about twice as many blocks of half the size.
+2**15 and 2**16 read 5.5-7.6 ms and 0.31-0.37 s, within the spread of
+2**14.
 """
 
 _INT64_MAX = 2**63 - 1
@@ -91,8 +113,9 @@ def _max_numerator(max_len: int, max_entry: int) -> int:
     return cur
 
 
-def _roundtrips(tail):
-    """Whether each chain of tail round-trips once any digit is put in front.
+def _roundtrips(np, tail, out, scratch):
+    """Whether each chain of tail round-trips once any digit is put in front,
+    written into out; scratch is a second bool array of the tail's size.
 
     A state is (m, q, p, p_tail, det, det_tail, ok): the value m/q, p, the
     determinant of the intersection matrix, p and the determinant of the
@@ -102,11 +125,16 @@ def _roundtrips(tail):
     0 <= q' < m'.
     """
     m_t, q_t = tail[:2]
-    return tail[-1] & (m_t > 0) & (q_t >= 0) & (q_t < m_t)
+    np.greater(m_t, 0, out=out)
+    out &= tail[-1]
+    out &= np.greater_equal(q_t, 0, out=scratch)
+    out &= np.less(q_t, m_t, out=scratch)
+    return out
 
 
-def _block(np, table, lo, hi):
-    """Chains lo..hi-1, by index, of the length one longer than table's.
+def _block(np, table, lo, hi, work):
+    """Chains lo..hi-1, by index, of the length one longer than table's,
+    written into the workspace's block and returned as views of it.
 
     Index i of that length puts the digit 2 + i // S in front of the chain
     at index i % S of the table, S = len(table).  So the block is a run of
@@ -125,7 +153,7 @@ def _block(np, table, lo, hi):
             pieces.append((first + (start > 0), last, 0, size))
         if stop:
             pieces.append((last, last + 1, 0, stop))
-    block = tuple(np.empty(hi - lo, dtype=a.dtype) for a in table)
+    block = tuple(a[:hi - lo] for a in work.block)
     done = 0
     for d, e, i, j in pieces:
         tail = tuple(a[i:j] for a in table)
@@ -139,15 +167,17 @@ def _block(np, table, lo, hi):
         p -= p_tt
         np.multiply(-b, det_t, out=det)
         det -= det_tt
-        q[:], p_tail[:], det_tail[:], ok[:] = m_t, p_t, det_t, _roundtrips(tail)
+        q[:], p_tail[:], det_tail[:] = m_t, p_t, det_t
+        _roundtrips(np, tail, ok[0], work.masks[0][:j - i])
+        ok[1:] = ok[0]
         done += m.size
     return block
 
 
-def _indefinite(length, det):
+def _indefinite(np, length, det, out):
     """Whether each determinant breaks the sign (-1)**length that a negative
-    definite matrix of that order has."""
-    return det >= 0 if length & 1 else det <= 0
+    definite matrix of that order has, written into out."""
+    return (np.greater_equal if length & 1 else np.less_equal)(det, 0, out=out)
 
 
 def _recognized(np, m, qq):
@@ -161,25 +191,36 @@ def _recognized(np, m, qq):
     return (n >= 2) & (qq // g < n) & (g % n == 0)
 
 
-def _negdef_failures(np, length, det_t, det_tt, max_entry) -> int:
+def _negdef_failures(np, length, det_t, det_tt, max_entry, work) -> int:
     """How many children of the given length fail the sign test, over every
     digit 2..max_entry put in front of each tail (det_t, det_tt).
 
     The child's determinant -b*det_t - det_tt is affine in b, so when both
     end digits pass, all digits between them pass too.
     """
-    first = -2 * det_t - det_tt
-    last = first - (max_entry - 2) * det_t
-    doubt = _indefinite(length, first) | _indefinite(length, last)
+    size = det_t.size
+    first, last = (a[:size] for a in work.ints[:2])
+    doubt, scratch = (a[:size] for a in work.masks)
+    np.multiply(det_t, -2, out=first)
+    first -= det_tt
+    np.multiply(det_t, max_entry - 2, out=last)
+    np.subtract(first, last, out=last)
+    _indefinite(np, length, first, doubt)
+    doubt |= _indefinite(np, length, last, scratch)
     if not doubt.any():
         return 0
     doubt = np.flatnonzero(doubt)
     det_t, det_tt = det_t[doubt], det_tt[doubt]
-    return sum(int(np.count_nonzero(_indefinite(length, -b * det_t - det_tt)))
-               for b in range(2, max_entry + 1))
+    child, fails = first[:doubt.size], scratch[:doubt.size]
+    count = 0
+    for b in range(2, max_entry + 1):
+        np.multiply(det_t, -b, out=child)
+        child -= det_tt
+        count += int(np.count_nonzero(_indefinite(np, length, child, fails)))
+    return count
 
 
-def _candidates(np, tail, max_entry):
+def _candidates(np, tail, max_entry, work):
     """The children of tail whose m divides (q + 1)**2 = (m' + 1)**2.
 
     Returns (at, b, m): the child with digit b[j] of tail chain at[j] has
@@ -187,10 +228,13 @@ def _candidates(np, tail, max_entry):
     (m' > 0 and q', p' in [0, m')), so each cofactor m' - p' is positive.
     """
     m_t, q_t, p_t = tail[:3]
-    square = m_t + 1
+    size = m_t.size
+    square, k, rest = (a[:size] for a in work.ints)
+    np.add(m_t, 1, out=square)
     square *= square
-    k = m_t - p_t
-    at = np.flatnonzero(square % k == 0)
+    np.subtract(m_t, p_t, out=k)
+    np.remainder(square, k, out=rest)
+    at = np.flatnonzero(np.equal(rest, 0, out=work.masks[0][:size]))
     k = k[at]
     # the second cofactor 2*m' - p' is at most m' + 1 only where m' - p' == 1
     two = at[k == 1]
@@ -204,12 +248,33 @@ def _candidates(np, tail, max_entry):
     return at[keep], b[keep], m[keep]
 
 
+class _Workspace:
+    """Every array of a scan that is as long as a block, allocated once.
+
+    Three int64 and two bool scratch arrays for the per-tail tests, one
+    block of chain states (m, q, p, p_tail, det, det_tail, ok), and one
+    state set (m, p, det, ok) for each depth of the walk below a slab; each
+    holds width entries, and a block of fewer tails uses a prefix.
+    """
+
+    def __init__(self, np, width, depths):
+        def arrays(*dtypes):
+            return tuple(np.empty(width, dtype=t) for t in dtypes)
+
+        i64 = np.int64
+        self.ints = arrays(i64, i64, i64)
+        self.masks = arrays(bool, bool)
+        self.block = arrays(i64, i64, i64, i64, i64, i64, bool)
+        self.states = [arrays(i64, i64, i64, bool) for _ in range(depths)]
+
+
 class _Tally:
     """The scan's tests over its arrays of chains, accumulated."""
 
-    def __init__(self, np, max_entry):
+    def __init__(self, np, max_entry, work):
         self.np = np
         self.max_entry = max_entry
+        self.work = work
         self.total = 0
         self.negdef = 0
         self.roundtrip = 0
@@ -219,13 +284,14 @@ class _Tally:
         """Count and test the chains of the given length that put one digit
         in front of a chain of tail, once per tail; chain_at(i, b) is the
         child with digit b of tail chain i."""
-        np, top = self.np, self.max_entry
+        np, top, work = self.np, self.max_entry, self.work
         m_t, _, _, _, det_t, det_tt, _ = tail
         size = m_t.size
         self.total += (top - 1) * size
-        self.roundtrip += (top - 1) * (size - int(np.count_nonzero(_roundtrips(tail))))
-        self.negdef += _negdef_failures(np, length, det_t, det_tt, top)
-        at, b, m = _candidates(np, tail, top)
+        ok = _roundtrips(np, tail, *(a[:size] for a in work.masks))
+        self.roundtrip += (top - 1) * (size - int(np.count_nonzero(ok)))
+        self.negdef += _negdef_failures(np, length, det_t, det_tt, top, work)
+        at, b, m = _candidates(np, tail, top, work)
         hit = _recognized(np, m, m_t[at] + 1)
         self.accepted.extend(chain_at(int(i), int(d)) for i, d in zip(at[hit], b[hit]))
 
@@ -258,45 +324,56 @@ def scan_chains(max_len: int, max_entry: int):
     import numpy as np  # deferred: importing numpy costs more than qgsurf
 
     n = max_entry - 1
-    tally = _Tally(np, max_entry)
+    base = 0  # longest length built whole
+    while base + 1 < max_len and n ** (base + 1) <= CHUNK:
+        base += 1
+    # if longer chains remain, length base + 1 is cut into slabs of equal
+    # size, each the root of the chains that extend it by heads of leading
+    # digits; the longest tail is the last table or a slab
+    size = n ** (base + 1)
+    slabs = -(-size // CHUNK) if base + 1 < max_len else 0
+    width = max(n ** base, -(-size // slabs) if slabs else 0)
+    work = _Workspace(np, width, max(max_len - base - 2, 0))
+    tally = _Tally(np, max_entry, work)
     one = np.ones(1, dtype=np.int64)
     zero = np.zeros(1, dtype=np.int64)
     # the empty chain: its step matrix product is the identity
     table = (one, zero, zero, -one, one, zero, np.ones(1, dtype=bool))
 
-    base = 0  # longest length built whole
-    while True:
+    for length in range(base + 1):
+        if length:
+            # a table outlives the block it is built in
+            table = tuple(a.copy() for a in _block(np, table, 0, n ** length, work))
         # the chains one longer than the table are its children
-        tally.children(base + 1, table, lambda i, b: (b,) + _digits(i, base, n))
-        if base + 1 == max_len or n ** (base + 1) > CHUNK:
-            break
-        table = _block(np, table, 0, n ** (base + 1))
-        base += 1
+        tally.children(length + 1, table, lambda i, b: (b,) + _digits(i, length, n))
 
     def extend(tail, lo, head):
         # every child of tail is tested once per tail; only the lengths below
-        # max_len are built, since only they are tails themselves.  m, p and
-        # det step from digit b to b + 1 by adding m_tail and p_tail and
-        # subtracting det_tail
+        # max_len are built, since only they are tails themselves.  The
+        # children are built in the state set of this depth, and m, p and
+        # det step from digit b to b + 1 in place by adding m_tail and
+        # p_tail and subtracting det_tail
         length = base + 2 + len(head)
         tally.children(length, tail,
                        lambda i, b: (b,) + head + _digits(lo + i, base + 1, n))
         if length == max_len:
             return
         m_t, q_t, p_t, p_tt, det_t, det_tt, _ = tail
-        ok = _roundtrips(tail)
-        m, p, det = m_t - q_t, p_t - p_tt, -det_t - det_tt  # the digit 1
+        m, p, det, ok = (a[:m_t.size] for a in work.states[len(head)])
+        _roundtrips(np, tail, ok, work.masks[0][:m_t.size])
+        # the digit 1
+        np.subtract(m_t, q_t, out=m)
+        np.subtract(p_t, p_tt, out=p)
+        np.negative(det_t, out=det)
+        det -= det_tt
         for b in range(2, max_entry + 1):
-            m, p, det = m + m_t, p + p_t, det - det_t
+            m += m_t
+            p += p_t
+            det -= det_t
             extend((m, m_t, p, p_t, det, det_t, ok), lo, (b,) + head)
 
-    if base + 1 < max_len:
-        # length base + 1 in slabs of equal size, each the root of the
-        # chains that extend it by heads of leading digits
-        size = n ** (base + 1)
-        slabs = -(-size // CHUNK)
-        for k in range(slabs):
-            lo, hi = size * k // slabs, size * (k + 1) // slabs
-            extend(_block(np, table, lo, hi), lo, ())
+    for k in range(slabs):
+        lo, hi = size * k // slabs, size * (k + 1) // slabs
+        extend(_block(np, table, lo, hi, work), lo, ())
 
     return tally.total, sorted(tally.accepted), tally.negdef, tally.roundtrip

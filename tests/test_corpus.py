@@ -99,9 +99,13 @@ def test_negative_control_corrupted_pairing():
     # the now-dangling cycle point is caught at parse time already
     with pytest.raises(config_mod.ValidationError):
         config_mod.parse(doc)
-    # dropping the point as well defers detection to the plan stage
+    # with the point dropped as well, the I9 fiber is no longer a cycle
     doc["points"] = [p for p in doc["points"] if p["name"] != "N67"]
-    parsed = config_mod.parse(doc)
+    with pytest.raises(config_mod.ValidationError,
+                       match=r"fibration\[I9\]: not a Kodaira I9: G6 meets 1 "):
+        config_mod.parse(doc)
+    # and the plan stage catches it on its own
+    parsed = config_mod.parse_unvalidated(doc)
     final = apply_blowups(parsed.configuration, parsed.blowups)
     violations = validate_plan(final, parsed.plan)
     assert any(v.kind == "plan-shape" for v in violations)

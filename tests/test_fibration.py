@@ -296,3 +296,112 @@ def test_verify_rejects_fibers_beyond_the_shioda_tate_bound(tmp_path):
         "violation=base: fibration[shioda-tate]: sum of (components - 1) over the fibers "
         "is 10, above rho_max - 2 = 8"]
     assert lines[-1] == "status=fail"
+
+
+def _rational(name):
+    return {"name": name, "self": -2, "genus": 0, "Kdeg": 0, "tags": []}
+
+
+_ENRIQUES = {"kind": "enriques", "chi": 1, "K2": 0, "K_num_trivial": True}
+
+# A, B, C in a chain (A.C = 0) declared as a fully tracked I3
+_I3_CHAIN = {"surface": _ENRIQUES, "curves": [_rational(c) for c in "ABC"],
+             "pairing": [["A", "B", 1], ["B", "C", 1]],
+             "fibration": {"fibers": [{"type": "I3", "components": ["A", "B", "C"]}]}}
+# one smooth rational (-2)-curve declared as a fully tracked I1
+_I1_RATIONAL = {"surface": _ENRIQUES, "curves": [_rational("A")],
+                "fibration": {"fibers": [{"type": "I1", "components": ["A"]}]}}
+# an I3 cycle and an I2 pair with a curve S that meets the I3 only
+_TWO_CLASSES = {"surface": _ENRIQUES, "curves": [_rational(c) for c in "ABCDES"],
+                "pairing": [["A", "B", 1], ["B", "C", 1], ["A", "C", 1], ["D", "E", 2],
+                            ["S", "A", 1]],
+                "fibration": {"fibers": [{"type": "I3", "components": ["A", "B", "C"]},
+                                         {"type": "I2", "components": ["D", "E"]}]}}
+
+_FIBER_RULES = [
+    pytest.param(_I3_CHAIN, "fibration[I3]: not a Kodaira I3: A meets 1 of the other "
+                            "components, not 2", id="i3-chain"),
+    pytest.param(_I1_RATIONAL, "fibration[I1]: not a Kodaira I1: A has genus 0 and "
+                               "self-intersection -2, not 1 and 0", id="i1-rational"),
+    pytest.param(_TWO_CLASSES, "fibration[fiber-class]: fibers I3 and I2 pair to 1 and 0 "
+                               "with S, so they are not one class", id="two-classes"),
+]
+
+
+@pytest.mark.parametrize("doc, line", _FIBER_RULES)
+def test_validate_rejects_fibers_that_are_not_kodaira_or_not_one_class(doc, line):
+    cfg = config_mod.parse_unvalidated(doc).configuration
+    assert [str(v) for v in config_mod.validate(cfg)] == [line]
+
+
+@pytest.mark.parametrize("doc, line", _FIBER_RULES)
+def test_verify_rejects_fibers_that_are_not_kodaira_or_not_one_class(doc, line, tmp_path):
+    """Before the two rules each of these printed status=pass."""
+    path = tmp_path / "fibers.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert cli.run(["verify", str(path)], out=out) == 1
+    lines = out.getvalue().splitlines()
+    assert [x for x in lines if x.startswith("violation=")] == [f"violation=base: {line}"]
+    assert lines[-1] == "status=fail"
+
+
+def _fibration_doc(fibers, curves, pairing=()):
+    return {"surface": {"kind": "other", "chi": 1, "K2": 0, "K_num_trivial": False},
+            "curves": curves, "pairing": [list(p) for p in pairing],
+            "fibration": {"fibers": fibers}}
+
+
+_NODAL = {"name": "N", "self": 0, "genus": 1, "Kdeg": 0, "tags": []}
+
+
+@pytest.mark.parametrize("fibers, curves, pairing, found", [
+    # Kodaira's I_n for n = 1, 2, 3, 4, as a multiple fiber too
+    ([{"type": "I1", "components": ["N"]}], [_NODAL], (), []),
+    ([{"type": "2I1", "components": ["N"]}], [_NODAL], (), []),
+    ([{"type": "I2", "components": ["A", "B"]}], [_rational("A"), _rational("B")],
+     [("A", "B", 2)], []),
+    ([{"type": "I3", "components": ["A", "B", "C"]}], [_rational(c) for c in "ABC"],
+     [("A", "B", 1), ("B", "C", 1), ("C", "A", 1)], []),
+    ([{"type": "2I4", "components": ["A", "B", "C", "D"]}], [_rational(c) for c in "ABCD"],
+     [("A", "B", 1), ("B", "C", 1), ("C", "D", 1), ("D", "A", 1)], []),
+    # partly tracked and additive fibers are not checked
+    ([{"type": "I3", "components": ["A"]}], [_rational("A")], (), []),
+    ([{"type": "III", "components": ["A", "B"]}], [_rational("A"), _rational("B")], (), []),
+    # I2 whose curves pair 1
+    ([{"type": "I2", "components": ["A", "B"]}], [_rational("A"), _rational("B")],
+     [("A", "B", 1)], ["fibration[I2]: not a Kodaira I2: A.B pair to 1, not 2"]),
+    # a (-3)-curve in a cycle
+    ([{"type": "I3", "components": ["A", "B", "C"]}],
+     [_rational("A"), _rational("B"), {**_rational("C"), "self": -3, "Kdeg": 1}],
+     [("A", "B", 1), ("B", "C", 1), ("C", "A", 1)],
+     ["fibration[I3]: not a Kodaira I3: C is not a smooth rational (-2)-curve"]),
+    # two components that pair 2 inside an I3
+    ([{"type": "I3", "components": ["A", "B", "C"]}], [_rational(c) for c in "ABC"],
+     [("A", "B", 2), ("B", "C", 1), ("C", "A", 1)],
+     ["fibration[I3]: not a Kodaira I3: A.B pair to 2, not 0 or 1"]),
+    # two disjoint 3-cycles declared as one I6
+    ([{"type": "I6", "components": list("ABCDEF")}], [_rational(c) for c in "ABCDEF"],
+     [("A", "B", 1), ("B", "C", 1), ("C", "A", 1), ("D", "E", 1), ("E", "F", 1), ("F", "D", 1)],
+     ["fibration[I6]: not a Kodaira I6: the components do not form a single cycle"]),
+    # a 2I2 and an I1 with a curve S: 2*(A + B).S = 2 = N.S, one class
+    ([{"type": "2I2", "components": ["A", "B"]}, {"type": "I1", "components": ["N"]}],
+     [_rational("A"), _rational("B"), _NODAL, _rational("S")],
+     [("A", "B", 2), ("S", "A", 1), ("S", "N", 2)], []),
+    # the same with N.S = 1
+    ([{"type": "2I2", "components": ["A", "B"]}, {"type": "I1", "components": ["N"]}],
+     [_rational("A"), _rational("B"), _NODAL, _rational("S")],
+     [("A", "B", 2), ("S", "A", 1), ("S", "N", 1)],
+     ["fibration[fiber-class]: fibers 2I2 and I1 pair to 2 and 1 with S, "
+      "so they are not one class"]),
+    # an I0* and an I1: the class of I0* is 2C + A1 + ... + A4, which pairs
+    # 2 with S as N does, though C + A1 + ... + A4 pairs 1
+    ([{"type": "I0*", "components": ["C", "A1", "A2", "A3", "A4"]},
+      {"type": "I1", "components": ["N"]}],
+     [_rational(c) for c in ("C", "A1", "A2", "A3", "A4", "S")] + [_NODAL],
+     [("C", a, 1) for a in ("A1", "A2", "A3", "A4")] + [("S", "C", 1), ("S", "N", 2)], []),
+], ids=["I1", "2I1", "I2", "I3", "2I4", "partial", "additive", "I2-pair-1", "I3-minus-3",
+        "I3-pair-2", "I6-two-cycles", "one-class", "two-classes", "starred"])
+def test_fibration_validate_kodaira_type_and_one_class(fibers, curves, pairing, found):
+    cfg = config_mod.parse_unvalidated(_fibration_doc(fibers, curves, pairing)).configuration
+    assert [str(v) for v in cfg.fibration.validate(cfg)] == found
