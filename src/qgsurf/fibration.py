@@ -33,7 +33,8 @@ def parse_tag(tag: str) -> tuple[str, int]:
     """Split a fiber tag into (reduced Kodaira type, multiplicity).
 
     A leading "2" marks a multiple fiber, e.g. "2I1"; the reduced type of a
-    multiple fiber must be I_n.
+    multiple fiber must be I_n.  The reduced type is spelled one way, so
+    every rule can compare it as a string: "2I09" gives ("I9", 2).
     """
     if not isinstance(tag, str):
         raise UnknownTagError(f"fiber type must be a string, got {tag!r}")
@@ -41,7 +42,7 @@ def parse_tag(tag: str) -> tuple[str, int]:
     if not m:
         raise UnknownTagError(f"unknown Kodaira tag {tag!r}")
     mult = 2 if m.group(1) else 1
-    reduced = m.group(2)
+    reduced = re.sub(r"^I0+(?=\d)", "I", m.group(2))  # "I09" is I9
     if _i_n(reduced) == 0:
         raise UnknownTagError(f"{tag!r} is a smooth fiber, not a singular Kodaira type")
     if mult == 2 and _i_n(reduced) is None:
@@ -293,13 +294,16 @@ def two_section_incidence_check(config) -> list:
 
     A 2-section meets a non-multiple fiber in total degree 2 and the reduced
     curve of a multiplicity-2 fiber in total degree 1.  Fibers with partial
-    component lists are skipped (the data cannot decide).
+    component lists are skipped (the data cannot decide), and so are the
+    starred types, whose components the fiber counts with multiplicities the
+    data do not give.
     """
     out = []
     fib = config.fibration
     if fib is None:
         return out
-    tracked = [f for f in fib.fibers if f.is_fully_tracked() and f.components]
+    tracked = [f for f in fib.fibers
+               if f.is_fully_tracked() and f.components and not f.type.endswith("*")]
     index_of = config.index_of
     for s in fib.two_sections:
         row = config.pairing[index_of(s)]

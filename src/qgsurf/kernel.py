@@ -42,37 +42,45 @@ per tail, for all its children at once:
 
 Chains of one length l are indexed by sum((bj - 2) * n**(l - j)),
 n = max_entry - 1, so digits decode from the index and index order is
-lexicographic order.  The scan works in blocks of at most CHUNK tails:
+lexicographic order.  The scan builds tables, then walks:
 
- * every length below max_len with at most CHUNK chains is built whole, as
-   one table, and each length up to base + 1 is tested as the children of
-   the table before it, the empty chain being the first tail;
- * if longer chains remain, length base + 1 is cut into slabs: contiguous
-   index ranges of equal size, each built from the last table by
-   prepending one digit per chain;
- * each slab is the root of a depth-first walk that prepends one head digit
-   at a time to a whole block, so every longer chain is (head, slab chain),
-   and is tested on the block it extends.
+ * every length up to base, the longest below max_len with at most CHUNK
+   chains, is built whole, as one table: each digit's row of a table is the
+   table before it with that digit in front, and each length up to base is
+   tested as the children of the table before it, the empty chain being the
+   first tail;
+ * the last table is the root of a depth-first walk that prepends one head
+   digit at a time to the whole table, so every longer chain is (head,
+   table chain), and is tested on the state it extends.  Length base + 1
+   and every longer length below max_len exist only as one state set per
+   depth, which the digits of that depth step in place.
 
 Only the lengths below max_len are built, since only they are tails.  So
-every length tested in more than one block is tested in blocks of between
-CHUNK/2 and CHUNK tails, and no array the scan builds is longer than CHUNK,
-whatever the bounds.
+every length tested in more than one block is tested in blocks of exactly
+n**base tails, n**base <= CHUNK < n**(base + 1), and no array the scan
+builds is longer than CHUNK, whatever the bounds.  That costs time where
+n**base falls far below CHUNK, since the walk then steps many small blocks.
+Measured against a walk that started from slabs of length base + 1 holding
+CHUNK/2 to CHUNK tails (medians of in-process scans in alternating order,
+two rounds, 2-vCPU Xeon, Python 3.11, numpy 2.4): at n = 11, which every
+scan the project runs but (6, 7) has, (6, 12) went from 6.1-6.5 ms to
+4.2-4.5 ms and (8, 12) stayed at 0.35-0.40 s; (6, 7), (7, 12) and (12, 4)
+moved by at most 7 % either way; (8, 8), (5, 30) and (3, 300), whose
+blocks hold 2401, 841 and 299 tails, went from 21-23 to 38-43 ms, 13-14 to
+63-69 ms and 3 to 17-18 ms.
 
-Each scan allocates one workspace (``_Workspace``), sized to its longest
-tail, and writes every array as long as a block into it, with ``out=`` or in
-place: the scratch arrays of the per-tail tests, the block each slab and
-table is built in, and one state set per depth of the walk below a slab,
-which the digits of that depth step in place.  Besides the workspace, a
-scan allocates only its tables, copied out of the block because they
-outlive it, and per block the arrays sized by the block's hits (the indices
-that ``flatnonzero`` finds, the candidate digits and the recognized
-chains).  A block of 2**14 int64 entries
-is just under 128 KiB, below glibc's default mmap threshold, so arrays freed
-after every block would leave the top of the heap free for glibc to trim
-and fault back in on the next block.  With the workspace a (6, 12) scan
-that follows another takes a few hundred minor page faults, not over 2,000.
-The workspace is local to the call, so scans stay reentrant.
+Each scan allocates one workspace (``_Workspace``), n**base entries long,
+and writes the walk's arrays into it, with ``out=`` or in place: the
+scratch arrays of the per-tail tests and one state set per depth of the
+walk.  Besides the workspace, a scan allocates only its tables and per
+block the arrays sized by the block's hits (the indices that
+``flatnonzero`` finds, the candidate digits and the recognized chains).  A
+block of 2**14 int64 entries is just under 128 KiB, below glibc's default
+mmap threshold, so arrays freed after every block would leave the top of
+the heap free for glibc to trim and fault back in on the next block.  With
+the workspace a (6, 12) scan that follows another takes a few hundred minor
+page faults, not over 2,000.  The workspace is local to the call, so scans
+stay reentrant.
 
 ``qgsurf._kernel_py`` is the independent per-chain reference; both return
 identical results for equal bounds.
@@ -81,21 +89,20 @@ identical results for equal bounds.
 BACKEND = "numpy"
 
 CHUNK = 1 << 14
-"""Most chains in one block, and so in any array the scan builds.
+"""Most chains in one table, and so in any array the scan builds.
 
-It is sized for cache: the dozen or so 128 KB int64 arrays that a block of
-2**14 chains keeps alive stay in one core's L2, so each elementwise pass of
-the scan reads from cache rather than from memory.  It bounds memory too:
-besides the tables, the workspace holds one block and one state set per
-depth of the walk, so a scan peaks at a few MB whatever the bounds.  With the
-workspace, on a 2-vCPU Xeon with 2 MB of L2 per core (Python 3.11, numpy
-2.4; medians of 40 scans at (6, 12) and of 3 at (8, 12), two rounds in
-alternating order), no value of 2**13 to 2**16 scanned both bounds fastest:
-2**13 took 4.9-5.1 ms at (6, 12) against 5.3-6.3 ms for 2**14, but
-0.43-0.46 s at (8, 12) against 0.31-0.36 s, where it cuts the slabs one
-length earlier and tests about twice as many blocks of half the size.
-2**15 and 2**16 read 5.5-7.6 ms and 0.31-0.37 s, within the spread of
-2**14.
+It picks base, the longest length built whole, and with it the size of
+every block of the walk: n**base tails, n = max_entry - 1, with
+n**base <= CHUNK < n**(base + 1).  A block of 2**14 chains keeps the dozen
+or so 128 KB int64 arrays it touches in one core's L2, so each elementwise
+pass of the scan reads from cache rather than from memory.  It bounds
+memory too: besides the tables, the workspace holds one state set per depth
+of the walk, so a scan peaks at a few MB whatever the bounds.  On a 2-vCPU
+Xeon with 2 MB of L2 per core (Python 3.11, numpy 2.4; medians of 40 scans
+at (6, 12) and of 3 at (8, 12), two rounds in alternating order), 2**14,
+2**15 and 2**16 all give base 4 at n = 11 and scanned alike, in 4.4-4.5 ms
+and 0.32-0.37 s; 2**13 gives base 3, blocks of 1331 tails, and took
+12.7 ms and 1.2 s.
 """
 
 _INT64_MAX = 2**63 - 1
@@ -132,46 +139,20 @@ def _roundtrips(np, tail, out, scratch):
     return out
 
 
-def _block(np, table, lo, hi, work):
-    """Chains lo..hi-1, by index, of the length one longer than table's,
-    written into the workspace's block and returned as views of it.
+def _table(np, tail, max_entry, work):
+    """The chains one longer than tail's, as a new table.
 
     Index i of that length puts the digit 2 + i // S in front of the chain
-    at index i % S of the table, S = len(table).  So the block is a run of
-    whole digit rows, each the table with one digit in front, between two
-    partial rows, each a slice of the table with one digit in front; each
-    piece is written into the block as a (digits, tails) matrix.
+    at index i % S of tail, S = len(tail).  So each digit's row is tail with
+    that digit in front, and the rows are one broadcast per state array.
     """
-    size = table[0].size
-    first, start = divmod(lo, size)
-    last, stop = divmod(hi, size)
-    if first == last:
-        pieces = [(first, first + 1, start, stop)]
-    else:
-        pieces = [(first, first + 1, start, size)] if start else []
-        if first + (start > 0) < last:
-            pieces.append((first + (start > 0), last, 0, size))
-        if stop:
-            pieces.append((last, last + 1, 0, stop))
-    block = tuple(a[:hi - lo] for a in work.block)
-    done = 0
-    for d, e, i, j in pieces:
-        tail = tuple(a[i:j] for a in table)
-        m_t, q_t, p_t, p_tt, det_t, det_tt, _ = tail
-        b = np.arange(d + 2, e + 2)[:, None]
-        m, q, p, p_tail, det, det_tail, ok = (
-            a[done:done + (e - d) * (j - i)].reshape(e - d, j - i) for a in block)
-        np.multiply(b, m_t, out=m)
-        m -= q_t
-        np.multiply(b, p_t, out=p)
-        p -= p_tt
-        np.multiply(-b, det_t, out=det)
-        det -= det_tt
-        q[:], p_tail[:], det_tail[:] = m_t, p_t, det_t
-        _roundtrips(np, tail, ok[0], work.masks[0][:j - i])
-        ok[1:] = ok[0]
-        done += m.size
-    return block
+    m_t, q_t, p_t, p_tt, det_t, det_tt, _ = tail
+    n = max_entry - 1
+    b = np.arange(2, max_entry + 1, dtype=np.int64)[:, None]
+    ok = _roundtrips(np, tail, *(a[:m_t.size] for a in work.masks))
+    return ((b * m_t - q_t).ravel(), np.tile(m_t, n), (b * p_t - p_tt).ravel(),
+            np.tile(p_t, n), (-b * det_t - det_tt).ravel(), np.tile(det_t, n),
+            np.tile(ok, n))
 
 
 def _indefinite(np, length, det, out):
@@ -249,12 +230,11 @@ def _candidates(np, tail, max_entry, work):
 
 
 class _Workspace:
-    """Every array of a scan that is as long as a block, allocated once.
+    """Every array of a scan's walk, allocated once.
 
-    Three int64 and two bool scratch arrays for the per-tail tests, one
-    block of chain states (m, q, p, p_tail, det, det_tail, ok), and one
-    state set (m, p, det, ok) for each depth of the walk below a slab; each
-    holds width entries, and a block of fewer tails uses a prefix.
+    Three int64 and two bool scratch arrays for the per-tail tests, and one
+    state set (m, p, det, ok) for each depth of the walk below the last
+    table; each holds width entries, and a shorter tail uses a prefix.
     """
 
     def __init__(self, np, width, depths):
@@ -264,7 +244,6 @@ class _Workspace:
         i64 = np.int64
         self.ints = arrays(i64, i64, i64)
         self.masks = arrays(bool, bool)
-        self.block = arrays(i64, i64, i64, i64, i64, i64, bool)
         self.states = [arrays(i64, i64, i64, bool) for _ in range(depths)]
 
 
@@ -324,38 +303,29 @@ def scan_chains(max_len: int, max_entry: int):
     import numpy as np  # deferred: importing numpy costs more than qgsurf
 
     n = max_entry - 1
-    base = 0  # longest length built whole
+    base = 0  # longest length built whole, and the root of the walk
     while base + 1 < max_len and n ** (base + 1) <= CHUNK:
         base += 1
-    # if longer chains remain, length base + 1 is cut into slabs of equal
-    # size, each the root of the chains that extend it by heads of leading
-    # digits; the longest tail is the last table or a slab
-    size = n ** (base + 1)
-    slabs = -(-size // CHUNK) if base + 1 < max_len else 0
-    width = max(n ** base, -(-size // slabs) if slabs else 0)
-    work = _Workspace(np, width, max(max_len - base - 2, 0))
+    work = _Workspace(np, n ** base, max_len - base - 1)
     tally = _Tally(np, max_entry, work)
     one = np.ones(1, dtype=np.int64)
     zero = np.zeros(1, dtype=np.int64)
     # the empty chain: its step matrix product is the identity
     table = (one, zero, zero, -one, one, zero, np.ones(1, dtype=bool))
 
-    for length in range(base + 1):
-        if length:
-            # a table outlives the block it is built in
-            table = tuple(a.copy() for a in _block(np, table, 0, n ** length, work))
+    for length in range(base):
         # the chains one longer than the table are its children
         tally.children(length + 1, table, lambda i, b: (b,) + _digits(i, length, n))
+        table = _table(np, table, max_entry, work)
 
-    def extend(tail, lo, head):
+    def extend(tail, head):
         # every child of tail is tested once per tail; only the lengths below
         # max_len are built, since only they are tails themselves.  The
         # children are built in the state set of this depth, and m, p and
         # det step from digit b to b + 1 in place by adding m_tail and
         # p_tail and subtracting det_tail
-        length = base + 2 + len(head)
-        tally.children(length, tail,
-                       lambda i, b: (b,) + head + _digits(lo + i, base + 1, n))
+        length = base + 1 + len(head)
+        tally.children(length, tail, lambda i, b: (b,) + head + _digits(i, base, n))
         if length == max_len:
             return
         m_t, q_t, p_t, p_tt, det_t, det_tt, _ = tail
@@ -370,10 +340,7 @@ def scan_chains(max_len: int, max_entry: int):
             m += m_t
             p += p_t
             det -= det_t
-            extend((m, m_t, p, p_t, det, det_t, ok), lo, (b,) + head)
+            extend((m, m_t, p, p_t, det, det_t, ok), (b,) + head)
 
-    for k in range(slabs):
-        lo, hi = size * k // slabs, size * (k + 1) // slabs
-        extend(_block(np, table, lo, hi, work), lo, ())
-
+    extend(table, ())
     return tally.total, sorted(tally.accepted), tally.negdef, tally.roundtrip

@@ -189,7 +189,9 @@ def two_section_incidence_check(config) -> list:
 
     A 2-section meets a non-multiple fiber in total degree 2 and the reduced
     curve of a multiplicity-2 fiber in total degree 1.  Fibers with partial
-    component lists are skipped (the data cannot decide).
+    component lists are skipped (the data cannot decide), and so are the
+    starred types, whose components the fiber counts with multiplicities the
+    data do not give.
     """
     out = []
     fib = config.fibration
@@ -199,7 +201,7 @@ def two_section_incidence_check(config) -> list:
         if not config.has_curve(s):
             raise UnknownCurveError(s)
         for f in fib.fibers:
-            if not f.is_fully_tracked() or not f.components:
+            if not f.is_fully_tracked() or not f.components or f.type.endswith("*"):
                 continue
             total = sum(config.pairing_of(s, c) for c in f.components)
             expected = 1 if f.multiplicity == 2 else 2

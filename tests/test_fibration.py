@@ -40,6 +40,30 @@ def test_parse_tag_multiplicity():
     assert parse_tag("I9") == ("I9", 1)
 
 
+def test_zero_padded_tags_give_the_reduced_type():
+    assert parse_tag("2I09") == ("I9", 2)
+    assert parse_tag("I01") == ("I1", 1)
+    assert parse_tag("I01*") == ("I1*", 1)
+    assert parse_tag("I00*") == ("I0*", 1)
+
+
+def test_verify_reads_a_zero_padded_i9_as_i9(tmp_path):
+    """Every rule compares the reduced type as a string.  Before tags were
+    spelled one way, this copy of k1 (one I1 dropped, the I9 typed I09)
+    printed no advisory, and its fibers were written back as I09."""
+    doc = builtin("enriques-k1")
+    del doc["expect"]
+    doc["fibration"]["fibers"].pop()
+    doc["fibration"]["fibers"][0]["type"] = "I09"
+    assert config_mod.parse(doc).configuration.fibration.fibers[0].tag == "I9"
+    path = tmp_path / "i09.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert cli.run(["verify", str(path)], out=out) == 0
+    assert "advisory=an I9 fiber implies three I1-type fibers; only 2 declared" in (
+        out.getvalue().splitlines())
+
+
 def fib(*tags):
     return FibrationData(fibers=tuple(
         FiberSpec(type=parse_tag(t)[0], multiplicity=parse_tag(t)[1], components=())
@@ -129,6 +153,37 @@ def test_two_section_partial_fiber_skipped():
     }
     cfg = config_mod.parse(doc).configuration
     assert two_section_incidence_check(cfg) == []
+
+
+def _i0_star_with_two_section():
+    """A K3 surface with a fully tracked I0* fiber, centre C0 meeting C1..C4,
+    and a 2-section S meeting C0 once: S.F = S.(2*C0 + C1 + ... + C4) = 2."""
+    def curve(name):
+        return {"name": name, "self": -2, "genus": 0, "Kdeg": 0, "tags": []}
+
+    legs = ["C1", "C2", "C3", "C4"]
+    return {
+        "surface": {"kind": "k3", "chi": 2, "K2": 0, "K_num_trivial": True},
+        "curves": [curve(c) for c in ["C0"] + legs + ["S"]],
+        "pairing": [["C0", c, 1] for c in legs] + [["S", "C0", 1]],
+        "fibration": {
+            "fibers": [{"type": "I0*", "components": ["C0"] + legs}],
+            "two_sections": ["S"],
+        },
+    }
+
+
+def test_two_section_starred_fiber_skipped(tmp_path):
+    """The data give no component multiplicities, so a starred fiber is not
+    held to the 2-section rule.  Summing the pairings without them, this
+    document printed a two-section violation and exited 1."""
+    doc = _i0_star_with_two_section()
+    assert two_section_incidence_check(config_mod.parse(doc).configuration) == []
+    path = tmp_path / "i0-star.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert cli.run(["verify", str(path)], out=out) == 0
+    assert not [x for x in out.getvalue().splitlines() if x.startswith("violation=")]
 
 
 def test_corpus_incidence_clean(corpus_results):

@@ -22,10 +22,9 @@ def _reference(max_len, max_entry):
 
 
 def _chunks(n):
-    """CHUNK values that cut the scan's levels at awkward places, for digits
-    in n values: one chain per block, about one digit's worth of chains, one
-    short of two digits' worth, and n*n + 1, which is no multiple of the
-    n*n chains of the table it leads to."""
+    """CHUNK values around the table sizes n and n*n, for digits in n
+    values: the walk starts at the empty chain (1, n - 1), at the length-1
+    table (n, n + 1, n*n - 1) or at the length-2 table (n*n + 1)."""
     return sorted({1, n - 1, n, n + 1, n * n - 1, n * n + 1})
 
 
@@ -34,10 +33,13 @@ def _chunks(n):
     pytest.param(3, 5, None, id="3-5"),
     pytest.param(5, 7, None, id="5-7"),
     pytest.param(6, 4, None, id="6-4"),
-    # 40 holds 6**2 chains: lengths 3 to 5 are built in 36-chain pieces
+    # the last table, 7**4 chains, sits far below CHUNK: length 6 is tested
+    # in 7 blocks of 7**4 tails
+    pytest.param(6, 8, None, id="6-8"),
+    # 40 holds 6**2 chains: lengths 3 to 5 are tested in blocks of 36 tails
     pytest.param(5, 7, 40, id="5-7-chunk40"),
 ] + [
-    # blocks that cut a length in the middle of a digit
+    # walks that start at each of the first tables
     pytest.param(max_len, max_entry, chunk, id=f"{max_len}-{max_entry}-chunk{chunk}")
     for max_len, max_entry in [(5, 7), (4, 3), (3, 40)]
     for chunk in _chunks(max_entry - 1)
@@ -65,57 +67,62 @@ def _block_sizes(monkeypatch, max_len, max_entry):
 
 
 @pytest.mark.parametrize("max_len, max_entry", [(6, 12), (3, 300), (12, 4)])
-def test_blocks_hold_between_half_and_all_of_chunk(max_len, max_entry, monkeypatch):
+def test_blocks_hold_one_table_of_at_most_chunk(max_len, max_entry, monkeypatch):
     sizes = _block_sizes(monkeypatch, max_len, max_entry)
     n = max_entry - 1
     assert sorted(sizes) == list(range(1, max_len + 1))
+    walked = set()
     for length, blocks in sizes.items():
         chains, arrays = zip(*blocks)
         assert sum(chains) == n ** length
         assert max(arrays) <= kernel.CHUNK, length
-        # length base + 1 is tested in one piece, as the children of the
-        # last table (for (3, 300), its 299 tails)
+        # every length below the last table's children is tested in one
+        # piece; every longer one in blocks the size of the last table
         if len(blocks) > 1:
-            assert min(arrays) > kernel.CHUNK // 2, length
+            walked.update(arrays)
+    (tails,) = walked
+    base = 0
+    while n ** base < tails:
+        base += 1
+    assert n ** base == tails
+    assert tails <= kernel.CHUNK < tails * n
 
 
 def test_roundtrip_failures_are_counted_per_chain(monkeypatch):
     """A chain that fails the round trip fails it for every chain that ends
     in it.  Every real scan reports 0 such failures, so clear the flag of k
-    chains of one slab and count.  A chain's own round trip is decided from
-    its tail, and the slab chains were tested as children of the table
-    before the flags were cleared, so each cleared chain counts for the
-    n + n**2 + ... + n**(max_len - base - 1) longer chains below it."""
-    # n = 3: lengths 1 and 2 are tables (base = 2), length 3 is tested as the
-    # children of the length-2 table and then cut into three slabs of 9
-    # chains, and lengths 4 and 5 lie below each slab
+    chains of the last table and count.  A chain's own round trip is decided
+    from its tail, and the table's own chains were tested, as children of
+    the table before it, before the flags were cleared; so each cleared
+    chain counts for the n + n**2 + ... + n**(max_len - base) longer chains
+    that end in it."""
+    # n = 3: lengths 1 and 2 are tables (base = 2), and lengths 3 to 5 are
+    # walked from the 9 chains of the length-2 table
     monkeypatch.setattr(kernel, "CHUNK", 10)
     max_len, max_entry, base, n = 5, 4, 2, 3
     cleared = [0, 4, 8]
-    block = kernel._block
-    slabs = []
+    children = kernel._Tally.children
+    roots = []
 
-    def breaking(np, table, lo, hi, work):
-        state = block(np, table, lo, hi, work)
-        if table[0].size == n ** base:
-            slabs.append(lo)
-            if len(slabs) == 2:
-                ok = state[-1]
-                assert ok[cleared].all()
-                ok[cleared] = False
-        return state
+    def breaking(self, length, tail, *args):
+        if length == base + 1:
+            ok = tail[-1]
+            roots.append(ok.size)
+            assert ok[cleared].all()
+            ok[cleared] = False
+        return children(self, length, tail, *args)
 
-    monkeypatch.setattr(kernel, "_block", breaking)
+    monkeypatch.setattr(kernel._Tally, "children", breaking)
     total, accepted, negdef, roundtrip = kernel.scan_chains(max_len, max_entry)
-    assert slabs == [0, 9, 18]
-    assert roundtrip == len(cleared) * sum(n ** j for j in range(1, max_len - base))
+    assert roots == [n ** base]
+    assert roundtrip == len(cleared) * sum(n ** j for j in range(1, max_len - base + 1))
     assert (total, accepted, negdef) == _reference(max_len, max_entry)[:3]
 
 
 def test_repeated_scans_give_identical_results(monkeypatch):
     """Each scan builds its own workspace and overwrites every entry it
     reads, so a scan that follows another in the same process, at other
-    bounds and with blocks cut at other places, leaks nothing into it."""
+    bounds and with blocks of other sizes, leaks nothing into it."""
     whole = kernel.scan_chains(6, 12)
     monkeypatch.setattr(kernel, "CHUNK", 40)
     first = kernel.scan_chains(6, 12), kernel.scan_chains(5, 7)
@@ -127,7 +134,7 @@ def test_repeated_scans_give_identical_results(monkeypatch):
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_minflt counts minor page faults on Linux")
 def test_repeated_scan_does_not_refault_the_heap():
-    """A scan writes its blocks into one workspace, so it does not free and
+    """A scan writes its walk into one workspace, so it does not free and
     fault back in a block's worth of heap for every block: a (6, 12) scan
     that follows another takes a few hundred minor faults, where freeing
     every block's arrays took over 2,000."""
