@@ -31,20 +31,28 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
-def _chain_report_lines(summary: ChainSummary) -> list[str]:
-    m, data = summary.m, summary.class_t
-    contribution = fraction_text(summary.contribution_numerator, m)
-    disc_s = ",".join([fraction_text(x, m) for x in summary.numerators])
-    lines = [
-        "chain=" + ",".join(map(str, summary.chain)),
-        f"hj={m}/{summary.q}",
-    ]
+def _chain_report_lines(summary: ChainSummary, texts: dict | None = None) -> list[str]:
+    """The three report lines of one chain.
+
+    ``texts`` maps m to {x: fraction_text(x, m)}; a listing passes one dict
+    for all its chains, so each numerator over each m is formatted once.
+    """
+    chain, m, q, data, numerators, contribution = summary
+    memo = {} if texts is None else texts.setdefault(m, {})
+    parts = []
+    for x in numerators:
+        text = memo.get(x)
+        if text is None:
+            text = memo[x] = fraction_text(x, m)
+        parts.append(text)
+    tail = (f"contribution={fraction_text(contribution, m)} "
+            f"discrepancies={','.join(parts)}")
+    lines = ["chain=" + ",".join(map(str, chain)), f"hj={m}/{q}"]
     if data is not None:
-        lines.append(
-            f"classT d={data.d} n={data.n} a={data.a} m={data.m} q={data.q} "
-            f"index={data.index} contribution={contribution} discrepancies={disc_s}")
+        d, n, a = data
+        lines.append(f"classT d={d} n={n} a={a} m={m} q={q} index={n} {tail}")
     else:
-        lines.append(f"notClassT contribution={contribution} discrepancies={disc_s}")
+        lines.append(f"notClassT {tail}")
     return lines
 
 
@@ -62,11 +70,20 @@ def _chain_blob(summary: ChainSummary) -> dict:
 
 
 def _chain_entries(text: str) -> list[int]:
-    """The integers of a comma-separated chain; an empty entry is an error."""
+    """The integers of a comma-separated chain.
+
+    An entry is an optional sign and ASCII digits, with spaces around them.
+    Any other entry is an error naming its position: an empty one, and the
+    ones ``int`` would also read, such as ``3_0`` or a non-ASCII digit.
+    """
     entries = text.split(",")
     for position, entry in enumerate(entries, 1):
-        if not entry.strip():
+        text = entry.strip()
+        if not text:
             raise ValueError(f"entry {position} is empty")
+        digits = text[1:] if text[0] in "+-" else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"entry {position} is not an integer: {entry!r}")
     return [int(x) for x in entries]
 
 
@@ -93,8 +110,10 @@ def _cmd_enumerate(args, out) -> int:
     if args.output == "json":
         print(json.dumps([list(c) for c in chains]), file=out)
         return EXIT_OK
-    for chain in chains:
-        print(" ".join(_chain_report_lines(summarize(chain))), file=out)
+    texts = {}
+    lines = [" ".join(_chain_report_lines(summarize(chain), texts)) for chain in chains]
+    if lines:  # an empty listing prints nothing, not an empty line
+        print("\n".join(lines), file=out)
     return EXIT_OK
 
 

@@ -20,8 +20,11 @@ With r the length and m = L_r = R_r:
     discrepancies  a_i = (L_{i-1} + R_{r-i} - m) / m  (Hirzebruch-Jung);
     contribution   -sum a_i (b_i - 2).
 
-``hj_value``, ``recognize_class_T``, ``discrepancies`` and ``k2_contribution``
-are views over that summary.  The exact Gaussian solve of
+The left pass keeps its continuants; the right pass keeps none, and forms
+each numerator L_{i-1} + R_{r-i} - m and adds up the contribution times m
+as it goes, so the summary holds both as integer fields.  ``hj_value``,
+``recognize_class_T``, ``discrepancies`` and ``k2_contribution`` are views
+over that summary.  The exact Gaussian solve of
 Gram . a = (b_i - 2) over Fractions is kept outside the package, as the
 tests' oracle for the discrepancy formula.
 """
@@ -31,6 +34,7 @@ from __future__ import annotations
 import importlib
 from fractions import Fraction
 from math import gcd
+from operator import index as _integer
 from typing import NamedTuple
 
 from .errors import InvalidFractionError, NotClassTError
@@ -39,7 +43,18 @@ Chain = tuple[int, ...]
 
 
 def as_chain(entries) -> Chain:
-    chain = tuple(map(int, entries))
+    """The entries as a tuple of ints; ValueError unless every entry is an
+    integer (``operator.index``: no float, string or Fraction is rounded or
+    parsed) >= 2."""
+    chain = tuple(entries)
+    try:
+        chain = tuple(map(_integer, chain))
+    except TypeError:
+        for position, entry in enumerate(chain, 1):
+            try:
+                _integer(entry)
+            except TypeError:
+                raise ValueError(f"entry {position} is not an integer: {entry!r}") from None
     if not chain:
         raise ValueError("a chain needs at least one entry")
     if min(chain) < 2:
@@ -86,7 +101,8 @@ class ChainSummary(NamedTuple):
 
     m = L_r and q = R_{r-1} are the coprime numerator and denominator of the
     hj value; ``numerators`` holds L_{i-1} + R_{r-i} - m, the discrepancies
-    times m.
+    times m, and ``contribution_numerator`` the contraction's K^2
+    contribution times m, -sum x_i (b_i - 2) over those numerators.
     """
 
     chain: Chain
@@ -94,6 +110,7 @@ class ChainSummary(NamedTuple):
     q: int
     class_t: ClassTData | None
     numerators: tuple[int, ...]
+    contribution_numerator: int
 
     @property
     def value(self) -> Fraction:
@@ -102,11 +119,6 @@ class ChainSummary(NamedTuple):
     @property
     def discrepancies(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.m) for x in self.numerators)
-
-    @property
-    def contribution_numerator(self) -> int:
-        """The contraction's K^2 contribution times m."""
-        return -sum([x * (b - 2) for x, b in zip(self.numerators, self.chain)])
 
     @property
     def contribution(self) -> Fraction:
@@ -123,18 +135,29 @@ def _class_t(m: int, q: int) -> ClassTData | None:
     n = m // g
     a = (q + 1) // g
     if n >= 2 and a < n and g % n == 0:
-        return ClassTData(d=g // n, n=n, a=a)
+        return ClassTData(g // n, n, a)
     return None
 
 
 def summarize(entries) -> ChainSummary:
-    """Validate the chain once and run the continuants once from each end."""
+    """Validate the chain once and run the continuants once from each end.
+
+    The right-to-left pass steps R_{r-i} alongside the stored L_{i-1}, so it
+    forms the numerators and their contribution without a second list.
+    """
     chain = as_chain(entries)
     left = _continuants(chain)
-    right = _continuants(reversed(chain))
-    m, q = left[-1], right[-2]
-    return ChainSummary(chain, m, q, _class_t(m, q),
-                        tuple([x + y - m for x, y in zip(left, reversed(right[:-1]))]))
+    m = left[-1]
+    numerators = [0] * len(chain)
+    prev, cur, contribution = 0, 1, 0  # cur = R_{r-1-i} at entry i (from 0)
+    for i in range(len(chain) - 1, -1, -1):
+        b = chain[i]
+        x = left[i] + cur - m
+        numerators[i] = x
+        contribution -= x * (b - 2)
+        prev, cur = cur, b * cur - prev
+    # cur = R_r = m, prev = R_{r-1} = q
+    return ChainSummary(chain, m, prev, _class_t(m, prev), tuple(numerators), contribution)
 
 
 def fraction_text(num: int, den: int) -> str:
@@ -212,8 +235,11 @@ def generate_class_T(max_len: int, max_entry: int) -> set[Chain]:
 
 
 def canonical_order(chains) -> list[Chain]:
-    """Stable listing order: by length, then lexicographically."""
-    return sorted(chains, key=lambda c: (len(c), c))
+    """Stable listing order: by length, then lexicographically.
+
+    Python's sort is stable, so sorting the lexicographic order by length
+    alone gives that order without a key tuple per chain."""
+    return sorted(sorted(chains), key=len)
 
 
 def discrepancies(entries) -> tuple[Fraction, ...]:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -52,6 +53,22 @@ def test_chain_empty_entry_is_an_input_error(entries, position, capsys):
     code, text = invoke("chain", entries)
     assert (code, text) == (2, "")
     assert capsys.readouterr().err == f"error: chain: entry {position} is empty\n"
+
+
+@pytest.mark.parametrize("entries, position, entry", [
+    ("2,3_0", 2, "3_0"), ("\u0663,4", 1, "\u0663"), ("4,3.0", 2, "3.0"), ("4,3 0", 2, "3 0"),
+    ("4,x", 2, "x"), ("4,0x3", 2, "0x3"), ("4,+-3", 2, "+-3"), ("4,+", 2, "+"),
+    ("4,\u00b2", 2, "\u00b2")])
+def test_chain_entry_must_be_ascii_digits(entries, position, entry, capsys):
+    # int() alone would read "2,3_0" as 2,30 and "\u0663,4" (Arabic-Indic three) as 3,4
+    code, text = invoke("chain", entries)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: chain: entry {position} is not an integer: {entry!r}\n"
+
+
+def test_chain_entry_takes_a_sign_and_spaces():
+    assert invoke("chain", " 4 ,+3\t") == invoke("chain", "4,3")
+    assert invoke("chain", "4,-3")[0] == 2
 
 
 def test_chain_json_mode():
@@ -222,6 +239,35 @@ def test_enumerate_classt():
     assert lines[0].startswith("chain=4 ")
     assert any(line.startswith("chain=2,5 ") for line in lines)
     assert any(line.startswith("chain=5,2 ") for line in lines)
+
+
+def test_enumerate_classt_digest_frozen():
+    # SHA-256 of the listing at the benchmark's bounds, 2,036 lines, frozen
+    # from the two-list summary and per-fraction formatting it replaced
+    code, text = invoke("enumerate-classT", "--max-len", "10", "--max-entry", "14")
+    assert code == 0 and text.count("\n") == 2036
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a9c35c4b2f40698b696d0141c6a7895c4c401c527fce390f3a6fcb64e13ab663")
+
+
+def test_enumerate_classt_empty_listing_prints_nothing():
+    assert invoke("enumerate-classT", "--max-len", "10", "--max-entry", "2") == (0, "")
+    assert invoke("--output", "json", "enumerate-classT", "--max-len", "10",
+                  "--max-entry", "2") == (0, "[]\n")
+
+
+def test_enumerate_classt_lines_are_chain_reports():
+    # one listing shares its fraction texts across chains; each line must
+    # still be exactly what `chain` prints for that chain alone
+    code, text = invoke("enumerate-classT", "--max-len", "6", "--max-entry", "9")
+    assert code == 0
+    lines = text.splitlines()
+    assert len(lines) == len(generate_class_T(6, 9))
+    for line in lines:
+        arg = line.split(" ", 1)[0].removeprefix("chain=")
+        code, report = invoke("chain", arg)
+        assert code == 0
+        assert line == " ".join(report.splitlines())
 
 
 def test_enumerate_classt_deterministic():

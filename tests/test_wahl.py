@@ -1,4 +1,6 @@
 import io
+import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -181,9 +183,32 @@ def test_chain_grams_negative_definite(entries):
     assert is_negative_definite(chain_gram(entries))
 
 
+@pytest.mark.parametrize("call, entries, position", [
+    (summarize, [2.7, 3], 1),
+    (recognize_class_T, (4.9,), 1),
+    (hj_value, ["4"], 1),
+    (summarize, (4, 2, Fraction(3), 2), 3),
+    (discrepancies, [3, Decimal(3)], 2),
+    (k2_contribution, [3, 2, 3.0], 3),
+])
+def test_non_integer_entries_are_rejected_not_truncated(call, entries, position):
+    with pytest.raises(ValueError, match=f"^entry {position} is not an integer: "):
+        call(entries)
+
+
+def test_integer_like_entries_are_accepted():
+    # operator.index semantics: anything that is an integer, not a float
+    np = pytest.importorskip("numpy")
+    s = summarize(np.array([4, 2, 3, 2]))
+    assert s.chain == (4, 2, 3, 2) and all(type(b) is int for b in s.chain)
+    assert summarize(iter([4, 2, 3, 2])) == s
+
+
 def test_canonical_order():
     chains = [(2, 5), (4,), (5, 2), (2, 2, 6)]
     assert canonical_order(chains) == [(4,), (2, 5), (5, 2), (2, 2, 6)]
+    chains = generate_class_T(8, 11)
+    assert canonical_order(chains) == sorted(chains, key=lambda c: (len(c), c))
 
 
 def test_discrepancies_long_chains_frozen():
@@ -294,3 +319,27 @@ def test_fraction_text_cases(num, den):
 @settings(max_examples=300, deadline=None)
 def test_fraction_text_matches_fraction(num, den):
     assert fraction_text(num, den) == str(Fraction(num, den))
+
+
+def two_pass_summary(chain):
+    """The summary as first written: two continuant lists, then the
+    contribution summed over the numerators (the oracle for ``summarize``)."""
+    def continuants(entries):
+        xs, prev, cur = [1], 0, 1
+        for b in entries:
+            prev, cur = cur, b * cur - prev
+            xs.append(cur)
+        return xs
+
+    left, right = continuants(chain), continuants(reversed(chain))
+    m, q = left[-1], right[-2]
+    numerators = tuple(x + y - m for x, y in zip(left, reversed(right[:-1])))
+    return m, q, numerators, -sum(x * (b - 2) for x, b in zip(numerators, chain))
+
+
+def test_summarize_matches_two_pass_oracle_on_seeded_chains():
+    rng = random.Random(20261020)
+    for _ in range(3000):
+        chain = tuple(rng.randint(2, 15) for _ in range(rng.randint(1, 12)))
+        s = summarize(chain)
+        assert (s.m, s.q, s.numerators, s.contribution_numerator) == two_pass_summary(chain), chain
