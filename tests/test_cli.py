@@ -242,8 +242,8 @@ def test_enumerate_classt():
 
 
 def test_enumerate_classt_digest_frozen():
-    # SHA-256 of the listing at the benchmark's bounds, 2,036 lines, frozen
-    # from the two-list summary and per-fraction formatting it replaced
+    # SHA-256 of the listing at the benchmark's bounds (2,036 lines), frozen:
+    # sharing fraction texts across a listing must not change one byte
     code, text = invoke("enumerate-classT", "--max-len", "10", "--max-entry", "14")
     assert code == 0 and text.count("\n") == 2036
     assert hashlib.sha256(text.encode()).hexdigest() == (
