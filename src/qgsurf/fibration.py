@@ -5,22 +5,35 @@ Shioda-Tate bound on fiber components, the configuration and the class of
 each fully tracked fiber, incidence of 2-sections with declared fibers, and
 the lint that an I9 fiber on a rational or Enriques elliptic surface comes
 with three I1 fibers.
+
+One rule, from Zariski's lemma, checks a fully tracked fiber of any type.
+Give its components C_i Kodaira's multiplicities m_i (``_multiplicities``).
+The fiber is Kodaira's when the C_i are smooth rational (-2)-curves (for I1
+and II, one curve of genus 1 and square 0), F = sum m_i C_i pairs 0 with
+each, they are connected, and max m_i is the type's.  Then
+diag(m) * pairing * diag(m) is minus a connected graph's Laplacian, so the
+pairing is negative semidefinite with radical Z F, and the component count
+with max m_i fixes the extended Dynkin diagram.  The pairing cannot tell I1
+from II, I2 from III or I3 from IV: each pair differs only by a cusp, a
+tangency or three curves through one point.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from operator import itemgetter
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .errors import UnknownTagError, Violation
+from .ratlin import eliminate
 
 _TAG_RE = re.compile(r"^(2)?(I\d+\*?|II\*?|III\*?|IV\*?)$")
 
-# (Euler number, component count) of the additive types
-_ADDITIVE = {"II": (2, 1), "III": (3, 2), "IV": (4, 3), "IV*": (8, 7), "III*": (9, 8),
-             "II*": (10, 9)}
+# (Euler number, component count, largest component multiplicity) of the
+# types without an index; I_n and I_n* are in _fiber_numbers
+_KODAIRA = {"II": (2, 1, 1), "III": (3, 2, 1), "IV": (4, 3, 1), "IV*": (8, 7, 3),
+            "III*": (9, 8, 4), "II*": (10, 9, 6)}
 
 
 def _i_n(reduced: str) -> Optional[int]:
@@ -50,13 +63,13 @@ def parse_tag(tag: str) -> tuple[str, int]:
     return reduced, mult
 
 
-def _fiber_numbers(reduced: str) -> tuple[int, int]:
-    """(Euler number, component count) of a fiber of a reduced type that
-    ``parse_tag`` has already accepted."""
-    if reduced in _ADDITIVE:
-        return _ADDITIVE[reduced]
+def _fiber_numbers(reduced: str) -> tuple[int, int, int]:
+    """(Euler number, component count, largest component multiplicity) of a
+    fiber of a reduced type that ``parse_tag`` has already accepted."""
+    if reduced in _KODAIRA:
+        return _KODAIRA[reduced]
     n = int(reduced[1:].rstrip("*"))  # I_n or I_n*
-    return (n + 6, n + 5) if reduced.endswith("*") else (n, max(n, 1))
+    return (n + 6, n + 5, 2) if reduced.endswith("*") else (n, max(n, 1), 1)
 
 
 def euler_number(tag: str) -> int:
@@ -115,8 +128,15 @@ class FibrationData(NamedTuple):
         out.extend(self._meetings(config))
         if config.blowup_count == 0:
             # a blow-up on a fiber leaves its strict transform, not a fiber
-            out.extend(self._kodaira(config, tracked))
-            out.extend(self._one_class(config, tracked))
+            weighted = []
+            for f in tracked:
+                m = _multiplicities(config, f)
+                reason = _not_kodaira(config, f, m)
+                if reason:
+                    out.append(Violation("fibration", f.tag, f"not a Kodaira {f.type}: {reason}"))
+                if m is not None:
+                    weighted.append((f, m))
+            out.extend(self._one_class(config, weighted))
         out.extend(self._shioda_tate(config.surface))
         if config.surface.kind == "enriques":
             doubles = sum(1 for f in self.fibers if f.multiplicity == 2)
@@ -144,50 +164,31 @@ class FibrationData(NamedTuple):
                           f"sum of (components - 1) over the fibers is {excess}, "
                           f"above rho_max - 2 = {rho_max - 2}")]
 
-    def _kodaira(self, config, tracked) -> list:
-        """Each fully tracked fiber of type I_n, or 2I_n by its reduced type,
-        is Kodaira's: I_1 is one curve of genus 1 and self-intersection 0 (a
-        nodal rational curve), I_2 two smooth rational (-2)-curves that pair
-        2, and I_n for n >= 3 one connected cycle of n smooth rational
-        (-2)-curves.  The additive types (I_n*, II, III, IV, IV*, III*, II*)
-        are not checked.  A fiber that repeats a component is reported above
-        and skipped here."""
-        out = []
-        for f in tracked:
-            n = _i_n(f.type)
-            if n is not None:
-                reason = _not_i_n(config, f.components)
-                if reason:
-                    out.append(Violation("fibration", f.tag, f"not a Kodaira I{n}: {reason}"))
-        return out
-
-    def _one_class(self, config, tracked) -> list:
+    def _one_class(self, config, weighted) -> list:
         """The fibers of one fibration share one numerical class: for every
-        fully tracked fiber, multiplicity * (sum of its components) pairs the
-        same way with every curve.  The starred types are skipped, since
-        their class weights components by multiplicities the data do not
-        give.  Only the curves outside the fibers are compared: that every
-        fiber class pairs 0 with the fibers' own curves is what the
-        disjointness and Kodaira rules check.  Like the 2-section check, a
-        curve's pairing with a fiber is read from the curve's row.  Each
-        fiber that differs from the first one is reported once, at the first
-        curve that tells them apart."""
-        tracked = [f for f in tracked if not f.type.endswith("*")]
-        if len(tracked) < 2:
+        fully tracked fiber f with multiplicities m, f.multiplicity *
+        sum m_i C_i pairs the same way with every curve.  Only the curves
+        outside the fibers are compared: that every fiber class pairs 0 with
+        the fibers' own curves is what the disjointness and Kodaira rules
+        check.  Like the 2-section check, a curve's pairing with a fiber is
+        read from the curve's row.  Each fiber that differs from the first
+        one is reported once, at the first curve that tells them apart."""
+        if len(weighted) < 2:
             return []
         inside = {c for f in self.fibers for c in f.components}
         outside = [(c.name, row) for c, row in zip(config.curves, config.pairing)
                    if c.name not in inside]
 
-        def pairs(f):
+        def pairs(f, m):
             at = [config.index_of(c) for c in f.components]
-            return [f.multiplicity * sum(map(row.__getitem__, at)) for _, row in outside]
+            return [f.multiplicity * sum(map(mul, m, map(row.__getitem__, at)))
+                    for _, row in outside]
 
-        first = tracked[0]
-        reference = pairs(first)
+        first = weighted[0][0]
+        reference = pairs(*weighted[0])
         out = []
-        for g in tracked[1:]:
-            for (name, _), x, y in zip(outside, reference, pairs(g)):
+        for g, m in weighted[1:]:
+            for (name, _), x, y in zip(outside, reference, pairs(g, m)):
                 if x != y:
                     out.append(Violation(
                         "fibration", "fiber-class",
@@ -217,48 +218,47 @@ class FibrationData(NamedTuple):
         return out
 
 
-def _not_i_n(config, names) -> Optional[str]:
-    """Why the named curves are not a fiber of type I_n, n = len(names), or
-    None when they are one (see ``FibrationData._kodaira``)."""
-    at = [config.index_of(c) for c in names]
-    curves = [config.curves[i] for i in at]
-    if len(names) == 1:
-        c = curves[0]
-        if (c.genus, c.self_int) != (1, 0):
+def _multiplicities(config, f) -> Optional[tuple[int, ...]]:
+    """Kodaira's multiplicities of the components of fully tracked fiber f:
+    all 1 when the type's largest is 1, else the positive primitive vector
+    that spans the kernel of their pairing, or None when no such vector
+    spans it."""
+    if _fiber_numbers(f.type)[2] == 1:
+        return (1,) * len(f.components)
+    at = [config.index_of(c) for c in f.components]
+    e = eliminate([[config.pairing[i][j] for j in at] for i in at])
+    if e.rank == len(at) - 1 and min(e.relations[0]) > 0:
+        return e.relations[0]
+    return None
+
+
+def _not_kodaira(config, f, m) -> Optional[str]:
+    """Why fully tracked fiber f, which repeats no component, is not Kodaira's
+    (module docstring), or None; m is ``_multiplicities(config, f)``."""
+    at = [config.index_of(c) for c in f.components]
+    single = len(at) == 1  # I1 or II
+    for i in at:
+        c = config.curves[i]
+        if single and (c.genus, c.self_int) != (1, 0):
             return (f"{c.name} has genus {c.genus} and self-intersection {c.self_int}, "
                     f"not 1 and 0")
-        return None
-    for c in curves:
-        if (c.genus, c.self_int) != (0, -2):
+        if not single and (c.genus, c.self_int) != (0, -2):
             return f"{c.name} is not a smooth rational (-2)-curve"
-    rows = [config.pairing[i] for i in at]
-    if len(names) == 2:
-        value = rows[0][at[1]]
-        return None if value == 2 else f"{names[0]}.{names[1]} pair to {value}, not 2"
-    n = len(names)
-    within = itemgetter(*at)  # a row's entries at the fiber's components
-    neighbours = []
-    for k, row in enumerate(rows):
-        # the pairings of component k with the others, in fiber order
-        others = within(row)
-        others = others[:k] + others[k + 1:]
-        if others.count(1) != 2 or others.count(0) != n - 3:
-            for b, value in zip(names[:k] + names[k + 1:], others):
-                if value not in (0, 1):
-                    return f"{names[k]}.{b} pair to {value}, not 0 or 1"
-            return f"{names[k]} meets {others.count(1)} of the other components, not 2"
-        a = others.index(1)
-        b = others.index(1, a + 1)
-        neighbours.append((a + (a >= k), b + (b >= k)))
-    # every component meets two others: walk from the first along its cycle
-    prev, here = None, 0
-    for length in range(1, n + 1):
-        a, b = neighbours[here]
-        prev, here = here, (b if a == prev else a)
-        if here == 0:
-            break
-    if here != 0 or length != n:
-        return "the components do not form a single cycle"
+    if m is None:
+        return "the kernel of the components' pairing is not spanned by a positive vector"
+    rows = [[config.pairing[i][j] for j in at] for i in at]
+    for name, row in zip(f.components, rows):
+        x = sum(map(mul, m, row))
+        if x:
+            return f"{name} pairs {x} with the fiber class, not 0"
+    reached = [0]
+    for i in reached:  # the list grows as the walk reaches components
+        reached += [j for j, x in enumerate(rows[i]) if x and j not in reached]
+    if len(reached) < len(at):
+        return "the components are not connected"
+    top = _fiber_numbers(f.type)[2]
+    if max(m) != top:
+        return f"the largest multiplicity is {max(m)}, not {top}"
     return None
 
 
@@ -292,23 +292,23 @@ def euler_sum_check(fibration: FibrationData, chi: int) -> EulerCheck:
 def two_section_incidence_check(config) -> list:
     """Check 2-section degrees against every fully tracked fiber.
 
-    A 2-section meets a non-multiple fiber in total degree 2 and the reduced
-    curve of a multiplicity-2 fiber in total degree 1.  Fibers with partial
-    component lists are skipped (the data cannot decide), and so are the
-    starred types, whose components the fiber counts with multiplicities the
-    data do not give.
+    A 2-section meets the fiber class in degree 2, so it meets the
+    components weighted by their multiplicities (``_multiplicities``) in
+    total 2, or 1 for a multiplicity-2 fiber, whose reduced curve they are.
+    Fibers with partial component lists are skipped (the data cannot
+    decide), and so is a starred fiber whose pairing gives no multiplicities.
     """
-    out = []
     fib = config.fibration
-    if fib is None:
-        return out
-    tracked = [f for f in fib.fibers
-               if f.is_fully_tracked() and f.components and not f.type.endswith("*")]
+    if fib is None or not fib.two_sections:
+        return []
+    tracked = [(f, m) for f in fib.fibers if f.is_fully_tracked()
+               for m in [_multiplicities(config, f)] if m is not None]
     index_of = config.index_of
+    out = []
     for s in fib.two_sections:
         row = config.pairing[index_of(s)]
-        for f in tracked:
-            total = sum([row[index_of(c)] for c in f.components])
+        for f, m in tracked:
+            total = sum([x * row[index_of(c)] for x, c in zip(m, f.components)])
             expected = 1 if f.multiplicity == 2 else 2
             if total != expected:
                 out.append(Violation(

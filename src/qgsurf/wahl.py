@@ -192,10 +192,10 @@ def recognize_class_T(entries) -> ClassTData | None:
 
 def index(entries) -> int:
     """Index of the contracted singular point (the n of the recognizer)."""
-    data = recognize_class_T(entries)
-    if data is None:
-        raise NotClassTError(f"chain {tuple(entries)} is not of the smoothable family")
-    return data.index
+    summary = summarize(entries)
+    if summary.class_t is None:
+        raise NotClassTError(f"chain {summary.chain} is not of the smoothable family")
+    return summary.class_t.index
 
 
 def _seeds(max_len: int, max_entry: int):

@@ -1,5 +1,6 @@
 """The document pipeline's per-entry checks as they were before their fast
-paths: the tests' oracles.
+paths, and the fiber rule as it was before Zariski's lemma: the tests'
+oracles.
 
 ``qgsurf.config.point_violations`` and ``snc_certificate`` resolve each
 branch once and key local intersections by index pairs,
@@ -10,13 +11,17 @@ block only when the rank falls short and leaves a row alone when its pivot
 step would not change it.  The functions here do none of that: they resolve
 names per lookup, key by frozensets of names, walk every entry, update every
 row and always carry the block, so the fast paths are checked against code
-that takes none of their shortcuts.
+that takes none of their shortcuts.  ``not_i_n`` is the I_n rule that
+``qgsurf.fibration``'s one rule for every Kodaira type replaced: it tests
+I1, I2 and the n-cycle case by case.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import gcd
+from operator import itemgetter
+from typing import Optional
 
 from qgsurf.errors import MissingPointDataError, UnknownCurveError, Violation
 from qgsurf.ratlin import Elimination, _grid, _odd
@@ -184,14 +189,26 @@ def snc_certificate(config, divisor) -> list[Violation]:
     return out
 
 
+def _multiplicities(config, f) -> Optional[list[int]]:
+    """Kodaira's multiplicities of a fully tracked fiber's components: 1
+    for an unstarred type, else the positive primitive vector spanning the
+    kernel of their pairing, or None when none spans it."""
+    if not f.type.endswith("*"):
+        return [1] * len(f.components)
+    e = eliminate([[config.pairing_of(a, b) for b in f.components] for a in f.components])
+    if e.rank == len(f.components) - 1 and all(x > 0 for x in e.relations[0]):
+        return list(e.relations[0])
+    return None
+
+
 def two_section_incidence_check(config) -> list:
     """Check 2-section degrees against every fully tracked fiber.
 
-    A 2-section meets a non-multiple fiber in total degree 2 and the reduced
-    curve of a multiplicity-2 fiber in total degree 1.  Fibers with partial
-    component lists are skipped (the data cannot decide), and so are the
-    starred types, whose components the fiber counts with multiplicities the
-    data do not give.
+    A 2-section meets the components of a non-multiple fiber, weighted by
+    their multiplicities, in total degree 2 and the reduced curve of a
+    multiplicity-2 fiber in total degree 1.  Fibers with partial component
+    lists are skipped (the data cannot decide), and so are starred fibers
+    whose pairing gives no multiplicities.
     """
     out = []
     fib = config.fibration
@@ -201,12 +218,63 @@ def two_section_incidence_check(config) -> list:
         if not config.has_curve(s):
             raise UnknownCurveError(s)
         for f in fib.fibers:
-            if not f.is_fully_tracked() or not f.components or f.type.endswith("*"):
+            if not f.is_fully_tracked():
                 continue
-            total = sum(config.pairing_of(s, c) for c in f.components)
+            m = _multiplicities(config, f)
+            if m is None:
+                continue
+            total = sum(x * config.pairing_of(s, c) for x, c in zip(m, f.components))
             expected = 1 if f.multiplicity == 2 else 2
             if total != expected:
                 out.append(Violation(
                     "two-section", f"{s}.{f.tag}",
                     f"total intersection {total}, expected {expected}"))
     return out
+
+
+def not_i_n(config, names) -> Optional[str]:
+    """Why the named curves are not a fiber of type I_n, n = len(names), or
+    None when they are one: I_1 is one curve of genus 1 and self-intersection
+    0 (a nodal rational curve), I_2 two smooth rational (-2)-curves that
+    pair 2, and I_n for n >= 3 one connected cycle of n smooth rational
+    (-2)-curves."""
+    at = [config.index_of(c) for c in names]
+    curves = [config.curves[i] for i in at]
+    if len(names) == 1:
+        c = curves[0]
+        if (c.genus, c.self_int) != (1, 0):
+            return (f"{c.name} has genus {c.genus} and self-intersection {c.self_int}, "
+                    f"not 1 and 0")
+        return None
+    for c in curves:
+        if (c.genus, c.self_int) != (0, -2):
+            return f"{c.name} is not a smooth rational (-2)-curve"
+    rows = [config.pairing[i] for i in at]
+    if len(names) == 2:
+        value = rows[0][at[1]]
+        return None if value == 2 else f"{names[0]}.{names[1]} pair to {value}, not 2"
+    n = len(names)
+    within = itemgetter(*at)  # a row's entries at the fiber's components
+    neighbours = []
+    for k, row in enumerate(rows):
+        # the pairings of component k with the others, in fiber order
+        others = within(row)
+        others = others[:k] + others[k + 1:]
+        if others.count(1) != 2 or others.count(0) != n - 3:
+            for b, value in zip(names[:k] + names[k + 1:], others):
+                if value not in (0, 1):
+                    return f"{names[k]}.{b} pair to {value}, not 0 or 1"
+            return f"{names[k]} meets {others.count(1)} of the other components, not 2"
+        a = others.index(1)
+        b = others.index(1, a + 1)
+        neighbours.append((a + (a >= k), b + (b >= k)))
+    # every component meets two others: walk from the first along its cycle
+    prev, here = None, 0
+    for length in range(1, n + 1):
+        a, b = neighbours[here]
+        prev, here = here, (b if a == prev else a)
+        if here == 0:
+            break
+    if here != 0 or length != n:
+        return "the components do not form a single cycle"
+    return None

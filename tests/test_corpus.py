@@ -102,7 +102,7 @@ def test_negative_control_corrupted_pairing():
     # with the point dropped as well, the I9 fiber is no longer a cycle
     doc["points"] = [p for p in doc["points"] if p["name"] != "N67"]
     with pytest.raises(config_mod.ValidationError,
-                       match=r"fibration\[I9\]: not a Kodaira I9: G6 meets 1 "):
+                       match=r"fibration\[I9\]: not a Kodaira I9: G6 pairs -1 with "):
         config_mod.parse(doc)
     # and the plan stage catches it on its own
     parsed = config_mod.parse_unvalidated(doc)

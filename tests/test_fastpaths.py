@@ -5,10 +5,13 @@
 per-entry versions kept in ``pipeline_oracle`` on mutated stages of the
 shipped documents and on random integer matrices: the violation lists must
 be equal, in the same order, an input error must be the same error with
-the same message, and the elimination witnesses must be equal.  Every
-blow-up stage starts from a copy of its parent's name table; each must
-resolve exactly its own curves.
+the same message, and the elimination witnesses must be equal.  The fiber
+rule must pass and fail the I_n fibers that the I_n rule it replaced
+passes and fails.  Every blow-up stage starts from a copy of its parent's
+name table; each must resolve exactly its own curves.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +129,53 @@ def test_two_section_check_matches_the_oracle(cfg, data):
     cfg = _one_sided_edit(cfg, data, [n for n in sections if n != UNKNOWN], components)
     assert (_outcome(two_section_incidence_check, cfg)
             == _outcome(oracle.two_section_incidence_check, cfg))
+
+
+# (genus, self-intersection) of a curve that can sit in an I_n fiber or
+# nearly: a smooth rational (-2)-curve, a nodal curve of square 0, a (-3)-curve
+CURVE_KINDS = [(0, -2), (1, 0), (0, -3)]
+
+
+@st.composite
+def i_n_fibers(draw):
+    """A configuration and one fully tracked I_n fiber in it: either n <= 6
+    curves with pairings 0 to 2, drawn from a cycle or from nothing, or a
+    shipped document's base with one pairing between two of its I9's
+    components set to 0, 1 or 2."""
+    if draw(st.booleans()):
+        cfg = draw(st.sampled_from([run.stages[0] for run in RUNS.values()]))
+        (fiber,) = [f for f in cfg.fibration.fibers if f.type == "I9"]
+        a, b = draw(st.lists(st.sampled_from(fiber.components), min_size=2, max_size=2,
+                             unique=True))
+        return _edit(cfg, cfg.index_of(a), cfg.index_of(b), draw(st.integers(0, 2))), fiber
+    n = draw(st.integers(1, 6))
+    names = [f"C{i}" for i in range(n)]
+    rational = draw(st.booleans())
+    curves = [{"name": c, "genus": g, "self": s, "Kdeg": -2 - s + 2 * g, "tags": []}
+              for c, (g, s) in zip(names, [(0, -2)] * n if rational else
+                                   draw(st.lists(st.sampled_from(CURVE_KINDS),
+                                                 min_size=n, max_size=n)))]
+    pairs = list(itertools.combinations(range(n), 2))
+    cycle = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
+    entries = dict.fromkeys(cycle, 1) if draw(st.booleans()) else {}
+    for _ in range(draw(st.integers(0, 2))):
+        if pairs:
+            entries[draw(st.sampled_from(pairs))] = draw(st.integers(0, 2))
+    doc = {"surface": {"kind": "other", "chi": 1, "K2": 0, "K_num_trivial": False},
+           "curves": curves,
+           "pairing": [[names[i], names[j], v] for (i, j), v in entries.items() if i != j],
+           "fibration": {"fibers": [{"type": f"I{n}", "components": names}]}}
+    cfg = parse_unvalidated(doc).configuration
+    return cfg, cfg.fibration.fibers[0]
+
+
+@given(i_n_fibers())
+@settings(max_examples=400, deadline=None)
+def test_fiber_rule_passes_the_i_n_fibers_the_i_n_rule_passes(case):
+    cfg, fiber = case
+    failed = any(v.subject == fiber.tag and v.detail.startswith("not a Kodaira ")
+                 for v in cfg.fibration.validate(cfg))
+    assert failed == (oracle.not_i_n(cfg, fiber.components) is not None)
 
 
 def _k4_final():

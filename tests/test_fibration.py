@@ -173,10 +173,11 @@ def _i0_star_with_two_section():
     }
 
 
-def test_two_section_starred_fiber_skipped(tmp_path):
-    """The data give no component multiplicities, so a starred fiber is not
-    held to the 2-section rule.  Summing the pairings without them, this
-    document printed a two-section violation and exited 1."""
+def test_two_section_meets_an_i0_star_fiber_with_multiplicities(tmp_path):
+    """The centre of an I0* has multiplicity 2, so S.F = 2 when S meets it
+    once.  Before the fiber rule gave multiplicities, a starred fiber was
+    not held to the 2-section rule; summed without them, this document had
+    printed a two-section violation and exited 1."""
     doc = _i0_star_with_two_section()
     assert two_section_incidence_check(config_mod.parse(doc).configuration) == []
     path = tmp_path / "i0-star.json"
@@ -184,6 +185,10 @@ def test_two_section_starred_fiber_skipped(tmp_path):
     out = io.StringIO()
     assert cli.run(["verify", str(path)], out=out) == 0
     assert not [x for x in out.getvalue().splitlines() if x.startswith("violation=")]
+    # S on a leg instead: S.F = 1
+    doc["pairing"][-1] = ["S", "C1", 1]
+    assert [str(v) for v in two_section_incidence_check(config_mod.parse(doc).configuration)] == [
+        "two-section[S.I0*]: total intersection 1, expected 2"]
 
 
 def test_corpus_incidence_clean(corpus_results):
@@ -272,6 +277,19 @@ def test_fibration_validate_multiple_fiber_reduced_type():
     cfg = config_mod.parse_unvalidated(cfg_doc).configuration
     violations = bad.validate(cfg)
     assert any("reduced type I_n" in v.detail for v in violations)
+
+
+def test_fibration_validate_two_multiple_fibers():
+    doc = {
+        "surface": {"kind": "enriques", "chi": 1, "K2": 0, "K_num_trivial": True},
+        "curves": [{"name": "A", "self": -2, "genus": 0, "Kdeg": 0, "tags": []}],
+        "fibration": {
+            "fibers": [{"type": "2I1", "multiplicity": 2, "components": []},
+                       {"type": "2I2", "multiplicity": 2, "components": []}],
+        },
+    }
+    cfg = config_mod.parse_unvalidated(doc).configuration
+    assert [v for v in cfg.fibration.validate(cfg) if v.subject == "multiple-fibers"] == []
 
 
 def test_fibration_validate_too_many_multiple_fibers():
@@ -374,8 +392,8 @@ _TWO_CLASSES = {"surface": _ENRIQUES, "curves": [_rational(c) for c in "ABCDES"]
                                          {"type": "I2", "components": ["D", "E"]}]}}
 
 _FIBER_RULES = [
-    pytest.param(_I3_CHAIN, "fibration[I3]: not a Kodaira I3: A meets 1 of the other "
-                            "components, not 2", id="i3-chain"),
+    pytest.param(_I3_CHAIN, "fibration[I3]: not a Kodaira I3: A pairs -1 with the fiber "
+                            "class, not 0", id="i3-chain"),
     pytest.param(_I1_RATIONAL, "fibration[I1]: not a Kodaira I1: A has genus 0 and "
                                "self-intersection -2, not 1 and 0", id="i1-rational"),
     pytest.param(_TWO_CLASSES, "fibration[fiber-class]: fibers I3 and I2 pair to 1 and 0 "
@@ -420,12 +438,15 @@ _NODAL = {"name": "N", "self": 0, "genus": 1, "Kdeg": 0, "tags": []}
      [("A", "B", 1), ("B", "C", 1), ("C", "A", 1)], []),
     ([{"type": "2I4", "components": ["A", "B", "C", "D"]}], [_rational(c) for c in "ABCD"],
      [("A", "B", 1), ("B", "C", 1), ("C", "D", 1), ("D", "A", 1)], []),
-    # partly tracked and additive fibers are not checked
+    # a partly tracked fiber is not checked
     ([{"type": "I3", "components": ["A"]}], [_rational("A")], (), []),
-    ([{"type": "III", "components": ["A", "B"]}], [_rational("A"), _rational("B")], (), []),
+    # a III whose curves do not meet
+    ([{"type": "III", "components": ["A", "B"]}], [_rational("A"), _rational("B")], (),
+     ["fibration[III]: not a Kodaira III: A pairs -2 with the fiber class, not 0"]),
     # I2 whose curves pair 1
     ([{"type": "I2", "components": ["A", "B"]}], [_rational("A"), _rational("B")],
-     [("A", "B", 1)], ["fibration[I2]: not a Kodaira I2: A.B pair to 1, not 2"]),
+     [("A", "B", 1)], ["fibration[I2]: not a Kodaira I2: A pairs -1 with the fiber class, "
+                       "not 0"]),
     # a (-3)-curve in a cycle
     ([{"type": "I3", "components": ["A", "B", "C"]}],
      [_rational("A"), _rational("B"), {**_rational("C"), "self": -3, "Kdeg": 1}],
@@ -434,11 +455,11 @@ _NODAL = {"name": "N", "self": 0, "genus": 1, "Kdeg": 0, "tags": []}
     # two components that pair 2 inside an I3
     ([{"type": "I3", "components": ["A", "B", "C"]}], [_rational(c) for c in "ABC"],
      [("A", "B", 2), ("B", "C", 1), ("C", "A", 1)],
-     ["fibration[I3]: not a Kodaira I3: A.B pair to 2, not 0 or 1"]),
+     ["fibration[I3]: not a Kodaira I3: A pairs 1 with the fiber class, not 0"]),
     # two disjoint 3-cycles declared as one I6
     ([{"type": "I6", "components": list("ABCDEF")}], [_rational(c) for c in "ABCDEF"],
      [("A", "B", 1), ("B", "C", 1), ("C", "A", 1), ("D", "E", 1), ("E", "F", 1), ("F", "D", 1)],
-     ["fibration[I6]: not a Kodaira I6: the components do not form a single cycle"]),
+     ["fibration[I6]: not a Kodaira I6: the components are not connected"]),
     # a 2I2 and an I1 with a curve S: 2*(A + B).S = 2 = N.S, one class
     ([{"type": "2I2", "components": ["A", "B"]}, {"type": "I1", "components": ["N"]}],
      [_rational("A"), _rational("B"), _NODAL, _rational("S")],
@@ -455,8 +476,116 @@ _NODAL = {"name": "N", "self": 0, "genus": 1, "Kdeg": 0, "tags": []}
       {"type": "I1", "components": ["N"]}],
      [_rational(c) for c in ("C", "A1", "A2", "A3", "A4", "S")] + [_NODAL],
      [("C", a, 1) for a in ("A1", "A2", "A3", "A4")] + [("S", "C", 1), ("S", "N", 2)], []),
+    # the same with N.S = 1
+    ([{"type": "I0*", "components": ["C", "A1", "A2", "A3", "A4"]},
+      {"type": "I1", "components": ["N"]}],
+     [_rational(c) for c in ("C", "A1", "A2", "A3", "A4", "S")] + [_NODAL],
+     [("C", a, 1) for a in ("A1", "A2", "A3", "A4")] + [("S", "C", 1), ("S", "N", 1)],
+     ["fibration[fiber-class]: fibers I0* and I1 pair to 2 and 1 with S, "
+      "so they are not one class"]),
 ], ids=["I1", "2I1", "I2", "I3", "2I4", "partial", "additive", "I2-pair-1", "I3-minus-3",
-        "I3-pair-2", "I6-two-cycles", "one-class", "two-classes", "starred"])
+        "I3-pair-2", "I6-two-cycles", "one-class", "two-classes", "starred",
+        "starred-two-classes"])
 def test_fibration_validate_kodaira_type_and_one_class(fibers, curves, pairing, found):
     cfg = config_mod.parse_unvalidated(_fibration_doc(fibers, curves, pairing)).configuration
     assert [str(v) for v in cfg.fibration.validate(cfg)] == found
+
+
+def _chain(names):
+    return [(a, b, 1) for a, b in zip(names, names[1:])]
+
+
+def _cycle(names):
+    return _chain(names) + [(names[-1], names[0], 1)]
+
+
+# Kodaira's fibers as the extended Dynkin diagrams of their components
+_D4 = ["C0", "C1", "C2", "C3", "C4"]                 # I0*: centre C0, multiplicity 2
+_D5 = ["A", "B", "A1", "A2", "B1", "B2"]             # I1*: A, B of multiplicity 2
+_E6 = ["C", "A1", "A2", "B1", "B2", "D1", "D2"]      # IV*: centre C, multiplicity 3
+_E7 = ["L3", "L2", "L1", "C", "R1", "R2", "R3", "P"]  # III*: centre C, multiplicity 4
+_E8 = ["C", "P", "A1", "A2", "B1", "B2", "B3", "B4", "B5"]  # II*: centre C, multiplicity 6
+_KODAIRA_FIBERS = {
+    "I1": ([_NODAL], []),
+    "II": ([_NODAL], []),
+    "I4": ([_rational(c) for c in "ABCD"], _cycle("ABCD")),
+    "2I3": ([_rational(c) for c in "ABC"], _cycle("ABC")),
+    "III": ([_rational(c) for c in "AB"], [("A", "B", 2)]),
+    "IV": ([_rational(c) for c in "ABC"], _cycle("ABC")),
+    "I0*": ([_rational(c) for c in _D4], [("C0", c, 1) for c in _D4[1:]]),
+    "I1*": ([_rational(c) for c in _D5],
+            [("A", "B", 1), ("A", "A1", 1), ("A", "A2", 1), ("B", "B1", 1), ("B", "B2", 1)]),
+    "IV*": ([_rational(c) for c in _E6],
+            _chain(["A2", "A1", "C", "B1", "B2"]) + _chain(["C", "D1", "D2"])),
+    "III*": ([_rational(c) for c in _E7], _chain(_E7[:7]) + [("C", "P", 1)]),
+    "II*": ([_rational(c) for c in _E8],
+            [("C", "P", 1)] + _chain(["A2", "A1", "C", "B1", "B2", "B3", "B4", "B5"])),
+}
+_NO_KERNEL = "the kernel of the components' pairing is not spanned by a positive vector"
+_SQUARE_MINUS_ONE = {**_NODAL, "self": -1, "Kdeg": 1}  # genus 1, so adjunction holds
+
+
+def _fiber_doc(tag, curves, pairing):
+    return _fibration_doc([{"type": tag, "components": [c["name"] for c in curves]}],
+                          curves, pairing)
+
+
+def _near_miss(tag, a, b, value):
+    """The accepted fiber of type ``tag`` with a.b set to ``value``."""
+    curves, pairing = _KODAIRA_FIBERS[tag]
+    pairing = [p for p in pairing if {p[0], p[1]} != {a, b}] + ([(a, b, value)] if value else [])
+    return _fiber_doc(tag, curves, pairing)
+
+
+_NEAR_MISSES = [
+    pytest.param(_fiber_doc("I1", [_SQUARE_MINUS_ONE], []),
+                 "N has genus 1 and self-intersection -1, not 1 and 0", id="I1"),
+    pytest.param(_fiber_doc("II", [_SQUARE_MINUS_ONE], []),
+                 "N has genus 1 and self-intersection -1, not 1 and 0", id="II"),
+    pytest.param(_near_miss("I4", "D", "A", 0), "A pairs -1 with the fiber class, not 0",
+                 id="I4"),
+    pytest.param(_near_miss("2I3", "A", "B", 2), "A pairs 1 with the fiber class, not 0",
+                 id="2I3"),
+    pytest.param(_near_miss("III", "A", "B", 1), "A pairs -1 with the fiber class, not 0",
+                 id="III"),
+    pytest.param(_near_miss("IV", "A", "B", 0), "A pairs -1 with the fiber class, not 0",
+                 id="IV"),
+    pytest.param(_near_miss("I0*", "C1", "C2", 1), _NO_KERNEL, id="I0*"),
+    pytest.param(_near_miss("I1*", "B", "B2", 0), _NO_KERNEL, id="I1*"),
+    pytest.param(_near_miss("IV*", "A2", "B2", 1), _NO_KERNEL, id="IV*"),
+    pytest.param(_near_miss("III*", "C", "P", 0), _NO_KERNEL, id="III*"),
+    pytest.param(_near_miss("II*", "B5", "P", 1), _NO_KERNEL, id="II*"),
+    # Ã4, a 5-cycle, has the kernel vector (1, ..., 1): all multiplicities 1
+    pytest.param(_fiber_doc("I0*", _KODAIRA_FIBERS["I0*"][0], _cycle(_D4)),
+                 "the largest multiplicity is 1, not 2", id="I0*-five-cycle"),
+    # A9, a chain of nine curves, is negative definite
+    pytest.param(_fiber_doc("II*", _KODAIRA_FIBERS["II*"][0], _chain(_E8)), _NO_KERNEL,
+                 id="II*-A9-chain"),
+    # D̃4 and an isolated curve: a kernel vector with a 0 on that curve
+    pytest.param(_fiber_doc("I1*", _KODAIRA_FIBERS["I1*"][0],
+                            [("A", c, 1) for c in ("B", "A1", "A2", "B1")]), _NO_KERNEL,
+                 id="I1*-D4-and-a-curve"),
+]
+
+
+@pytest.mark.parametrize("tag", list(_KODAIRA_FIBERS))
+def test_verify_accepts_each_kodaira_fiber(tag, tmp_path):
+    path = tmp_path / "fiber.json"
+    path.write_text(json.dumps(_fiber_doc(tag, *_KODAIRA_FIBERS[tag])))
+    out = io.StringIO()
+    assert cli.run(["verify", str(path)], out=out) == 0
+    assert not [x for x in out.getvalue().splitlines() if x.startswith("violation=")]
+
+
+@pytest.mark.parametrize("doc, reason", _NEAR_MISSES)
+def test_verify_rejects_a_near_miss_of_each_kodaira_fiber(doc, reason, tmp_path):
+    """One wrong pairing in each accepted fiber, and three graphs with the
+    right component count that are not the type's diagram."""
+    path = tmp_path / "fiber.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert cli.run(["verify", str(path)], out=out) == 1
+    (fiber,) = doc["fibration"]["fibers"]
+    tag = fiber["type"]
+    assert [x for x in out.getvalue().splitlines() if x.startswith("violation=")] == [
+        f"violation=base: fibration[{tag}]: not a Kodaira {tag.lstrip('2')}: {reason}"]

@@ -175,3 +175,16 @@ def test_importing_the_package_loads_no_module(fresh_env):
     assert set(PUBLIC) | set(SUBMODULES) | {"__version__"} <= set(listed.split())
     assert after_rank.split() == ["errors", "ratlin"]
     assert {"cli", "corpus"} <= set(after_from.split())
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("tree", ["src", "tests", "perfbench"])
+def test_sources_parse_as_python_3_10(tree):
+    # the package supports Python 3.10 (pyproject's requires-python); a
+    # newer construct, such as an ``except*`` clause, fails here on 3.11
+    paths = sorted((ROOT / tree).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

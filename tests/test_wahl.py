@@ -99,6 +99,12 @@ def test_index_rejects_non_members():
         index([5])
 
 
+def test_index_names_the_chain_an_iterator_held():
+    # the entries are read once; the message used to print "chain ()"
+    with pytest.raises(NotClassTError, match=r"^chain \(5,\) is not of the smoothable family$"):
+        index(iter([5]))
+
+
 def test_generate_smallest_bounds():
     assert generate_class_T(1, 4) == {(4,)}
 
