@@ -9,9 +9,7 @@ whole document format: ``parse_unvalidated`` reads every section and
 linear algebra is exact.
 
 Each record has one parser, which reads it once, field by field, and each
-field's rule is written once; a cheap guard (an exact-type test, or a
-superset test of the curve names) may stand only before a call that
-formats a message and raises.
+field's rule is written once.
 """
 
 from __future__ import annotations
@@ -320,10 +318,7 @@ def _parse_surface(obj) -> SurfaceInvariants:
 
 def _int_field(obj: dict, key: str, where: str) -> int:
     """The required integer field ``key`` of the record ``obj`` at ``where``."""
-    value = obj.get(key)
-    if type(value) is not int:
-        value = _as_int(_need(obj, key, where), f"{where}.{key}")
-    return value
+    return _as_int(_need(obj, key, where), f"{where}.{key}")
 
 
 def _parse_curve(obj) -> CurveClass:
@@ -352,16 +347,16 @@ def _parse_pairing(raw, curves: tuple[CurveClass, ...]) -> tuple[tuple[int, ...]
         a, b, value = item
         if not isinstance(a, str) or not isinstance(b, str):
             raise SchemaError(f"pairing: curve names must be strings, got {a!r}, {b!r}")
-        if type(value) is not int:
-            _as_int(value, f"pairing {a}.{b}")
+        where = f"pairing {a}.{b}"
+        _as_int(value, where)
         i, j = idx.get(a), idx.get(b)
         if i is None or j is None:
             _declared((a, b), idx, "pairing")
         if i == j:
-            raise SchemaError(f"pairing {a}.{b}: self-intersections belong in the curve entry")
+            raise SchemaError(f"{where}: self-intersections belong in the curve entry")
         key = (i, j) if i < j else (j, i)
         if key in seen_pairs:
-            raise SchemaError(f"pairing {a}.{b}: duplicate pair")
+            raise SchemaError(f"{where}: duplicate pair")
         seen_pairs.add(key)
         grid[i][j] = grid[j][i] = value
     return tuple(map(tuple, grid))
@@ -369,18 +364,15 @@ def _parse_pairing(raw, curves: tuple[CurveClass, ...]) -> tuple[tuple[int, ...]
 
 def _parse_branches(raw, where: str) -> tuple[tuple[str, int], ...]:
     """[curveName, multiplicity] pairs, shared by points and blow-up steps."""
-    if type(raw) is not list:
-        raw = _array(raw, f"{where}.branches")
     branches = []
-    for item in raw:
+    mult_where = f"{where}: branch multiplicity"
+    for item in _array(raw, f"{where}.branches"):
         if not isinstance(item, list) or len(item) != 2:
             raise SchemaError(f"{where}: each branch is [curveName, multiplicity]")
         cname, mult = item
         if not isinstance(cname, str):
             raise SchemaError(f"{where}: branch curve name must be a string")
-        if type(mult) is not int:
-            mult = _as_int(mult, f"{where}: branch multiplicity")
-        if mult < 1:
+        if _as_int(mult, mult_where) < 1:
             raise SchemaError(f"{where}: branch multiplicity must be >= 1")
         branches.append((cname, mult))
     return tuple(branches)
@@ -399,8 +391,7 @@ def _parse_points(raw, known: set[str]) -> tuple[PointSpec, ...]:
         branches = _parse_branches(_need(item, "branches", where), where)
         if not branches:
             raise SchemaError(f"{where}: branches must be a nonempty list")
-        if not known.issuperset(map(_branch_curve, branches)):
-            _declared([c for c, _ in branches], known, where)
+        _declared(map(_branch_curve, branches), known, where)
         points.append(PointSpec(name=pname, branches=branches))
     return tuple(points)
 
@@ -417,9 +408,7 @@ def _parse_fiber(raw, known: set[str]) -> FiberSpec:
     if mult == 2:
         parse_tag("2" + reduced)  # the reduced type of a multiple fiber must be I_n
     where = "fibration.fibers[].components"
-    components = _strings(raw.get("components", []), where)
-    if not known.issuperset(components):
-        _declared(components, known, where)
+    components = _declared(_strings(raw.get("components", []), where), known, where)
     return FiberSpec(type=reduced, multiplicity=mult, components=components)
 
 
@@ -430,10 +419,7 @@ def _parse_fibration(obj, known: set[str]) -> FibrationData:
 
     def curve_names(key: str) -> tuple[str, ...]:
         where = f"fibration.{key}"
-        names = _strings(obj.get(key, []), where)
-        if not known.issuperset(names):
-            _declared(names, known, where)
-        return _distinct(names, where)
+        return _distinct(_declared(_strings(obj.get(key, []), where), known, where), where)
 
     return FibrationData(
         fibers=fibers,
@@ -665,23 +651,19 @@ def validate(config: Configuration) -> list[Violation]:
 
     n = len(config.curves)
     pairing = config.pairing
-    # one whole-matrix test; the loop below runs only to name what fails it
-    if not (all(pairing[i][i] == c.self_int for i, c in enumerate(config.curves))
-            and tuple(zip(*pairing)) == pairing
-            and all(min(pairing[i][i + 1:], default=0) >= 0 for i in range(n))):
-        for i in range(n):
-            if pairing[i][i] != config.curves[i].self_int:
-                out.append(Violation("pairing-diagonal", config.curves[i].name,
-                                     "diagonal differs from declared self-intersection"))
-            for j in range(i + 1, n):
-                if pairing[i][j] != pairing[j][i]:
-                    out.append(Violation("pairing-symmetry",
-                                         f"{config.curves[i].name}.{config.curves[j].name}",
-                                         "pairing not symmetric"))
-                elif pairing[i][j] < 0:
-                    out.append(Violation("pairing-sign",
-                                         f"{config.curves[i].name}.{config.curves[j].name}",
-                                         f"negative off-diagonal {pairing[i][j]}"))
+    for i in range(n):
+        if pairing[i][i] != config.curves[i].self_int:
+            out.append(Violation("pairing-diagonal", config.curves[i].name,
+                                 "diagonal differs from declared self-intersection"))
+        for j in range(i + 1, n):
+            if pairing[i][j] != pairing[j][i]:
+                out.append(Violation("pairing-symmetry",
+                                     f"{config.curves[i].name}.{config.curves[j].name}",
+                                     "pairing not symmetric"))
+            elif pairing[i][j] < 0:
+                out.append(Violation("pairing-sign",
+                                     f"{config.curves[i].name}.{config.curves[j].name}",
+                                     f"negative off-diagonal {pairing[i][j]}"))
 
     out.extend(point_violations(config, config.points))
     if config.fibration is not None:

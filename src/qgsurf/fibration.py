@@ -92,7 +92,8 @@ class FiberSpec(NamedTuple):
         return ("2" if self.multiplicity == 2 else "") + self.type
 
     def is_fully_tracked(self) -> bool:
-        return len(self.components) == _fiber_numbers(self.type)[1]
+        """Every component of the type is listed, each once."""
+        return len(set(self.components)) == len(self.components) == _fiber_numbers(self.type)[1]
 
 
 class FibrationData(NamedTuple):
@@ -104,13 +105,11 @@ class FibrationData(NamedTuple):
     def validate(self, config) -> list:
         out = []
         seen: set[str] = set()
-        tracked = []  # the fully tracked fibers that repeat no component
         for f in self.fibers:
             if f.multiplicity == 2 and _i_n(f.type) is None:
                 out.append(Violation("fibration", f.tag,
                                      "multiple fiber must have reduced type I_n"))
-            distinct = len(set(f.components)) == len(f.components)
-            if not distinct:
+            if len(set(f.components)) != len(f.components):
                 repeated = sorted(c for c, k in Counter(f.components).items() if k > 1)
                 out.append(Violation("fibration", f.tag,
                                      f"components repeated within the fiber: {repeated}"))
@@ -123,13 +122,11 @@ class FibrationData(NamedTuple):
             if len(f.components) > count:
                 out.append(Violation("fibration", f.tag,
                                      f"{len(f.components)} components exceed the type's {count}"))
-            elif len(f.components) == count and distinct:
-                tracked.append(f)
         out.extend(self._meetings(config))
         if config.blowup_count == 0:
             # a blow-up on a fiber leaves its strict transform, not a fiber
             weighted = []
-            for f in tracked:
+            for f in filter(FiberSpec.is_fully_tracked, self.fibers):
                 m = _multiplicities(config, f)
                 reason = _not_kodaira(config, f, m)
                 if reason:

@@ -85,11 +85,6 @@ def _check_plan(config: Configuration, plan: ContractionPlan
                                      f"{name} has self-intersection {curve.self_int} > -2"))
         for i, a in enumerate(ids):
             row = pairing[a]
-            # one test per row (1 with the next curve, 0 with every later one);
-            # the loop runs only to name what fails it
-            later = list(map(row.__getitem__, ids[i + 1:]))
-            if not later or (later[0] == 1 and not any(later[1:])):
-                continue
             for j in range(i + 1, len(ids)):
                 want = 1 if j == i + 1 else 0
                 got = row[ids[j]]

@@ -1,13 +1,14 @@
-"""The document parser's section parsers with every per-field check run
-unguarded: the oracle of ``test_parse_oracle``.
+"""The document parser's section parsers, each field's check written out
+where it is read: the oracle of ``test_parse_oracle``.
 
-``qgsurf.config`` reads each record once, field by field, and puts a cheap
-guard (an exact-type test, or a superset test before the undeclared-curve
-check) in front of some checks, so a check is skipped only where it would
-pass.  The functions here run every check on every record; the package's
-pairing also keys its pairs by curve index, where these key them by name.
-The shared field helpers, the JSON decoding and the sections without a
-guard (surface, smoothing hypothesis, expectations) are the package's own.
+``qgsurf.config`` runs the same checks on every record, through shared
+pieces: ``_int_field`` reads a curve's integer fields, a branch list
+formats its multiplicity location once per record, and the pairing
+resolves each entry's names to curve indices once and keys its pairs by
+index.  The functions here spell each check out in place, resolve the
+pairing's names against the curve list and key its pairs by name.  The
+field helpers, the JSON decoding and the sections written the same way in
+both (surface, smoothing hypothesis, expectations) are the package's own.
 """
 
 from __future__ import annotations

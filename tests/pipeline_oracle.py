@@ -1,17 +1,17 @@
-"""The document pipeline's per-entry checks as they were before their fast
-paths, and the fiber rule as it was before Zariski's lemma: the tests'
-oracles.
+"""The document pipeline's per-entry checks as they were first written, and
+the fiber rule as it was before Zariski's lemma: the tests' oracles.
 
 ``qgsurf.config.point_violations`` and ``snc_certificate`` resolve each
 branch once and key local intersections by index pairs,
-``qgsurf.config.validate`` tests the whole pairing matrix before it looks at
-single entries, ``qgsurf.fibration.two_section_incidence_check`` reads
+``qgsurf.fibration.two_section_incidence_check`` reads
 pairing rows by index, and ``qgsurf.ratlin.eliminate`` carries its identity
 block only when the rank falls short and leaves a row alone when its pivot
 step would not change it.  The functions here do none of that: they resolve
 names per lookup, key by frozensets of names, walk every entry, update every
-row and always carry the block, so the fast paths are checked against code
-that takes none of their shortcuts.  ``not_i_n`` is the I_n rule that
+row and always carry the block, so the package's checks are compared with
+code that takes none of their shortcuts.  ``pairing_violations`` is the
+per-entry walk that ``qgsurf.config.validate`` itself runs; it stays as
+the reference for the violations' order.  ``not_i_n`` is the I_n rule that
 ``qgsurf.fibration``'s one rule for every Kodaira type replaced: it tests
 I1, I2 and the n-cycle case by case.
 """

@@ -254,6 +254,7 @@ def test_enumerate_classt_empty_listing_prints_nothing():
     assert invoke("enumerate-classT", "--max-len", "10", "--max-entry", "2") == (0, "")
     assert invoke("--output", "json", "enumerate-classT", "--max-len", "10",
                   "--max-entry", "2") == (0, "[]\n")
+    assert invoke("enumerate-classT", "--max-len", "3", "--max-entry", "1") == (0, "")
 
 
 def test_enumerate_classt_lines_are_chain_reports():

@@ -1,6 +1,6 @@
-"""The pipeline's fast paths against the checks they replaced.
+"""The pipeline's checks against the per-entry versions they replaced.
 
-``point_violations``, ``validate``'s pairing test, ``snc_certificate``,
+``point_violations``, ``validate``'s pairing loop, ``snc_certificate``,
 ``two_section_incidence_check`` and ``eliminate`` are compared with the
 per-entry versions kept in ``pipeline_oracle`` on mutated stages of the
 shipped documents and on random integer matrices: the violation lists must

@@ -64,6 +64,24 @@ def test_verify_reads_a_zero_padded_i9_as_i9(tmp_path):
         out.getvalue().splitlines())
 
 
+def test_a_fiber_listing_a_component_twice_fails_only_the_repeat_rule(tmp_path):
+    """A fiber is fully tracked when it lists each of its type's components
+    once.  Before the 2-section check shared that definition, this copy of
+    k1 (G1 listed twice, G9 left out) also printed a two-section violation
+    for S2, which meets G9."""
+    doc = builtin("enriques-k1")
+    doc["fibration"]["fibers"][0]["components"][-1] = "G1"
+    cfg = config_mod.parse_unvalidated(doc).configuration
+    assert not cfg.fibration.fibers[0].is_fully_tracked()
+    assert two_section_incidence_check(cfg) == []
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert cli.run(["verify", str(path)], out=out) == 1
+    assert [line for line in out.getvalue().splitlines() if line.startswith("violation=")] == [
+        "violation=base: fibration[I9]: components repeated within the fiber: ['G1']"]
+
+
 def fib(*tags):
     return FibrationData(fibers=tuple(
         FiberSpec(type=parse_tag(t)[0], multiplicity=parse_tag(t)[1], components=())

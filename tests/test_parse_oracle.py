@@ -1,16 +1,16 @@
 """The package's section parsers against the per-field parsers of ``parse_oracle``.
 
-The package runs the same per-field checks with a cheap guard in front of
-some of them (an exact-type test, or a superset test before the undeclared
-curve check), so a check is skipped only where it would pass.  Every field
+The package runs the same per-field checks as the oracle, through shared
+pieces of its own (see ``parse_oracle``).  Every field
 of the six shipped documents is in turn replaced by each value of a fixed
 list of bad values and deleted; an object also gains an unknown field, and
 a list element is replaced by the one before it (a repeated record).
 ``config.parse_unvalidated`` must return a Document equal to the oracle's
 or raise the same exception type with the same message, and that exception
 must be a ``QgsurfError``.  A list of more than three elements is mutated
-at its first, second and last element.  ``_Int(1)`` and ``_Str("G1")`` fail
-every exact-type guard and must still parse as the checks behind it parse.
+at its first, second and last element.  ``_Int(1)`` and ``_Str("G1")`` are
+subclass instances, which a test of the exact type would misread; they
+must parse as the per-field checks parse them.
 """
 
 import copy
@@ -24,8 +24,7 @@ from qgsurf.errors import QgsurfError
 
 
 class _Int(int):
-    """An int that is not exactly ``int``: it fails the exact-type guards,
-    and the per-field checks behind them accept it."""
+    """An int that is not exactly ``int``, accepted wherever an integer is."""
 
 
 class _Str(str):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgsurf.config import Configuration, CurveClass, SurfaceInvariants
+from qgsurf.config import Configuration, CurveClass, SurfaceInvariants, parse
 from qgsurf.errors import DomainError, PlanInvalidError, Violation
 from qgsurf.smoothing import (
     ContractionPlan,
@@ -369,3 +369,32 @@ def test_pullback_requires_valid_plan():
     cfg = chain_config([5], extra=[("C", -2, 0, 0)], extra_pairs=[("C", "Z0", 1)])
     with pytest.raises(PlanInvalidError):
         pullbacks(cfg, ContractionPlan(chains=(("Z0",),)))
+
+
+def _minus_four_and_minus_three(chains):
+    """Kind "other" with chi = 1 and K^2 = -1: a (-4)-curve A (K.A = 2) and a
+    disjoint (-3)-curve B (K.B = 1), with the given plan chains."""
+    def curve(name, self_int):
+        return {"name": name, "self": self_int, "genus": 0, "Kdeg": -2 - self_int, "tags": []}
+
+    doc = parse({"surface": {"kind": "other", "chi": 1, "K2": -1, "K_num_trivial": False},
+                 "curves": [curve("A", -4), curve("B", -3)],
+                 "plan": {"chains": chains}})
+    return build_report(doc.configuration, doc.plan)
+
+
+def test_a_plan_with_k2_zero_is_not_of_general_type():
+    # contracting [4] adds 1 to K^2 = -1; B stays positive, but K^2 = 0
+    # is not big
+    lines = _minus_four_and_minus_three([["A"]]).to_text().splitlines()
+    assert "K2_X=0" in lines
+    assert "ample.B=1 dp=0" in lines
+    assert "general_type=no" in lines
+
+
+def test_an_empty_plan_lists_k_dot_c_for_every_curve():
+    report = _minus_four_and_minus_three([])
+    assert report.K2_X == -1 and report.chains == () and report.indices == ()
+    assert [(e.curve, e.K_deg, e.dp_term, e.value) for e in report.ample.entries] == [
+        ("A", 2, 0, 2), ("B", 1, 0, 1)]
+    assert not report.general_type

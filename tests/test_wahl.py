@@ -109,6 +109,13 @@ def test_generate_smallest_bounds():
     assert generate_class_T(1, 4) == {(4,)}
 
 
+@pytest.mark.parametrize("max_len", [1, 2, 3, 6])
+def test_generate_nothing_below_entry_two(max_len):
+    # every class-T chain has an entry >= 3, so entries capped at 1 give
+    # none; the bounds are valid, not an error
+    assert generate_class_T(max_len, 1) == set()
+
+
 def test_generate_one_step_children():
     out = generate_class_T(2, 5)
     assert (5, 2) in out and (2, 5) in out
