@@ -1,8 +1,8 @@
 """Exact integer linear algebra: one fraction-free elimination loop.
 
 Every rank, determinant and solve in the package runs ``_bareiss``, the
-fraction-free Gaussian elimination of Bareiss (1968).  Pivot k replaces each
-row i below it by
+fraction-free Gaussian elimination of Bareiss (1968), through ``eliminate``.
+Pivot k replaces each row i below it by
 
     (p_k * row_i - a_i * pivot_row) / p_{k-1},
 
@@ -19,7 +19,8 @@ independent columns, read from left to right.
 and columns, the nonzero maximal minor on them and one integer relation per
 dependent row, read from an identity block that it carries through the loop
 only when the rank falls short.
-``rank``, ``determinant`` and ``solve_unique`` are views over the same loop.
+``rank``, ``determinant`` and ``solve_unique`` read their answers off that
+witness and run no elimination of their own.
 Entries must be integers; no floating point is used anywhere.
 """
 
@@ -130,6 +131,7 @@ def eliminate(rows: Sequence[Sequence[int]]) -> Elimination:
         for k in sorted(range(r, n_rows), key=order.__getitem__):
             coeffs = grid[k][n_cols:]
             g = gcd(*coeffs)
+            # the row's own coefficient ends as +-last, never 0, so "<= 0" acts alike
             if coeffs[order[k]] < 0:
                 g = -g
             relations.append(tuple(c // g for c in coeffs))
@@ -144,30 +146,31 @@ def eliminate(rows: Sequence[Sequence[int]]) -> Elimination:
 
 def rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals of an integer matrix."""
-    grid = _grid(rows)
-    return len(_bareiss(grid, len(grid[0]))[1])
+    return eliminate(rows).rank
 
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix."""
+    """Exact determinant of a square integer matrix.
+
+    At full rank the pivots are every row and every column, so the witness's
+    minor is the determinant, sign included.
+    """
     grid = _grid(rows)
     n = len(grid)
     if len(grid[0]) != n:
         raise ValueError("determinant needs a square matrix")
-    order, pivot_cols, last = _bareiss(grid, n)
-    if len(pivot_cols) < n:
-        return 0
-    return -last if _odd(order) else last
+    w = eliminate(grid)
+    return w.minor if w.rank == n else 0
 
 
 def solve_unique(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[Fraction, ...]:
     """Exact solution of M x = v for a square nonsingular integer M.
 
-    Raises SingularMatrixError when det M = 0.  The right-hand side rides
-    through the elimination as one more column; back-substitution then
-    works on y = p x, p the last pivot (which is +-det M), whose entries are
-    integers by Cramer's rule, so every division in it is exact and the only
-    fractions built are the n entries y_i / p of the answer.  The package
+    Raises SingularMatrixError when det M = 0.  M x = v says that v is the
+    combination sum_j x_j * (column j of M), so this eliminates the n + 1
+    rows made of the columns of M followed by v.  M is nonsingular exactly
+    when the n columns are the pivot rows; v is then the one dependent row,
+    and its relation c, with c_v > 0, gives x_j = -c_j / c_v.  The package
     computes chain discrepancies in closed form (``wahl.discrepancies``).
     """
     grid = _grid(rows)
@@ -176,13 +179,8 @@ def solve_unique(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[Fra
         raise ValueError("solve_unique needs a square matrix")
     if len(rhs) != n:
         raise ValueError("dimension mismatch")
-    for row, v in zip(grid, rhs):
-        row.append(index(v))
-    _, pivot_cols, last = _bareiss(grid, n)
-    if len(pivot_cols) < n:
+    w = eliminate([*zip(*grid), rhs])
+    if w.pivot_rows != tuple(range(n)):
         raise SingularMatrixError("matrix is singular")
-    y = [0] * n
-    for i in reversed(range(n)):
-        row = grid[i]
-        y[i] = (last * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
-    return tuple(Fraction(v, last) for v in y)
+    *c, c_v = w.relations[0]
+    return tuple(Fraction(-x, c_v) for x in c)

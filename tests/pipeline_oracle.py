@@ -9,11 +9,12 @@ block only when the rank falls short and leaves a row alone when its pivot
 step would not change it.  The functions here do none of that: they resolve
 names per lookup, key by frozensets of names, walk every entry, update every
 row and always carry the block, so the package's checks are compared with
-code that takes none of their shortcuts.  ``pairing_violations`` is the
-per-entry walk that ``qgsurf.config.validate`` itself runs; it stays as
-the reference for the violations' order.  ``not_i_n`` is the I_n rule that
-``qgsurf.fibration``'s one rule for every Kodaira type replaced: it tests
-I1, I2 and the n-cycle case by case.
+code that takes none of their shortcuts.  ``qgsurf.config.validate`` walks
+the pairing entry by entry; ``pairing_violations`` instead finds each kind's
+positions as a set over the whole matrix, asymmetric pairs against its
+transpose, and sorts them into the walk's order.  ``not_i_n`` is the I_n
+rule that ``qgsurf.fibration``'s one rule for every Kodaira type replaced:
+it tests I1, I2 and the n-cycle case by case.
 """
 
 from __future__ import annotations
@@ -63,23 +64,26 @@ def point_violations(config, points) -> list[Violation]:
 
 
 def pairing_violations(config) -> list[Violation]:
-    """Diagonal, symmetry and sign of every pairing entry, one at a time."""
-    out: list[Violation] = []
-    n = len(config.curves)
-    for i in range(n):
-        if config.pairing[i][i] != config.curves[i].self_int:
-            out.append(Violation("pairing-diagonal", config.curves[i].name,
+    """Diagonal, symmetry and sign of the pairing, each found as a set of
+    positions over the whole matrix, then sorted into ``validate``'s order:
+    by row, with the row's diagonal entry first."""
+    pairing = config.pairing
+    names = [c.name for c in config.curves]
+    upper = set(itertools.combinations(range(len(names)), 2))
+    transpose = tuple(zip(*pairing))
+    diagonal = {i for i, c in enumerate(config.curves) if pairing[i][i] != c.self_int}
+    asymmetric = {(i, j) for i, j in upper if pairing[i][j] != transpose[i][j]}
+    negative = {(i, j) for i, j in upper - asymmetric if pairing[i][j] < 0}
+    found = [((i, -1), Violation("pairing-diagonal", names[i],
                                  "diagonal differs from declared self-intersection"))
-        for j in range(i + 1, n):
-            if config.pairing[i][j] != config.pairing[j][i]:
-                out.append(Violation("pairing-symmetry",
-                                     f"{config.curves[i].name}.{config.curves[j].name}",
-                                     "pairing not symmetric"))
-            elif config.pairing[i][j] < 0:
-                out.append(Violation("pairing-sign",
-                                     f"{config.curves[i].name}.{config.curves[j].name}",
-                                     f"negative off-diagonal {config.pairing[i][j]}"))
-    return out
+             for i in diagonal]
+    found += [((i, j), Violation("pairing-symmetry", f"{names[i]}.{names[j]}",
+                                 "pairing not symmetric"))
+              for i, j in asymmetric]
+    found += [((i, j), Violation("pairing-sign", f"{names[i]}.{names[j]}",
+                                 f"negative off-diagonal {pairing[i][j]}"))
+              for i, j in negative]
+    return [v for _, v in sorted(found, key=itemgetter(0))]
 
 
 def eliminate(rows) -> Elimination:

@@ -39,11 +39,16 @@ def test_rank_two_chain_gram():
     # det of [[-3,1],[1,-3]] is 8, nonzero by hand expansion
     assert rank(int_gram([3, 3])) == 2
     assert determinant(int_gram([3, 3])) == 8
+    assert determinant([[0, 1], [0, 2]]) == 0
+    # the antidiagonal of size 3 is one transposition away from the identity
+    assert determinant([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
     assert oracle.rank(chain_gram([3, 3])) == 2
 
 
 def test_solve_one_by_one():
     assert solve_unique([[-4]], [2]) == (Fraction(-1, 2),)
+    # a permutation matrix: the pivot of column 0 is not in row 0
+    assert solve_unique([[0, 1], [1, 0]], [2, 3]) == (3, 2)
 
 
 def test_solve_identity_returns_rhs():
@@ -61,6 +66,11 @@ def test_solve_tridiagonal_chain_system():
 def test_solve_singular_raises():
     with pytest.raises(SingularMatrixError):
         solve_unique([[1, 1], [1, 1]], [1, 0])
+    # v in the column space, and the zero matrix: still singular
+    with pytest.raises(SingularMatrixError):
+        solve_unique([[1, 1], [1, 1]], [1, 1])
+    with pytest.raises(SingularMatrixError):
+        solve_unique([[0, 0], [0, 0]], [0, 0])
     with pytest.raises(SingularMatrixError):
         oracle.solve_unique(RatMatrix([[1, 1], [1, 1]]), [1, 0])
 
@@ -74,6 +84,8 @@ def test_integer_views_reject_bad_shapes():
         determinant([[1, 2]])
     with pytest.raises(ValueError):
         solve_unique([[1, 0], [0, 1]], [1])
+    with pytest.raises(ValueError):
+        solve_unique([[1, 0]], [1])
     with pytest.raises(TypeError):
         rank([[Fraction(1, 2)]])
 
@@ -219,6 +231,8 @@ def test_witness_minor_and_relations(rows):
         assert len(c) == n_rows and any(c)
         assert gcd(*c) == 1
         assert c[row_index] > 0
+        # the row's own coefficient divides the minor, so it is never 0
+        assert abs(w.minor) % c[row_index] == 0
         assert all(c[i] == 0 for i in dependent if i != row_index)
         assert all(sum(c[i] * rows[i][j] for i in range(n_rows)) == 0
                    for j in range(len(rows[0])))
