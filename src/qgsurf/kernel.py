@@ -139,8 +139,9 @@ def _roundtrips(np, tail, out, scratch):
     return out
 
 
-def _table(np, tail, max_entry, work):
-    """The chains one longer than tail's, as a new table.
+def _table(np, tail, ok, max_entry):
+    """The chains one longer than tail's, as a new table; ok is tail's
+    round-trip mask, as ``_Tally.children`` wrote it.
 
     Index i of that length puts the digit 2 + i // S in front of the chain
     at index i % S of tail, S = len(tail).  So each digit's row is tail with
@@ -149,7 +150,6 @@ def _table(np, tail, max_entry, work):
     m_t, q_t, p_t, p_tt, det_t, det_tt, _ = tail
     n = max_entry - 1
     b = np.arange(2, max_entry + 1, dtype=np.int64)[:, None]
-    ok = _roundtrips(np, tail, *(a[:m_t.size] for a in work.masks))
     return ((b * m_t - q_t).ravel(), np.tile(m_t, n), (b * p_t - p_tt).ravel(),
             np.tile(p_t, n), (-b * det_t - det_tt).ravel(), np.tile(det_t, n),
             np.tile(ok, n))
@@ -232,9 +232,11 @@ def _candidates(np, tail, max_entry, work):
 class _Workspace:
     """Every array of a scan's walk, allocated once.
 
-    Three int64 and two bool scratch arrays for the per-tail tests, and one
+    Three int64 and two bool scratch arrays for the per-tail tests, one
     state set (m, p, det, ok) for each depth of the walk below the last
-    table; each holds width entries, and a shorter tail uses a prefix.
+    table, and the round-trip mask of the last length, which is no tail and
+    so has no state set; each holds width entries, and a shorter tail uses a
+    prefix.
     """
 
     def __init__(self, np, width, depths):
@@ -245,6 +247,7 @@ class _Workspace:
         self.ints = arrays(i64, i64, i64)
         self.masks = arrays(bool, bool)
         self.states = [arrays(i64, i64, i64, bool) for _ in range(depths)]
+        self.last_ok = np.empty(width, dtype=bool)
 
 
 class _Tally:
@@ -259,15 +262,17 @@ class _Tally:
         self.roundtrip = 0
         self.accepted = []
 
-    def children(self, length, tail, chain_at):
+    def children(self, length, tail, ok, chain_at):
         """Count and test the chains of the given length that put one digit
         in front of a chain of tail, once per tail; chain_at(i, b) is the
-        child with digit b of tail chain i."""
+        child with digit b of tail chain i.  The children's round-trip mask,
+        one entry per tail chain, is written into ok for the caller to build
+        them with."""
         np, top, work = self.np, self.max_entry, self.work
         m_t, _, _, _, det_t, det_tt, _ = tail
         size = m_t.size
         self.total += (top - 1) * size
-        ok = _roundtrips(np, tail, *(a[:size] for a in work.masks))
+        _roundtrips(np, tail, ok, work.masks[0][:size])
         self.roundtrip += (top - 1) * (size - int(np.count_nonzero(ok)))
         self.negdef += _negdef_failures(np, length, det_t, det_tt, top, work)
         at, b, m = _candidates(np, tail, top, work)
@@ -315,22 +320,26 @@ def scan_chains(max_len: int, max_entry: int):
 
     for length in range(base):
         # the chains one longer than the table are its children
-        tally.children(length + 1, table, lambda i, b: (b,) + _digits(i, length, n))
-        table = _table(np, table, max_entry, work)
+        ok = np.empty(table[0].size, dtype=bool)
+        tally.children(length + 1, table, ok, lambda i, b: (b,) + _digits(i, length, n))
+        table = _table(np, table, ok, max_entry)
 
     def extend(tail, head):
         # every child of tail is tested once per tail; only the lengths below
         # max_len are built, since only they are tails themselves.  The
-        # children are built in the state set of this depth, and m, p and
-        # det step from digit b to b + 1 in place by adding m_tail and
-        # p_tail and subtracting det_tail
+        # children are built in the state set of this depth, whose ok the
+        # tally writes (at max_len, which has no state set, it writes
+        # last_ok), and m, p and det step from digit b to b + 1 in place by
+        # adding m_tail and p_tail and subtracting det_tail
         length = base + 1 + len(head)
-        tally.children(length, tail, lambda i, b: (b,) + head + _digits(i, base, n))
+        m_t, q_t, p_t, p_tt, det_t, det_tt, _ = tail
+        if length == max_len:
+            ok = work.last_ok[:m_t.size]
+        else:
+            m, p, det, ok = (a[:m_t.size] for a in work.states[len(head)])
+        tally.children(length, tail, ok, lambda i, b: (b,) + head + _digits(i, base, n))
         if length == max_len:
             return
-        m_t, q_t, p_t, p_tt, det_t, det_tt, _ = tail
-        m, p, det, ok = (a[:m_t.size] for a in work.states[len(head)])
-        _roundtrips(np, tail, ok, work.masks[0][:m_t.size])
         # the digit 1
         np.subtract(m_t, q_t, out=m)
         np.subtract(p_t, p_tt, out=p)

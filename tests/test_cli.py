@@ -15,7 +15,7 @@ from qgsurf import cli, kernel, pipeline
 from qgsurf.cli import run
 from qgsurf.config import independence_certificate, parse_unvalidated, to_document
 from qgsurf.corpus import builtin
-from qgsurf.wahl import generate_class_T
+from qgsurf.wahl import canonical_order, generate_class_T
 from ratlin_oracle import chain_gram, solve_unique
 
 
@@ -259,16 +259,25 @@ def test_enumerate_classt_empty_listing_prints_nothing():
 
 def test_enumerate_classt_lines_are_chain_reports():
     # one listing shares its fraction texts across chains; each line must
-    # still be exactly what `chain` prints for that chain alone
-    code, text = invoke("enumerate-classT", "--max-len", "6", "--max-entry", "9")
-    assert code == 0
-    lines = text.splitlines()
-    assert len(lines) == len(generate_class_T(6, 9))
-    for line in lines:
-        arg = line.split(" ", 1)[0].removeprefix("chain=")
-        code, report = invoke("chain", arg)
+    # still be exactly what `chain` prints for that chain alone, list the
+    # generator's chains in canonical order, and meet criterion 5
+    for max_len, max_entry in [(6, 9), (8, 10)]:
+        code, text = invoke("enumerate-classT", "--max-len", str(max_len),
+                            "--max-entry", str(max_entry))
         assert code == 0
-        assert line == " ".join(report.splitlines())
+        lines = text.splitlines()
+        chains = [tuple(map(int, line.split(" ", 1)[0].removeprefix("chain=").split(",")))
+                  for line in lines]
+        assert chains == canonical_order(generate_class_T(max_len, max_entry))
+        for chain, line in zip(chains, lines):
+            code, report = invoke("chain", ",".join(map(str, chain)))
+            assert code == 0
+            assert line == " ".join(report.splitlines())
+            fields = dict(token.partition("=")[::2] for token in line.split())
+            assert "classT" in fields, line
+            disc = [Fraction(x) for x in fields["discrepancies"].split(",")]
+            assert len(disc) == len(chain) and all(-1 < a < 0 for a in disc), line
+            assert Fraction(fields["contribution"]) == len(chain) + 1 - int(fields["d"]), line
 
 
 def test_enumerate_classt_deterministic():

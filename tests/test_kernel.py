@@ -119,6 +119,27 @@ def test_roundtrip_failures_are_counted_per_chain(monkeypatch):
     assert (total, accepted, negdef) == _reference(max_len, max_entry)[:3]
 
 
+@pytest.mark.parametrize("max_len, max_entry, chunk", [(6, 8, None), (5, 7, 40), (1, 2, None)])
+def test_each_tail_takes_one_round_trip_test(max_len, max_entry, chunk, monkeypatch):
+    """The tally writes each tail's round-trip mask, and the table or the
+    walk that builds the children reads it: the scan computes it once per
+    tail, never again."""
+    if chunk is not None:
+        monkeypatch.setattr(kernel, "CHUNK", chunk)
+    calls = {"children": 0, "roundtrips": 0}
+
+    def counting(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        return counted
+
+    monkeypatch.setattr(kernel._Tally, "children", counting("children", kernel._Tally.children))
+    monkeypatch.setattr(kernel, "_roundtrips", counting("roundtrips", kernel._roundtrips))
+    assert kernel.scan_chains(max_len, max_entry) == _reference(max_len, max_entry)
+    assert calls["roundtrips"] == calls["children"] > 0
+
+
 def test_repeated_scans_give_identical_results(monkeypatch):
     """Each scan builds its own workspace and overwrites every entry it
     reads, so a scan that follows another in the same process, at other

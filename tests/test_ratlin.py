@@ -32,6 +32,8 @@ def test_rank_identity():
 
 def test_rank_zero_matrix():
     assert rank([[0] * 3] * 3) == 0
+    # and a nonzero matrix whose rows are proportional
+    assert rank([[1, 2, 3], [2, 4, 6]]) == 1
     assert oracle.rank(RatMatrix.zero(3)) == 0
 
 
