@@ -28,7 +28,8 @@ from typing import NamedTuple, Optional
 from .errors import UnknownTagError, Violation
 from .ratlin import eliminate
 
-_TAG_RE = re.compile(r"^(2)?(I\d+\*?|II\*?|III\*?|IV\*?)$")
+# ASCII digits only: ``\d`` would also read "I٩" or "I９" as a second I9
+_TAG_RE = re.compile(r"^(2)?(I[0-9]+\*?|II\*?|III\*?|IV\*?)$")
 
 # (Euler number, component count, largest component multiplicity) of the
 # types without an index; I_n and I_n* are in _fiber_numbers
@@ -38,7 +39,7 @@ _KODAIRA = {"II": (2, 1, 1), "III": (3, 2, 1), "IV": (4, 3, 1), "IV*": (8, 7, 3)
 
 def _i_n(reduced: str) -> Optional[int]:
     """n when the reduced type is I_n (not I_n*), else None."""
-    m = re.fullmatch(r"I(\d+)", reduced)
+    m = re.fullmatch(r"I([0-9]+)", reduced)
     return None if m is None else int(m.group(1))
 
 
@@ -55,7 +56,14 @@ def parse_tag(tag: str) -> tuple[str, int]:
     if not m:
         raise UnknownTagError(f"unknown Kodaira tag {tag!r}")
     mult = 2 if m.group(1) else 1
-    reduced = re.sub(r"^I0+(?=\d)", "I", m.group(2))  # "I09" is I9
+    reduced = re.sub(r"^I0+(?=[0-9])", "I", m.group(2))  # "I09" is I9
+    index = reduced[1:].rstrip("*")
+    if index.isdigit():  # I_n or I_n*
+        try:
+            int(index)
+        except ValueError:  # more digits than int() reads, 4300 by default
+            raise UnknownTagError(f"fiber index has {len(index)} digits, "
+                                  f"more than int() reads") from None
     if _i_n(reduced) == 0:
         raise UnknownTagError(f"{tag!r} is a smooth fiber, not a singular Kodaira type")
     if mult == 2 and _i_n(reduced) is None:

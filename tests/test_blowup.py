@@ -15,7 +15,7 @@ from qgsurf.config import (
 )
 from qgsurf.corpus import EXAMPLE_NAMES, builtin
 from qgsurf import config as config_mod
-from qgsurf.errors import ValidationError
+from qgsurf.errors import SchemaError, ValidationError
 
 
 def make_config(curves, pairs=(), kind="other", chi=1, K2=0, knt=False):
@@ -98,6 +98,12 @@ def test_blow_up_unknown_curve():
         blow_up(cfg, BlowupStep(branches=(("Z", 1),)))
     assert info.value.violations == [
         Violation("point", "e1", "branch references unknown curve 'Z'")]
+
+
+def test_blow_up_label_in_use():
+    cfg = make_config([("A", -2, 0, 0)])
+    with pytest.raises(SchemaError, match=r"^exceptional curve label 'A' already in use$"):
+        blow_up(cfg, BlowupStep(branches=(), label="A"))
 
 
 def test_apply_blowups_names_failing_step():

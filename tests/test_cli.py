@@ -205,15 +205,25 @@ def test_verify_subcommand_violation_exits_one(tmp_path):
     assert "adjunction" in text
 
 
-def test_verify_holds_a_document_to_its_expectations(tmp_path):
+@pytest.mark.parametrize("field, value, failure", [
+    ("K2", 2, "K2 1 != 2"),
+    ("chains", [[4, 2, 3, 2], [4, 2, 3, 2], [4], [5]],
+     "chains ((4, 2, 3, 2), (4, 2, 3, 2), (4,), (4,)) != expected"),
+    ("gcd", 3, "gcd 1 != 3"),
+    ("pi1", "inconclusive", "pi1 criterion-satisfied != inconclusive"),
+    ("moduli_dim", 9, "moduli 8 != 9"),
+    ("p_g", 1, "p_g 0 != 1"),
+], ids=["K2", "chains", "gcd", "pi1", "moduli_dim", "p_g"])
+def test_verify_holds_a_document_to_its_expectations(tmp_path, field, value, failure):
     doc = builtin("enriques-k1")
-    doc["expect"]["K2"] = 2
-    path = tmp_path / "k1-wrong-K2.json"
+    doc["expect"][field] = value
+    path = tmp_path / f"k1-wrong-{field}.json"
     path.write_text(json.dumps(doc))
     code, text = invoke("verify", str(path))
     assert code == 1
     lines = text.splitlines()
-    assert "violation=corpus: K2 1 != 2" in lines
+    assert [line for line in lines if line.startswith("violation=")] == [
+        f"violation=corpus: {failure}"]
     assert lines[-1] == "status=fail"
 
 
@@ -399,12 +409,23 @@ def _set_fiber_multiplicity(doc):
     doc["fibration"]["fibers"][1]["multiplicity"] = True
 
 
-def _set_blowup_label_empty(doc):
-    doc["blowups"][0]["label"] = ""
+def _set_blowup_label(label):
+    def edit(doc):
+        doc["blowups"][0]["label"] = label
+    return edit
 
 
-def _add_multiple_fiber_iii(doc):
-    doc["fibration"]["fibers"].append({"type": "III", "multiplicity": 2, "components": []})
+def _set_surface_n(doc):
+    doc["surface"]["n"] = 1
+
+
+def _add_fiber(tag, multiplicity=None):
+    def edit(doc):
+        fiber = {"type": tag, "components": []}
+        if multiplicity is not None:
+            fiber["multiplicity"] = multiplicity
+        doc["fibration"]["fibers"].append(fiber)
+    return edit
 
 
 def _repeat_two_section(doc):
@@ -441,8 +462,14 @@ def _drop_expect_field(doc):
     _set_plan_q,
     _set_class_known,
     _set_fiber_multiplicity,
-    _set_blowup_label_empty,
-    _add_multiple_fiber_iii,
+    _set_blowup_label(""),
+    _set_surface_n,
+    _add_fiber("III", 2),
+    _add_fiber("2I9", 1),
+    _add_fiber("I" + "9" * 5000),
+    _add_fiber("I\u0669"),
+    _add_fiber("I\uff19"),
+    _add_fiber("2I\u0669"),
     _repeat_two_section,
     _repeat_disjoint_curve,
     _set_point_name_empty,
@@ -454,7 +481,9 @@ def _drop_expect_field(doc):
 ], ids=["pairing-int", "pairing-string", "pairing-list-name", "notes-string",
         "name-int", "two-sections-string", "blowup-branches-int", "plan-q-negative",
         "class-known-string", "multiplicity-bool", "blowup-label-empty",
-        "multiple-fiber-III", "two-sections-repeated", "disjoint-from-repeated",
+        "surface-n-not-e", "multiple-fiber-III", "2I9-multiplicity-1", "fiber-index-too-long",
+        "fiber-index-arabic-indic", "fiber-index-fullwidth", "multiple-fiber-index-arabic-indic",
+        "two-sections-repeated", "disjoint-from-repeated",
         "point-name-empty", "expect-unknown-field", "expect-missing-field",
         "expect-gcd-bool", "expect-K2-string", "expect-chains-null"])
 def test_verify_malformed_document_exits_two(tmp_path, capsys, edit):

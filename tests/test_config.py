@@ -103,6 +103,15 @@ def test_validate_flags_bad_adjunction():
     assert any(v.kind == "adjunction" for v in violations)
 
 
+def test_validate_flags_negative_genus():
+    # 2g - 2 = -4 = C.C + K.C, so adjunction holds and only the genus fails
+    bad = doc_with(
+        surface={"kind": "other", "chi": 1, "K2": 0, "K_num_trivial": False},
+        curves=[{"name": "C", "self": -4, "genus": -1, "Kdeg": 0, "tags": []}])
+    cfg = config_mod.parse_unvalidated(bad).configuration
+    assert [str(v) for v in validate(cfg)] == ["genus[C]: negative genus -1"]
+
+
 def test_validate_nodal_fiber_is_clean():
     doc = doc_with(curves=[{"name": "F", "self": 0, "genus": 1, "Kdeg": 0, "tags": ["nodal-fiber"]}])
     cfg = parse(doc).configuration

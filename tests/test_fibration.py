@@ -45,6 +45,18 @@ def test_zero_padded_tags_give_the_reduced_type():
     assert parse_tag("I01") == ("I1", 1)
     assert parse_tag("I01*") == ("I1*", 1)
     assert parse_tag("I00*") == ("I0*", 1)
+    assert parse_tag("I" + "0" * 5000 + "9") == ("I9", 1)
+
+
+@pytest.mark.parametrize("bad", ["I\u0669", "I\uff19", "2I\u0669", "I\u0669*",
+                                 "I" + "9" * 5000, "2I" + "9" * 5000, "I" + "9" * 5000 + "*"],
+                         ids=["arabic-indic", "fullwidth", "multiple-arabic-indic",
+                              "star-arabic-indic", "long", "multiple-long", "star-long"])
+def test_tag_index_is_ascii_digits_that_int_reads(bad):
+    # "I\u0669" once parsed as a second spelling of I9, and a 5000-digit
+    # index raised int()'s ValueError instead of an input error
+    with pytest.raises(UnknownTagError):
+        parse_tag(bad)
 
 
 def test_verify_reads_a_zero_padded_i9_as_i9(tmp_path):
@@ -458,6 +470,9 @@ _NODAL = {"name": "N", "self": 0, "genus": 1, "Kdeg": 0, "tags": []}
      [("A", "B", 1), ("B", "C", 1), ("C", "D", 1), ("D", "A", 1)], []),
     # a partly tracked fiber is not checked
     ([{"type": "I3", "components": ["A"]}], [_rational("A")], (), []),
+    # an I2 that lists three components
+    ([{"type": "I2", "components": ["A", "B", "C"]}], [_rational(c) for c in "ABC"],
+     [("A", "B", 2)], ["fibration[I2]: 3 components exceed the type's 2"]),
     # a III whose curves do not meet
     ([{"type": "III", "components": ["A", "B"]}], [_rational("A"), _rational("B")], (),
      ["fibration[III]: not a Kodaira III: A pairs -2 with the fiber class, not 0"]),
@@ -501,9 +516,9 @@ _NODAL = {"name": "N", "self": 0, "genus": 1, "Kdeg": 0, "tags": []}
      [("C", a, 1) for a in ("A1", "A2", "A3", "A4")] + [("S", "C", 1), ("S", "N", 1)],
      ["fibration[fiber-class]: fibers I0* and I1 pair to 2 and 1 with S, "
       "so they are not one class"]),
-], ids=["I1", "2I1", "I2", "I3", "2I4", "partial", "additive", "I2-pair-1", "I3-minus-3",
-        "I3-pair-2", "I6-two-cycles", "one-class", "two-classes", "starred",
-        "starred-two-classes"])
+], ids=["I1", "2I1", "I2", "I3", "2I4", "partial", "too-many-components", "additive",
+        "I2-pair-1", "I3-minus-3", "I3-pair-2", "I6-two-cycles", "one-class", "two-classes",
+        "starred", "starred-two-classes"])
 def test_fibration_validate_kodaira_type_and_one_class(fibers, curves, pairing, found):
     cfg = config_mod.parse_unvalidated(_fibration_doc(fibers, curves, pairing)).configuration
     assert [str(v) for v in cfg.fibration.validate(cfg)] == found

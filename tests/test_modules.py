@@ -7,7 +7,6 @@ acyclic whichever way a module is reached.
 """
 
 import ast
-import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -125,56 +124,19 @@ def test_no_module_imports_dataclasses():
                 assert node.module != "dataclasses", path.name
 
 
-# The public names of the package and the module that defines each.
-PUBLIC = {
-    "apply_blowups": "blowup", "blow_up": "blowup",
-    **dict.fromkeys(["BlowupStep", "Configuration", "ContractionPlan", "CurveClass", "Document",
-                     "IndependenceCertificate", "PointSpec", "SurfaceInvariants", "export_dot",
-                     "independence_certificate", "parse", "snc_certificate", "validate"],
-                    "config"),
-    "builtin": "corpus", "verify_all": "corpus", "verify_example": "corpus",
-    "Violation": "errors",
-    **dict.fromkeys(["FiberSpec", "FibrationData", "euler_number", "euler_sum_check",
-                     "i9_forces_i1_lint", "two_section_incidence_check"], "fibration"),
-    **dict.fromkeys(["Elimination", "eliminate", "rank", "solve_unique"], "ratlin"),
-    **dict.fromkeys(["AmplenessCertificate", "SingularSurfaceReport", "TopologyReport",
-                     "ampleness_certificate", "build_report", "contract_invariants",
-                     "moduli_dimension", "pi1_criterion", "topology_report",
-                     "validate_plan"], "smoothing"),
-    **dict.fromkeys(["Chain", "ClassTData", "chain_from_fraction", "discrepancies",
-                     "generate_class_T", "hj_value", "index", "k2_contribution",
-                     "recognize_class_T"], "wahl"),
-}
-SUBMODULES = ["blowup", "config", "corpus", "errors", "fibration", "kernel", "pipeline",
-              "ratlin", "smoothing", "wahl"]
-
-
-def test_public_names_are_the_defining_modules_objects():
-    assert len(PUBLIC) == 48
-    assert sorted(qgsurf.__all__) == sorted(PUBLIC)
-    for name, module in PUBLIC.items():
-        value = getattr(qgsurf, name)
-        assert value is getattr(importlib.import_module(f"qgsurf.{module}"), name), name
-        if getattr(value, "__module__", "").startswith("qgsurf."):
-            assert value.__module__ == f"qgsurf.{module}", name
-    with pytest.raises(AttributeError):
-        qgsurf.no_such_name  # noqa: B018
-
-
 def test_importing_the_package_loads_no_module(fresh_env):
-    # a public name loads its defining module and what that imports, nothing
-    # else; dir() lists every public name and submodule without loading any
+    # the package binds no public name; ``from qgsurf import`` loads the
+    # named submodules and what they import
     code = (
         "import sys\n"
         "import qgsurf\n" + LOADED +
-        "print(' '.join(dir(qgsurf)))\n" + LOADED +
-        "qgsurf.rank\n" + LOADED +
         "from qgsurf import cli, corpus\n" + LOADED)
-    bare, listed, after_dir, after_rank, after_from = _fresh(fresh_env, code).split("\n")[:5]
-    assert bare == after_dir == ""
-    assert set(PUBLIC) | set(SUBMODULES) | {"__version__"} <= set(listed.split())
-    assert after_rank.split() == ["errors", "ratlin"]
+    bare, after_from = _fresh(fresh_env, code).split("\n")[:2]
+    assert bare == ""
     assert {"cli", "corpus"} <= set(after_from.split())
+    # a public name has one spelling, ``qgsurf.<module>.<name>``
+    with pytest.raises(AttributeError):
+        qgsurf.parse  # noqa: B018
 
 
 ROOT = Path(__file__).resolve().parent.parent

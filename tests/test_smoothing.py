@@ -58,6 +58,12 @@ def test_validate_plan_rejects_genus():
     assert any(v.kind == "plan-genus" for v in violations)
 
 
+def test_validate_plan_rejects_self_intersection_above_minus_two():
+    cfg = chain_config([4], extra=[("C", -1, -1, 0)])
+    assert validate_plan(cfg, ContractionPlan(chains=(("C",),))) == [
+        Violation("plan-self", "chain0", "C has self-intersection -1 > -2")]
+
+
 def test_validate_plan_rejects_overlap():
     cfg = chain_config([4, 2, 3, 2])
     plan = ContractionPlan(chains=(("Z0", "Z1"), ("Z1", "Z2")))
