@@ -210,8 +210,7 @@ _TOP_KEYS = {"surface", "curves", "pairing", "points", "fibration", "blowups", "
 _SURFACE_KEYS = {"kind", "n", "chi", "K2", "K_num_trivial"}
 _CURVE_KEYS = {"name", "self", "genus", "Kdeg", "tags"}
 _POINT_KEYS = {"name", "branches"}
-_FIBRATION_KEYS = {"fibers", "two_sections", "multiple_fiber_disjoint_from",
-                   "generic_fiber_class_known"}
+_FIBRATION_KEYS = {"fibers", "two_sections", "multiple_fiber_disjoint_from"}
 _FIBER_KEYS = {"type", "multiplicity", "components"}
 _STEP_KEYS = {"label", "branches"}
 _PLAN_KEYS = {"chains", "q", "assumptions", "smoothing"}
@@ -425,8 +424,6 @@ def _parse_fibration(obj, known: set[str]) -> FibrationData:
         fibers=fibers,
         two_sections=curve_names("two_sections"),
         multiple_fiber_disjoint_from=curve_names("multiple_fiber_disjoint_from"),
-        generic_fiber_class_known=_as_bool(obj.get("generic_fiber_class_known", False),
-                                           "fibration.generic_fiber_class_known"),
     )
 
 
@@ -590,7 +587,6 @@ def to_document(doc: Document) -> dict:
                         "components": list(f.components)} for f in fib.fibers],
             "two_sections": list(fib.two_sections),
             "multiple_fiber_disjoint_from": list(fib.multiple_fiber_disjoint_from),
-            "generic_fiber_class_known": fib.generic_fiber_class_known,
         }
     if doc.blowups:
         out["blowups"] = [

@@ -108,7 +108,6 @@ class FibrationData(NamedTuple):
     fibers: tuple[FiberSpec, ...]
     two_sections: tuple[str, ...] = ()
     multiple_fiber_disjoint_from: tuple[str, ...] = ()
-    generic_fiber_class_known: bool = False
 
     def validate(self, config) -> list:
         out = []

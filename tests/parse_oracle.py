@@ -28,7 +28,6 @@ from qgsurf.config import (
     Document,
     PointSpec,
     _array,
-    _as_bool,
     _as_int,
     _declared,
     _distinct,
@@ -147,8 +146,6 @@ def _parse_fibration(obj, known: set[str]) -> FibrationData:
         fibers=fibers,
         two_sections=curve_names("two_sections"),
         multiple_fiber_disjoint_from=curve_names("multiple_fiber_disjoint_from"),
-        generic_fiber_class_known=_as_bool(obj.get("generic_fiber_class_known", False),
-                                           "fibration.generic_fiber_class_known"),
     )
 
 

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
+import documents
 import qgsurf
 from qgsurf import cli, kernel, pipeline
 from qgsurf.cli import run
-from qgsurf.config import independence_certificate, parse_unvalidated, to_document
+from qgsurf.config import independence_certificate, parse, parse_unvalidated, to_document
 from qgsurf.corpus import builtin
 from qgsurf.wahl import canonical_order, generate_class_T
 from ratlin_oracle import chain_gram, solve_unique
@@ -80,9 +81,9 @@ def test_chain_json_mode():
 
 
 def test_example_subcommand_passes():
-    code, text = invoke("example", "enriques-k1")
+    code, text = invoke("example", documents.BASE)
     assert code == 0
-    assert "K2_X=1" in text
+    assert "K2_X=3" in text
     assert "pi1=criterion-satisfied" in text
     assert text.strip().endswith("status=pass")
 
@@ -126,7 +127,7 @@ def test_repeated_runs_match_fresh_processes(capsys, fresh_env):
     # argparse error in one process must each print what a fresh process does
     k2 = str(Path(__file__).resolve().parent.parent / "corpus" / "enriques-k2.json")
     calls = [
-        ["example", "enriques-k1"],
+        ["example", documents.BASE],
         ["--output", "json", "verify", k2],
         ["chain", "4,2,3,2"],
         ["--output", "yaml", "chain", "4"],
@@ -167,18 +168,9 @@ def test_verify_all_json():
 
 
 def test_verify_subcommand_on_file(tmp_path):
-    doc = to_document(builtin_document("enriques-k2"))
-    path = tmp_path / "k2.json"
-    path.write_text(json.dumps(doc))
-    code, text = invoke("verify", str(path))
+    code, text, _ = documents.run(tmp_path, to_document(parse(builtin("enriques-k2"))))
     assert code == 0
     assert "K2_X=2" in text
-
-
-def builtin_document(name):
-    from qgsurf import config as config_mod
-
-    return config_mod.parse(builtin(name))
 
 
 def test_verify_subcommand_missing_file():
@@ -187,9 +179,7 @@ def test_verify_subcommand_missing_file():
 
 
 def test_verify_subcommand_schema_error(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"surface": {}}')
-    code, _ = invoke("verify", str(path))
+    code, _, _ = documents.run(tmp_path, '{"surface": {}}')
     assert code == 2
 
 
@@ -198,28 +188,24 @@ def test_verify_subcommand_violation_exits_one(tmp_path):
         "surface": {"kind": "other", "chi": 1, "K2": 0, "K_num_trivial": False},
         "curves": [{"name": "C", "self": -3, "genus": 0, "Kdeg": 0, "tags": []}],
     }
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    code, text = invoke("verify", str(path))
+    code, text, _ = documents.run(tmp_path, doc)
     assert code == 1
     assert "adjunction" in text
 
 
 @pytest.mark.parametrize("field, value, failure", [
-    ("K2", 2, "K2 1 != 2"),
-    ("chains", [[4, 2, 3, 2], [4, 2, 3, 2], [4], [5]],
-     "chains ((4, 2, 3, 2), (4, 2, 3, 2), (4,), (4,)) != expected"),
+    ("K2", 2, "K2 3 != 2"),
+    ("chains", [[5, 2], [9, 2, 2, 2, 2, 2], [8, 2, 2, 2, 3]],
+     "chains ((5, 2), (9, 2, 2, 2, 2, 2), (8, 2, 2, 2, 2)) != expected"),
     ("gcd", 3, "gcd 1 != 3"),
     ("pi1", "inconclusive", "pi1 criterion-satisfied != inconclusive"),
-    ("moduli_dim", 9, "moduli 8 != 9"),
+    ("moduli_dim", 9, "moduli 4 != 9"),
     ("p_g", 1, "p_g 0 != 1"),
 ], ids=["K2", "chains", "gcd", "pi1", "moduli_dim", "p_g"])
 def test_verify_holds_a_document_to_its_expectations(tmp_path, field, value, failure):
-    doc = builtin("enriques-k1")
+    doc = documents.base()
     doc["expect"][field] = value
-    path = tmp_path / f"k1-wrong-{field}.json"
-    path.write_text(json.dumps(doc))
-    code, text = invoke("verify", str(path))
+    code, text, _ = documents.run(tmp_path, doc)
     assert code == 1
     lines = text.splitlines()
     assert [line for line in lines if line.startswith("violation=")] == [
@@ -230,11 +216,9 @@ def test_verify_holds_a_document_to_its_expectations(tmp_path, field, value, fai
 def test_verify_holds_a_document_with_expectations_to_the_corpus_rules(tmp_path):
     # without `expect` a positive deficit and the I9 advisory never fail
     # (test_verify_positive_deficit_is_a_note_not_a_failure)
-    doc = builtin("enriques-k1")
+    doc = documents.base()
     doc["fibration"]["fibers"].remove({"type": "I1", "multiplicity": 1, "components": []})
-    path = tmp_path / "k1-two-I1.json"
-    path.write_text(json.dumps(doc))
-    code, text = invoke("verify", str(path))
+    code, text, _ = documents.run(tmp_path, doc)
     assert code == 1
     assert [line for line in text.splitlines() if line.startswith("violation=")] == [
         "violation=corpus: euler sum 11 != 12",
@@ -297,15 +281,24 @@ def test_enumerate_classt_deterministic():
 
 
 def test_export_dot(tmp_path):
-    doc = to_document(builtin_document("enriques-k1"))
-    path = tmp_path / "k1.json"
-    path.write_text(json.dumps(doc))
-    code, text = invoke("export-dot", str(path))
-    assert code == 0
+    doc = to_document(parse(documents.base()))
+    code, text, err = documents.run(tmp_path, doc, "export-dot")
+    assert (code, err) == (0, "")
     assert text.startswith("graph configuration {")
     assert '"G1" -- "G2";' in text
-    again = invoke("export-dot", str(path))
-    assert again == (code, text)
+    assert documents.run(tmp_path, doc, "export-dot") == (code, text, err)
+
+
+def test_export_dot_draws_the_base_and_replays_no_blowup(tmp_path):
+    """``export-dot`` draws the configuration as declared.  A step whose
+    label is a base curve's name is an input error for ``verify``, which
+    replays the blow-ups, and no concern of ``export-dot``, which does not."""
+    doc = documents.base()
+    doc["blowups"][0]["label"] = "G1"
+    assert documents.run(tmp_path, doc) == (
+        2, "", "error: step 0 (G1): exceptional curve label 'G1' already in use\n")
+    assert documents.run(tmp_path, doc, "export-dot") == documents.run(
+        tmp_path, documents.base(), "export-dot")
 
 
 def test_export_dot_quotes_labels(tmp_path):
@@ -317,14 +310,12 @@ def test_export_dot_quotes_labels(tmp_path):
                    for n in ('A"x', r"B\y")],
         "pairing": [['A"x', r"B\y", 1]],
     }
-    path = tmp_path / "quoted-names.json"
-    path.write_text(json.dumps(doc))
-    assert invoke("export-dot", str(path)) == (0, "".join([
+    assert documents.run(tmp_path, doc, "export-dot") == (0, "".join([
         "graph configuration {\n",
         r'  "A\"x" [label="A\"x (-2)"];' "\n",
         r'  "B\\y" [label="B\\y (-2)"];' "\n",
         r'  "A\"x" -- "B\\y";' "\n",
-        "}\n"]))
+        "}\n"]), "")
 
 
 def test_export_dot_work_is_bounded_by_the_pairs_not_the_pairing(tmp_path, fresh_env):
@@ -337,8 +328,7 @@ def test_export_dot_work_is_bounded_by_the_pairs_not_the_pairing(tmp_path, fresh
                    for n in ("A", "B")],
         "pairing": [["A", "B", 10**12]],
     }
-    path = tmp_path / "huge-pairing.json"
-    path.write_text(json.dumps(doc))
+    path = documents.write(tmp_path, doc)
     cap = 256 * 2**20
 
     def limit_memory():
@@ -365,9 +355,7 @@ def test_verify_without_plan_runs_lints_only(tmp_path):
         "surface": {"kind": "enriques", "chi": 1, "K2": 0, "K_num_trivial": True},
         "curves": [{"name": "C", "self": -2, "genus": 0, "Kdeg": 0, "tags": []}],
     }
-    path = tmp_path / "plain.json"
-    path.write_text(json.dumps(doc))
-    code, text = invoke("verify", str(path))
+    code, text, _ = documents.run(tmp_path, doc)
     assert code == 0
     assert "status=pass" in text
     assert "K2_X" not in text
@@ -402,7 +390,8 @@ def _set_plan_q(doc):
 
 
 def _set_class_known(doc):
-    doc["fibration"]["generic_fiber_class_known"] = "no"
+    # the field was parsed and written back, and no rule read it
+    doc["fibration"]["generic_fiber_class_known"] = False
 
 
 def _set_fiber_multiplicity(doc):
@@ -451,51 +440,46 @@ def _drop_expect_field(doc):
     del doc["expect"]["p_g"]
 
 
-@pytest.mark.parametrize("edit", [
-    _set("pairing", 5),
-    _set("pairing", "G1"),
-    _set("pairing", [[["G1"], "G2", 1]]),
-    _set("notes", "hi"),
-    _set("name", 5),
-    _set_two_sections,
-    _set_blowup_branches,
-    _set_plan_q,
-    _set_class_known,
-    _set_fiber_multiplicity,
-    _set_blowup_label(""),
-    _set_surface_n,
-    _add_fiber("III", 2),
-    _add_fiber("2I9", 1),
-    _add_fiber("I" + "9" * 5000),
-    _add_fiber("I\u0669"),
-    _add_fiber("I\uff19"),
-    _add_fiber("2I\u0669"),
-    _repeat_two_section,
-    _repeat_disjoint_curve,
-    _set_point_name_empty,
-    _set_expect("extra", 1),
-    _drop_expect_field,
-    _set_expect("gcd", True),
-    _set_expect("K2", "1"),
-    _set_expect("chains", [None]),
+@pytest.mark.parametrize("edit, message", [
+    (_set("pairing", 5), "pairing: expected an array, got 5"),
+    (_set("pairing", "G1"), "pairing: expected an array, got 'G1'"),
+    (_set("pairing", [[["G1"], "G2", 1]]), "pairing: curve names must be strings, got ['G1'], 'G2'"),
+    (_set("notes", "hi"), "notes: expected an array, got 'hi'"),
+    (_set("name", 5), "name: expected a string, got 5"),
+    (_set_two_sections, "fibration.two_sections: expected an array, got 'S1'"),
+    (_set_blowup_branches, "blowups[].branches: expected an array, got 5"),
+    (_set_plan_q, "plan.q: expected a non-negative integer, got -3"),
+    (_set_class_known, "fibration: unknown field(s) ['generic_fiber_class_known']"),
+    (_set_fiber_multiplicity, "fibration.fibers[].multiplicity: expected an integer, got True"),
+    (_set_blowup_label(""), "blowups[].label: expected a nonempty string"),
+    (_set_surface_n, "surface.n only applies to kind 'e'"),
+    (_add_fiber("III", 2), "multiple fiber '2III' must have reduced type I_n"),
+    (_add_fiber("2I9", 1), "fiber tagged '2I9' but multiplicity 1"),
+    (_add_fiber("I" + "9" * 5000), "fiber index has 5000 digits, more than int() reads"),
+    (_add_fiber("I\u0669"), "unknown Kodaira tag 'I\u0669'"),
+    (_add_fiber("I\uff19"), "unknown Kodaira tag 'I\uff19'"),
+    (_add_fiber("2I\u0669"), "unknown Kodaira tag '2I\u0669'"),
+    (_repeat_two_section, "fibration.two_sections: duplicate curve name 'S1'"),
+    (_repeat_disjoint_curve, "fibration.multiple_fiber_disjoint_from: duplicate curve name 'G1'"),
+    (_set_point_name_empty, "points[].name: expected a nonempty string"),
+    (_set_expect("extra", 1), "expect: unknown field(s) ['extra']"),
+    (_drop_expect_field, "expect: missing required field 'p_g'"),
+    (_set_expect("gcd", True), "expect.gcd: expected an integer, got True"),
+    (_set_expect("K2", "1"), "expect.K2: expected an integer, got '1'"),
+    (_set_expect("chains", [None]), "expect.chains[]: expected an array, got None"),
 ], ids=["pairing-int", "pairing-string", "pairing-list-name", "notes-string",
         "name-int", "two-sections-string", "blowup-branches-int", "plan-q-negative",
-        "class-known-string", "multiplicity-bool", "blowup-label-empty",
+        "class-known-present", "multiplicity-bool", "blowup-label-empty",
         "surface-n-not-e", "multiple-fiber-III", "2I9-multiplicity-1", "fiber-index-too-long",
         "fiber-index-arabic-indic", "fiber-index-fullwidth", "multiple-fiber-index-arabic-indic",
         "two-sections-repeated", "disjoint-from-repeated",
         "point-name-empty", "expect-unknown-field", "expect-missing-field",
         "expect-gcd-bool", "expect-K2-string", "expect-chains-null"])
-def test_verify_malformed_document_exits_two(tmp_path, capsys, edit):
-    doc = builtin("enriques-k1")
+def test_verify_malformed_document_exits_two(tmp_path, edit, message):
+    doc = documents.base()
     edit(doc)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
     for command in ("verify", "export-dot"):
-        code, text = invoke(command, str(path))
-        assert code == 2, command
-        assert text == "", command
-        assert capsys.readouterr().err.startswith("error: "), command
+        assert documents.run(tmp_path, doc, command) == (2, "", f"error: {message}\n"), command
 
 
 @pytest.mark.parametrize("command", ["verify", "export-dot"])
@@ -513,63 +497,41 @@ def test_undecodable_file_exits_two(tmp_path, capsys, command, payload):
     assert capsys.readouterr().err.startswith("error: not valid JSON: ")
 
 
-def test_duplicate_key_exits_two(tmp_path, capsys):
-    text = json.dumps(builtin("enriques-k1"))
-    path = tmp_path / "dup.json"
-    path.write_text(text[:-1] + ', "plan": {}}')
-    code, out = invoke("verify", str(path))
-    assert code == 2
-    assert out == ""
-    assert capsys.readouterr().err == "error: duplicate key 'plan' in a JSON object\n"
+def test_duplicate_key_exits_two(tmp_path):
+    text = json.dumps(documents.base())
+    assert documents.run(tmp_path, text[:-1] + ', "plan": {}}') == (
+        2, "", "error: duplicate key 'plan' in a JSON object\n")
 
 
-def test_verify_blowup_at_unknown_curve_exits_two(tmp_path, capsys):
-    doc = builtin("enriques-k1")
+def test_verify_blowup_at_unknown_curve_exits_two(tmp_path):
+    doc = documents.base()
     step = doc["blowups"][0]
     step["branches"][0][0] = "Z"
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    code, text = invoke("verify", str(path))
-    assert code == 2
-    assert text == ""
     label = step["label"]
-    assert capsys.readouterr().err == (
-        f"error: step 0 ({label}): point[{label}]: branch references unknown curve 'Z'\n")
+    assert documents.run(tmp_path, doc) == (
+        2, "", f"error: step 0 ({label}): point[{label}]: branch references unknown curve 'Z'\n")
 
 
-def test_unlabeled_blowup_at_unknown_curve_names_its_step_once(tmp_path, capsys):
-    doc = builtin("enriques-k1")
+def test_unlabeled_blowup_at_unknown_curve_names_its_step_once(tmp_path):
+    doc = documents.base()
     step = doc["blowups"][0]
     del step["label"]
     step["branches"][0][0] = "Z"
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    code, text = invoke("verify", str(path))
-    assert code == 2
-    assert text == ""
-    assert capsys.readouterr().err == (
-        "error: step 0 (e1): point[e1]: branch references unknown curve 'Z'\n")
+    assert documents.run(tmp_path, doc) == (
+        2, "", "error: step 0 (e1): point[e1]: branch references unknown curve 'Z'\n")
 
 
 def test_readme_sample_document_verdict(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     sample = re.search(r"Short example:\n\n```json\n(.*?)```", readme, re.S).group(1)
     stated = re.search(r"`qgsurf verify`\s+on this sample exits (\d)", readme).group(1)
-    path = tmp_path / "sample.json"
-    path.write_text(sample)
-    code, text = invoke("verify", str(path))
+    code, text, _ = documents.run(tmp_path, sample)
     assert code == int(stated)
     assert text.splitlines() == [
         "violation=plan: plan-smoothability[chain0]: chain [3] is not smoothable",
         "violation=plan: plan-smoothability[chain1]: chain [3] is not smoothable",
         "status=fail",
     ]
-
-
-def _write(tmp_path, doc):
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
 
 
 def test_verify_rational_elliptic_i9_advisory(tmp_path):
@@ -579,18 +541,18 @@ def test_verify_rational_elliptic_i9_advisory(tmp_path):
         "fibration": {"fibers": [{"type": "I9", "components": []},
                                  {"type": "I1", "components": []}]},
     }
-    code, text = invoke("verify", _write(tmp_path, doc))
+    code, text, _ = documents.run(tmp_path, doc)
     assert code == 0
     assert "advisory=an I9 fiber implies three I1-type fibers; only 1 declared" in text
     assert text.endswith("status=pass\n")
 
 
 def test_verify_positive_deficit_is_a_note_not_a_failure(tmp_path):
-    doc = builtin("enriques-k1")
+    doc = documents.base()
     del doc["expect"]  # a document declaring `expect` is held to deficit 0
     fibers = doc["fibration"]["fibers"]
     fibers.remove({"type": "I1", "multiplicity": 1, "components": []})
-    code, text = invoke("verify", _write(tmp_path, doc))
+    code, text, _ = documents.run(tmp_path, doc)
     assert code == 0
     lines = text.splitlines()
     assert lines[0] == "euler_sum=11 target=12 deficit=1 note=unlisted fibers"
@@ -687,8 +649,8 @@ def _set_smoothing(value):
     (_smoothing(independent=["S1", "G1", "S1"]),
      "plan.smoothing.independent: duplicate curve name 'S1'"),
     (_smoothing(snc=["G2", "G2"]), "plan.smoothing.snc: duplicate curve name 'G2'"),
-    (_smoothing(stage=-1), "plan.smoothing.stage: expected 0..5 (the number of blow-ups), got -1"),
-    (_smoothing(stage=6), "plan.smoothing.stage: expected 0..5 (the number of blow-ups), got 6"),
+    (_smoothing(stage=-1), "plan.smoothing.stage: expected 0..10 (the number of blow-ups), got -1"),
+    (_smoothing(stage=11), "plan.smoothing.stage: expected 0..10 (the number of blow-ups), got 11"),
     (_smoothing(stage=True), "plan.smoothing.stage: expected an integer, got True"),
     (_set_smoothing({"stage": 0, "snc": ["S1"]}),
      "plan.smoothing: missing required field 'independent'"),
@@ -697,50 +659,47 @@ def _set_smoothing(value):
 ], ids=["array", "null", "unknown-field", "name-int", "snc-string", "repeated-independent",
         "repeated-snc", "stage-negative", "stage-past-blowups", "stage-bool", "missing-list",
         "empty-list"])
-def test_malformed_smoothing_section_exits_two(tmp_path, capsys, edit, message):
-    doc = builtin("enriques-k1")
+def test_malformed_smoothing_section_exits_two(tmp_path, edit, message):
+    doc = documents.base()
     edit(doc)
-    path = _write(tmp_path, doc)
     for command in ("verify", "export-dot"):
-        assert invoke(command, path) == (2, ""), command
-        assert capsys.readouterr().err == f"error: {message}\n", command
+        assert documents.run(tmp_path, doc, command) == (2, "", f"error: {message}\n"), command
 
 
-def test_boolean_self_intersection_exits_two(tmp_path, capsys):
+def test_boolean_self_intersection_exits_two(tmp_path):
     # a JSON boolean is never an integer
-    doc = builtin("enriques-k1")
+    doc = documents.base()
     curve = doc["curves"][0]
     curve["self"] = True
-    path = _write(tmp_path, doc)
     for command in ("verify", "export-dot"):
-        assert invoke(command, path) == (2, ""), command
-        assert capsys.readouterr().err == (
-            f"error: curve {curve['name']}.self: expected an integer, got True\n"), command
+        assert documents.run(tmp_path, doc, command) == (
+            2, "", f"error: curve {curve['name']}.self: expected an integer, got True\n"), command
 
 
-def test_smoothing_name_unknown_at_its_stage_exits_two(tmp_path, capsys):
+def test_smoothing_name_unknown_at_its_stage_exits_two(tmp_path):
     # E is k2's first exceptional curve: it exists after one blow-up, not before
     doc = builtin("enriques-k2")
     doc["plan"]["smoothing"]["stage"] = 0
-    assert invoke("verify", _write(tmp_path, doc)) == (2, "")
-    assert capsys.readouterr().err == (
-        "error: plan.smoothing references curve 'E', absent after 0 blow-up(s)\n")
+    assert documents.run(tmp_path, doc) == (
+        2, "", "error: plan.smoothing references curve 'E', absent after 0 blow-up(s)\n")
 
 
-def test_undeclared_crossing_in_the_snc_divisor_exits_two(tmp_path, capsys):
-    # without the point P0, S1.S2 = 1 has no declared crossing: the SNC check
+def test_undeclared_crossing_in_the_snc_divisor_exits_two(tmp_path):
+    # without the point Q16, S1.G6 = 1 has no declared crossing: the SNC check
     # cannot decide, which is an input error, not a traceback
-    doc = builtin("enriques-k1")
-    doc["points"] = [p for p in doc["points"] if p["name"] != "P0"]
-    assert invoke("verify", _write(tmp_path, doc)) == (2, "")
-    assert capsys.readouterr().err == "error: S1.S2 = 1 but no declared points on the pair\n"
+    doc = documents.base()
+    doc["points"] = [p for p in doc["points"] if p["name"] != "Q16"]
+    assert documents.run(tmp_path, doc) == (
+        2, "", "error: S1.G6 = 1 but no declared points on the pair\n")
 
 
 def test_failed_independence_certificate_fails_verify(tmp_path):
-    doc = builtin("enriques-k1")
-    doc["plan"]["smoothing"]["independent"] = [f"G{i}" for i in range(1, 10)] + ["F"]
-    path = _write(tmp_path, doc)
-    code, text = invoke("verify", path)
+    # before any blow-up the nine I9 components and the nodal fiber F obey
+    # F = G1 + ... + G9
+    doc = documents.base()
+    doc["plan"]["smoothing"] = {"stage": 0, "independent": [f"G{i}" for i in range(1, 10)] + ["F"],
+                                "snc": ["S1", "S2"] + [f"G{i}" for i in range(1, 10)]}
+    code, text, _ = documents.run(tmp_path, doc)
     assert code == 1
     lines = text.splitlines()
     assert "independence_rank=9" in lines
@@ -748,7 +707,7 @@ def test_failed_independence_certificate_fails_verify(tmp_path):
     assert [line for line in lines if line.startswith("violation=")] == [
         "violation=plan: independence[plan.smoothing]: rank 9 < 10 curves after 0 blow-up(s)"]
     assert lines[-1] == "status=fail"
-    code, text = invoke("--output", "json", "verify", path)
+    code, text, _ = documents.run(tmp_path, doc, "--output", "json", "verify")
     blob = json.loads(text)
     assert (code, blob["status"], blob["independence_rank"]) == (1, "fail", 9)
     assert blob["violations"] == [
@@ -758,60 +717,62 @@ def test_failed_independence_certificate_fails_verify(tmp_path):
 
 
 def test_failed_snc_certificate_fails_verify(tmp_path):
-    # the nodal fiber F has genus 1 and its node P1 is not a transverse crossing
-    doc = builtin("enriques-k1")
-    doc["plan"]["smoothing"]["snc"].append("F")
-    code, text = invoke("verify", _write(tmp_path, doc))
+    # stated before step 4 (E) blows up the node N of the nodal fiber F: F
+    # still has genus 1 and N is not a transverse crossing
+    doc = documents.base()
+    smoothing = doc["plan"]["smoothing"]
+    smoothing["stage"] = 4
+    smoothing["independent"].remove("E")
+    smoothing["snc"].remove("E")
+    code, text, _ = documents.run(tmp_path, doc)
     assert code == 1
     assert [line for line in text.splitlines() if line.startswith("violation=")] == [
         "violation=plan: snc-component[F]: component has genus 1, not rational",
-        "violation=plan: snc-point[P1]: non-transverse branch (multiplicity > 1)"]
+        "violation=plan: snc-point[N]: non-transverse branch (multiplicity > 1)"]
     result = pipeline.run(parse_unvalidated(doc))
     assert [f.stage for f in result.failures] == ["plan", "plan"]
 
 
-def _node_blown_up_beside_another(doc):
-    doc["points"].append({"name": "P1c", "branches": [["F", 2]]})
-    doc["blowups"].append({"label": "N", "branches": [["F", 2]]})
+def _second_node_on_f(doc):
+    doc["points"].append({"name": "Nc", "branches": [["F", 2]]})
 
 
 def _step_through_three_curves(doc):
-    doc["blowups"].append({"label": "T", "branches": [["S1", 1], ["S2", 1], ["F", 1]]})
+    doc["blowups"].append({"label": "T", "branches": [["S1", 1], ["G6", 1], ["G7", 1]]})
 
 
 @pytest.mark.parametrize("edit, violations", [
-    (_node_blown_up_beside_another, [
-        "final: point[P1c]: multiplicity 2 exceeds genus budget of F",
-        "plan: ampleness certificate has a non-positive entry"]),
+    (_second_node_on_f, [
+        "final: point[Nc]: multiplicity 2 exceeds genus budget of F",
+        "plan: snc-point[Nc]: non-transverse branch (multiplicity > 1)"]),
     (_step_through_three_curves, [
-        "final: point-pairing[S1.S2]: declared points account for 1 > pairing 0",
-        "final: point-pairing[F.S2]: declared points account for 2 > pairing 1",
-        "final: point-pairing[F.S1]: declared points account for 2 > pairing 1",
-        "plan: plan-smoothability[chain2]: chain [5] is not smoothable",
-        "plan: plan-smoothability[chain3]: chain [5] is not smoothable"]),
+        "final: point-pairing[G6.S1]: declared points account for 1 > pairing 0",
+        "final: point-pairing[G7.S1]: declared points account for 1 > pairing 0",
+        "final: point-pairing[G6.G7]: declared points account for 1 > pairing 0",
+        "plan: plan-shape[chain0]: S1.G7 = 0, expected 1"]),
 ], ids=["genus-budget", "point-pairing"])
 def test_final_stage_point_rule_fails_verify(tmp_path, edit, violations):
-    """Faults that only the final stage's point rule sees.  Blowing up one
-    node of the genus-1 curve F leaves the second declared node P1c over F's
-    genus budget; a step through S1, S2 and F lowers their mutual pairings
-    below the crossings declared on them, and consumes none of them."""
-    doc = builtin("enriques-k1")
+    """Faults that only the final stage's point rule sees.  Step 4 (E) blows
+    up the node N of the genus-1 curve F, which leaves a second declared node
+    Nc over F's genus budget; a step through S1, G6 and G7 lowers their
+    mutual pairings below the crossings declared on them (Q16, Q17 and N67),
+    and consumes none of them."""
+    doc = documents.base()
     del doc["expect"]  # the extra step breaks the declared blow-up count too
     edit(doc)
-    path = _write(tmp_path, doc)
-    code, text = invoke("verify", path)
+    code, text, _ = documents.run(tmp_path, doc)
     assert code == 1
     assert [line for line in text.splitlines() if line.startswith("violation=")] == [
         f"violation={v}" for v in violations]
-    code, text = invoke("--output", "json", "verify", path)
+    code, text, _ = documents.run(tmp_path, doc, "--output", "json", "verify")
     assert code == 1 and json.loads(text)["violations"] == violations
 
 
 @pytest.mark.parametrize("q", [1, 10**400], ids=["1", "10^400"])
 def test_declared_q_on_an_enriques_ambient_fails_verify(tmp_path, q):
-    doc = builtin("enriques-k1")
+    doc = documents.base()
     doc["plan"]["q"] = q
-    code, text = invoke("verify", _write(tmp_path, doc))
+    code, text, _ = documents.run(tmp_path, doc)
     lines = text.splitlines()
     assert code == 1
     assert [line for line in lines if line.startswith("violation=")] == [
@@ -823,17 +784,17 @@ def test_declared_q_on_an_enriques_ambient_fails_verify(tmp_path, q):
 
 
 @pytest.mark.parametrize("q, line", [
-    (1, "topology.c2=11 b2plus=3 b2minus=10"),
-    (0, "topology.c2=11 b2plus=1 b2minus=8"),
+    (1, "topology.c2=9 b2plus=3 b2minus=8"),
+    (0, "topology.c2=9 b2plus=1 b2minus=6"),
 ], ids=["q1", "q0"])
 def test_topology_on_kind_other_follows_the_declared_q(tmp_path, q, line):
-    # b1 = 2q, b2 = c2 - 2 + 2*b1 and b2+ = 2*p_g + 1: with q = 1 the k1
-    # construction has p_g = 1, b2 = 13, b2+ = 3; with q = 0 the line is as before
-    doc = builtin("enriques-k1")
+    # b1 = 2q, b2 = c2 - 2 + 2*b1 and b2+ = 2*p_g + 1: with q = 1 the K^2 = 3
+    # construction has p_g = 1, b2 = 11, b2+ = 3; with q = 0 the line is as before
+    doc = documents.base()
     del doc["expect"]  # which declares p_g = 0
     doc["surface"]["kind"] = "other"
     doc["plan"]["q"] = q
-    code, text = invoke("verify", _write(tmp_path, doc))
+    code, text, _ = documents.run(tmp_path, doc)
     lines = text.splitlines()
     assert code == 0 and lines[-1] == "status=pass"
     assert f"p_g={q}" in lines
@@ -841,8 +802,8 @@ def test_topology_on_kind_other_follows_the_declared_q(tmp_path, q, line):
 
 
 def _kind_other(chi, q):
-    """k1's construction on a kind-"other" ambient with the given chi and q."""
-    doc = builtin("enriques-k1")
+    """The base construction on a kind-"other" ambient with the given chi and q."""
+    doc = documents.base()
     del doc["fibration"], doc["expect"]
     doc["surface"] = {"kind": "other", "chi": chi, "K2": 0, "K_num_trivial": False}
     doc["plan"]["q"] = q
@@ -852,7 +813,7 @@ def _kind_other(chi, q):
 @pytest.mark.parametrize("chi, q", [(0, 0), (-3, 0), (-3, 2)])
 def test_negative_p_g_fails_verify(tmp_path, chi, q):
     # p_g = h^0(K) >= 0: chi - 1 + q < 0 is a plan violation, not a report
-    code, text = invoke("verify", _write(tmp_path, _kind_other(chi, q)))
+    code, text, _ = documents.run(tmp_path, _kind_other(chi, q))
     lines = text.splitlines()
     assert code == 1
     assert [line for line in lines if line.startswith("violation=")] == [
@@ -864,7 +825,7 @@ def test_negative_p_g_fails_verify(tmp_path, chi, q):
 
 def test_chi_zero_with_q_one_passes_verify(tmp_path):
     # chi = 0 and q = 1, as on a ruled surface over an elliptic curve: p_g = 0
-    code, text = invoke("verify", _write(tmp_path, _kind_other(0, 1)))
+    code, text, _ = documents.run(tmp_path, _kind_other(0, 1))
     lines = text.splitlines()
     assert code == 0 and lines[-1] == "status=pass"
     assert "p_g=0" in lines and "q=1" in lines
@@ -886,7 +847,8 @@ def test_counted_crossings_keep_verify_bounded(tmp_path, fresh_env):
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    proc = subprocess.run([sys.executable, "-m", "qgsurf", "verify", _write(tmp_path, doc)],
+    proc = subprocess.run([sys.executable, "-m", "qgsurf", "verify",
+                           str(documents.write(tmp_path, doc))],
                           capture_output=True, text=True, env=fresh_env, timeout=60,
                           preexec_fn=limit_memory)
     assert proc.returncode in (0, 1, 2)

@@ -1,9 +1,8 @@
-import io
 import json
 
 import pytest
 
-from qgsurf import cli
+import documents
 from qgsurf import config as config_mod
 from qgsurf.config import (
     export_dot,
@@ -137,7 +136,7 @@ def test_validate_point_overcounting():
 
 
 def test_validate_permutation_invariant(corpus_results):
-    cfg = corpus_results["enriques-k1"].document.configuration
+    cfg = corpus_results[documents.BASE].document.configuration
     assert validate(cfg) == []
     reorder = list(reversed(range(len(cfg.curves))))
     permuted = config_mod.Configuration(
@@ -186,13 +185,13 @@ def test_independence_fiber_components_alone(corpus_results):
 
 
 def test_independence_unknown_curve(corpus_results):
-    cfg = corpus_results["enriques-k1"].document.configuration
+    cfg = corpus_results[documents.BASE].document.configuration
     with pytest.raises(UnknownCurveError):
         independence_certificate(cfg, ["S1", "nope"])
 
 
 def test_independence_without_candidates_is_a_domain_error(corpus_results):
-    cfg = corpus_results["enriques-k1"].document.configuration
+    cfg = corpus_results[documents.BASE].document.configuration
     with pytest.raises(DomainError, match="at least one candidate curve"):
         independence_certificate(cfg, [])
 
@@ -328,7 +327,7 @@ def _expect_set(key, value):
     _expect_set("chains", [None]),
 ], ids=["unknown-field", "missing-field", "gcd-bool", "K2-string", "chains-null"])
 def test_parse_rejects_malformed_expect(edit):
-    doc = builtin("enriques-k1")
+    doc = documents.base()
     edit(doc["expect"])
     with pytest.raises(SchemaError, match=r"^expect"):
         parse(doc)
@@ -414,8 +413,7 @@ def test_parse_rejects_non_string_name():
 
 
 def test_parse_rejects_string_two_sections():
-    doc = builtin("enriques-k1")
-    bad = json.loads(json.dumps(doc))
+    bad = documents.base()
     bad["fibration"]["two_sections"] = "S1"
     with pytest.raises(SchemaError, match="two_sections"):
         parse(bad)
@@ -453,12 +451,10 @@ def test_validate_e_needs_positive_n(tmp_path, n):
     assert [str(v) for v in surface] == [f"surface[e]: E(n) needs n >= 1, got n={n}"]
     with pytest.raises(ValidationError):
         parse(doc)
-    path = tmp_path / "e.json"
-    path.write_text(json.dumps(doc))
-    out = io.StringIO()
-    assert cli.run(["verify", str(path)], out=out) == 1
-    assert f"violation=base: surface[e]: E(n) needs n >= 1, got n={n}" in out.getvalue()
-    assert out.getvalue().endswith("status=fail\n")
+    code, out, _ = documents.run(tmp_path, doc)
+    assert code == 1
+    assert f"violation=base: surface[e]: E(n) needs n >= 1, got n={n}" in out
+    assert out.endswith("status=fail\n")
 
 
 _E_SURFACE = "surface[e]: E(n) has K = (n-2)F, so n={} needs K_num_trivial={}"
@@ -484,9 +480,7 @@ def test_validate_e_needs_k_num_trivial_exactly_when_n_is_2(tmp_path, n, flag, c
         curves=[{"name": name, "self": self_int, "genus": 0, "Kdeg": k_deg, "tags": []}])
     cfg = config_mod.parse_unvalidated(doc).configuration
     assert [str(v) for v in validate(cfg)] == expected
-    path = tmp_path / "e.json"
-    path.write_text(json.dumps(doc))
-    out = io.StringIO()
-    assert cli.run(["verify", str(path)], out=out) == (1 if expected else 0)
-    assert out.getvalue() == "".join(f"violation=base: {v}\n" for v in expected) + (
-        "status=fail\n" if expected else "status=pass\n")
+    assert documents.run(tmp_path, doc) == (
+        1 if expected else 0,
+        "".join(f"violation=base: {v}\n" for v in expected)
+        + ("status=fail\n" if expected else "status=pass\n"), "")

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import documents
 from qgsurf import cli, corpus, pipeline
 from qgsurf import config as config_mod
 from qgsurf.blowup import apply_blowups
@@ -94,15 +95,16 @@ def test_negative_control_corrupted_self_intersection():
 
 
 def test_negative_control_corrupted_pairing():
-    doc = builtin("enriques-k1")
-    doc["pairing"] = [p for p in doc["pairing"] if p[:2] != ["G6", "G7"]]
+    # G2.G3 = 1 joins two curves of the I9 cycle and of the plan's second chain
+    doc = documents.base()
+    doc["pairing"] = [p for p in doc["pairing"] if p[:2] != ["G2", "G3"]]
     # the now-dangling cycle point is caught at parse time already
     with pytest.raises(config_mod.ValidationError):
         config_mod.parse(doc)
     # with the point dropped as well, the I9 fiber is no longer a cycle
-    doc["points"] = [p for p in doc["points"] if p["name"] != "N67"]
+    doc["points"] = [p for p in doc["points"] if p["name"] != "N23"]
     with pytest.raises(config_mod.ValidationError,
-                       match=r"fibration\[I9\]: not a Kodaira I9: G6 pairs -1 with "):
+                       match=r"fibration\[I9\]: not a Kodaira I9: G2 pairs -1 with "):
         config_mod.parse(doc)
     # and the plan stage catches it on its own
     parsed = config_mod.parse_unvalidated(doc)
@@ -188,26 +190,26 @@ class _Packaged:
 
 
 def test_expectation_mismatch_fails_the_example(monkeypatch):
-    doc = builtin("enriques-k1")
+    doc = documents.base()
     doc["expect"]["K2"] = 2
     monkeypatch.setattr(corpus, "resources", _Packaged(json.dumps(doc)))
-    result = verify_example("enriques-k1")
+    result = verify_example(documents.BASE)
     assert not result.passed
-    assert result.failures == (Failure("corpus", "K2 1 != 2"),)
+    assert result.failures == (Failure("corpus", "K2 3 != 2"),)
     out = io.StringIO()
-    assert cli.run(["example", "enriques-k1"], out=out) == 1
+    assert cli.run(["example", documents.BASE], out=out) == 1
     lines = out.getvalue().splitlines()
-    assert "failure=corpus: K2 1 != 2" in lines
+    assert "failure=corpus: K2 3 != 2" in lines
     assert lines[-1] == "status=fail"
 
 
 def test_example_fails_on_unlisted_fibers(monkeypatch):
     # the pipeline only notes a positive deficit; a document declaring
     # `expect` is held to 0
-    doc = builtin("enriques-k1")
+    doc = documents.base()
     doc["fibration"]["fibers"].remove({"type": "I1", "multiplicity": 1, "components": []})
     monkeypatch.setattr(corpus, "resources", _Packaged(json.dumps(doc)))
-    result = verify_example("enriques-k1")
+    result = verify_example(documents.BASE)
     assert all(f.stage == "corpus" for f in result.failures)
     assert result.failures == (
         Failure("corpus", "euler sum 11 != 12"),
@@ -232,17 +234,15 @@ def test_example_is_verify_of_the_shipped_document(name):
 def test_repeated_key_in_a_packaged_document_is_an_input_error(monkeypatch, capsys, tmp_path):
     """``example`` decodes the packaged JSON as ``verify`` decodes a file, so
     a repeated key is the same SchemaError (exit 2) under both."""
-    text = corpus.resources.files("qgsurf").joinpath("corpus_data/enriques-k1.json").read_text()
-    repeated = text.replace('"name": "enriques-k1"', '"name": "x", "name": "enriques-k1"', 1)
+    name = documents.BASE
+    text = corpus.resources.files("qgsurf").joinpath(f"corpus_data/{name}.json").read_text()
+    repeated = text.replace(f'"name": "{name}"', f'"name": "x", "name": "{name}"', 1)
     assert repeated != text
-    path = tmp_path / "repeated.json"
-    path.write_text(repeated)
     message = "error: duplicate key 'name' in a JSON object\n"
-    assert cli.run(["verify", str(path)], io.StringIO()) == 2
-    assert capsys.readouterr().err == message
+    assert documents.run(tmp_path, repeated) == (2, "", message)
 
     monkeypatch.setattr(corpus, "resources", _Packaged(repeated))
     with pytest.raises(SchemaError, match="duplicate key 'name' in a JSON object"):
-        builtin("enriques-k1")
-    assert cli.run(["example", "enriques-k1"], io.StringIO()) == 2
+        builtin(name)
+    assert cli.run(["example", name], io.StringIO()) == 2
     assert capsys.readouterr().err == message

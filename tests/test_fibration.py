@@ -1,10 +1,6 @@
-import io
-import json
-
 import pytest
 
-from qgsurf import cli
-from qgsurf.corpus import builtin
+import documents
 from qgsurf.errors import UnknownTagError
 from qgsurf.fibration import (
     EulerCheck,
@@ -61,36 +57,32 @@ def test_tag_index_is_ascii_digits_that_int_reads(bad):
 
 def test_verify_reads_a_zero_padded_i9_as_i9(tmp_path):
     """Every rule compares the reduced type as a string.  Before tags were
-    spelled one way, this copy of k1 (one I1 dropped, the I9 typed I09)
-    printed no advisory, and its fibers were written back as I09."""
-    doc = builtin("enriques-k1")
+    spelled one way, a copy of k1 with these edits (one I1 dropped, the I9
+    typed I09) printed no advisory, and its fibers were written back as I09."""
+    doc = documents.base()
     del doc["expect"]
     doc["fibration"]["fibers"].pop()
     doc["fibration"]["fibers"][0]["type"] = "I09"
     assert config_mod.parse(doc).configuration.fibration.fibers[0].tag == "I9"
-    path = tmp_path / "i09.json"
-    path.write_text(json.dumps(doc))
-    out = io.StringIO()
-    assert cli.run(["verify", str(path)], out=out) == 0
+    code, out, _ = documents.run(tmp_path, doc)
+    assert code == 0
     assert "advisory=an I9 fiber implies three I1-type fibers; only 2 declared" in (
-        out.getvalue().splitlines())
+        out.splitlines())
 
 
 def test_a_fiber_listing_a_component_twice_fails_only_the_repeat_rule(tmp_path):
     """A fiber is fully tracked when it lists each of its type's components
-    once.  Before the 2-section check shared that definition, this copy of
-    k1 (G1 listed twice, G9 left out) also printed a two-section violation
-    for S2, which meets G9."""
-    doc = builtin("enriques-k1")
+    once.  Before the 2-section check shared that definition, a copy of k1
+    with this edit (G1 listed twice, G9 left out) also printed a two-section
+    violation for S2, which meets G9 there as it does in the base."""
+    doc = documents.base()
     doc["fibration"]["fibers"][0]["components"][-1] = "G1"
     cfg = config_mod.parse_unvalidated(doc).configuration
     assert not cfg.fibration.fibers[0].is_fully_tracked()
     assert two_section_incidence_check(cfg) == []
-    path = tmp_path / "repeated.json"
-    path.write_text(json.dumps(doc))
-    out = io.StringIO()
-    assert cli.run(["verify", str(path)], out=out) == 1
-    assert [line for line in out.getvalue().splitlines() if line.startswith("violation=")] == [
+    code, out, _ = documents.run(tmp_path, doc)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("violation=")] == [
         "violation=base: fibration[I9]: components repeated within the fiber: ['G1']"]
 
 
@@ -210,11 +202,9 @@ def test_two_section_meets_an_i0_star_fiber_with_multiplicities(tmp_path):
     printed a two-section violation and exited 1."""
     doc = _i0_star_with_two_section()
     assert two_section_incidence_check(config_mod.parse(doc).configuration) == []
-    path = tmp_path / "i0-star.json"
-    path.write_text(json.dumps(doc))
-    out = io.StringIO()
-    assert cli.run(["verify", str(path)], out=out) == 0
-    assert not [x for x in out.getvalue().splitlines() if x.startswith("violation=")]
+    code, out, _ = documents.run(tmp_path, doc)
+    assert code == 0
+    assert not [x for x in out.splitlines() if x.startswith("violation=")]
     # S on a leg instead: S.F = 1
     doc["pairing"][-1] = ["S", "C1", 1]
     assert [str(v) for v in two_section_incidence_check(config_mod.parse(doc).configuration)] == [
@@ -264,18 +254,6 @@ def test_fibration_validate_component_overlap():
     assert any("shared across fibers" in v.detail for v in validate(cfg))
 
 
-def test_fiber_repeating_a_component_fails(tmp_path):
-    # nine names for I9's nine components, but G2 twice and G9 missing: the
-    # fiber must not count as fully tracked with G2 counted twice
-    doc = builtin("enriques-k1")
-    doc["fibration"]["fibers"][0]["components"][8] = "G2"
-    path = tmp_path / "repeat.json"
-    path.write_text(json.dumps(doc))
-    out = io.StringIO()
-    assert cli.run(["verify", str(path)], out=out) == 1
-    assert "violation=base: fibration[I9]: components repeated within the fiber: ['G2']" in out.getvalue()
-
-
 @pytest.mark.parametrize("a, b, line", [
     ("F", "G5", "violation=base: fibration[G5.F]: components of distinct fibers I9 and I1 "
                 "pair to 1, not 0"),
@@ -284,16 +262,18 @@ def test_fiber_repeating_a_component_fails(tmp_path):
 ])
 def test_verify_rejects_distinct_fibers_that_meet(tmp_path, a, b, line):
     """Distinct fibers are disjoint.  Before the rule, a copy of k1 whose F
-    meets G5 once printed status=pass with ample.F=7/3."""
-    doc = builtin("enriques-k1")
+    meets G5 once printed status=pass with ample.F=7/3.  The base tracks one
+    nodal fiber; F2, a second one in an untracked I1, passes on its own."""
+    doc = documents.base()
+    doc["curves"].append({"name": "F2", "self": 0, "genus": 1, "Kdeg": 0, "tags": ["nodal-fiber"]})
+    doc["pairing"] += [["S1", "F2", 2], ["S2", "F2", 2]]
+    doc["fibration"]["fibers"][2]["components"] = ["F2"]
     doc["pairing"].append([a, b, 1])
     doc["points"].append({"name": "X", "branches": [[a, 1], [b, 1]]})
     del doc["expect"]
-    path = tmp_path / "fibers-meet.json"
-    path.write_text(json.dumps(doc))
-    out = io.StringIO()
-    assert cli.run(["verify", str(path)], out=out) == 1
-    lines = out.getvalue().splitlines()
+    code, out, _ = documents.run(tmp_path, doc)
+    assert code == 1
+    lines = out.splitlines()
     assert [x for x in lines if x.startswith("violation=")] == [line]
     assert lines[-1] == "status=fail"
 
@@ -343,15 +323,12 @@ def test_smooth_fiber_tag_rejected(bad):
         parse_tag(bad)
 
 
-def test_document_with_smooth_fiber_is_an_input_error(tmp_path, capsys):
-    doc = builtin("enriques-k1")
+def test_document_with_smooth_fiber_is_an_input_error(tmp_path):
+    doc = documents.base()
     doc["fibration"]["fibers"].append({"type": "I0", "components": []})
-    path = tmp_path / "i0.json"
-    path.write_text(json.dumps(doc))
-    out = io.StringIO()
-    assert cli.run(["verify", str(path)], out=out) == 2
-    assert out.getvalue() == ""
-    assert "'I0'" in capsys.readouterr().err
+    code, out, err = documents.run(tmp_path, doc)
+    assert (code, out) == (2, "")
+    assert "'I0'" in err
 
 
 @pytest.mark.parametrize("surface, fibers, excess", [
@@ -382,18 +359,16 @@ def test_fibration_validate_shioda_tate_bound(surface, fibers, excess):
 
 
 def test_verify_rejects_fibers_beyond_the_shioda_tate_bound(tmp_path):
-    """An Enriques mutant of k1 whose fibers are I9 + I3: its Euler sum is
-    12, but 8 + 2 = 10 components beyond one per fiber exceed rho - 2 = 8.
-    Before the rule it printed status=pass."""
-    doc = builtin("enriques-k1")
+    """A copy of the base whose fibers are I9 + I3: its Euler sum is 12,
+    but 8 + 2 = 10 components beyond one per fiber exceed rho - 2 = 8.
+    Before the rule the same edit of k1 printed status=pass."""
+    doc = documents.base()
     i9 = doc["fibration"]["fibers"][0]
     doc["fibration"]["fibers"] = [i9, {"type": "I3", "components": []}]
     del doc["expect"]
-    path = tmp_path / "i9-i3.json"
-    path.write_text(json.dumps(doc))
-    out = io.StringIO()
-    assert cli.run(["verify", str(path)], out=out) == 1
-    lines = out.getvalue().splitlines()
+    code, out, _ = documents.run(tmp_path, doc)
+    assert code == 1
+    lines = out.splitlines()
     assert lines[0] == "euler_sum=12 target=12 deficit=0"
     assert [x for x in lines if x.startswith("violation=")] == [
         "violation=base: fibration[shioda-tate]: sum of (components - 1) over the fibers "
@@ -440,11 +415,9 @@ def test_validate_rejects_fibers_that_are_not_kodaira_or_not_one_class(doc, line
 @pytest.mark.parametrize("doc, line", _FIBER_RULES)
 def test_verify_rejects_fibers_that_are_not_kodaira_or_not_one_class(doc, line, tmp_path):
     """Before the two rules each of these printed status=pass."""
-    path = tmp_path / "fibers.json"
-    path.write_text(json.dumps(doc))
-    out = io.StringIO()
-    assert cli.run(["verify", str(path)], out=out) == 1
-    lines = out.getvalue().splitlines()
+    code, out, _ = documents.run(tmp_path, doc)
+    assert code == 1
+    lines = out.splitlines()
     assert [x for x in lines if x.startswith("violation=")] == [f"violation=base: {line}"]
     assert lines[-1] == "status=fail"
 
@@ -603,22 +576,18 @@ _NEAR_MISSES = [
 
 @pytest.mark.parametrize("tag", list(_KODAIRA_FIBERS))
 def test_verify_accepts_each_kodaira_fiber(tag, tmp_path):
-    path = tmp_path / "fiber.json"
-    path.write_text(json.dumps(_fiber_doc(tag, *_KODAIRA_FIBERS[tag])))
-    out = io.StringIO()
-    assert cli.run(["verify", str(path)], out=out) == 0
-    assert not [x for x in out.getvalue().splitlines() if x.startswith("violation=")]
+    code, out, _ = documents.run(tmp_path, _fiber_doc(tag, *_KODAIRA_FIBERS[tag]))
+    assert code == 0
+    assert not [x for x in out.splitlines() if x.startswith("violation=")]
 
 
 @pytest.mark.parametrize("doc, reason", _NEAR_MISSES)
 def test_verify_rejects_a_near_miss_of_each_kodaira_fiber(doc, reason, tmp_path):
     """One wrong pairing in each accepted fiber, and three graphs with the
     right component count that are not the type's diagram."""
-    path = tmp_path / "fiber.json"
-    path.write_text(json.dumps(doc))
-    out = io.StringIO()
-    assert cli.run(["verify", str(path)], out=out) == 1
+    code, out, _ = documents.run(tmp_path, doc)
+    assert code == 1
     (fiber,) = doc["fibration"]["fibers"]
     tag = fiber["type"]
-    assert [x for x in out.getvalue().splitlines() if x.startswith("violation=")] == [
+    assert [x for x in out.splitlines() if x.startswith("violation=")] == [
         f"violation=base: fibration[{tag}]: not a Kodaira {tag.lstrip('2')}: {reason}"]

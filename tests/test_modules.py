@@ -13,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
+import documents
 import qgsurf
 
 PACKAGE_DIR = Path(qgsurf.__file__).resolve().parent
-DOCUMENT = PACKAGE_DIR / "corpus_data" / "enriques-k1.json"
+DOCUMENT = PACKAGE_DIR / "corpus_data" / f"{documents.BASE}.json"
 
 
 def _deferred_import(node: ast.AST) -> str | None:
@@ -98,7 +99,7 @@ PIPELINE_SET = sorted(CHAIN_SET + ["blowup", "config", "fibration", "pipeline", 
     (["info"], sorted(CHAIN_SET + ["kernel"])),
     (["verify", str(DOCUMENT)], PIPELINE_SET),
     (["export-dot", str(DOCUMENT)], sorted(CHAIN_SET + ["config", "fibration", "ratlin"])),
-    (["example", "enriques-k1"], sorted(PIPELINE_SET + ["corpus"])),
+    (["example", documents.BASE], sorted(PIPELINE_SET + ["corpus"])),
     (["verify-all"], sorted(PIPELINE_SET + ["corpus"])),
 ], ids=["chain", "chain-json", "enumerate-classT", "info", "verify", "export-dot", "example",
         "verify-all"])

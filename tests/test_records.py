@@ -7,6 +7,7 @@ Each record refuses field assignment and ``_replace`` keeps its type;
 
 import pytest
 
+import documents
 from qgsurf import corpus
 from qgsurf.errors import UnknownCurveError
 from qgsurf.pipeline import Failure
@@ -25,8 +26,8 @@ RECORDS = [
 
 @pytest.fixture(scope="module")
 def instances():
-    """One instance of every record, taken from a run of the k1 example."""
-    result = corpus.verify_example("enriques-k1")
+    """One instance of every record, taken from a run of the base example."""
+    result = corpus.verify_example(documents.BASE)
     doc, cfg, report = result.document, result.final, result.report
     return [
         cfg.surface, cfg.curves[0], cfg.points[0], doc.blowups[0], doc.plan.smoothing,
@@ -57,7 +58,7 @@ def test_record_is_frozen_and_replace_keeps_its_type(instances, position):
 
 
 def test_configuration_replace_resolves_the_new_names():
-    cfg = corpus.verify_example("enriques-k1").stages[0]
+    cfg = corpus.verify_example(documents.BASE).stages[0]
     s1 = cfg.names.index("S1")
     assert cfg.index_of("S1") == s1 and cfg.has_curve("S1")  # builds the table
     renamed = cfg._replace(curves=tuple(c._replace(name=c.name + "'") for c in cfg.curves))
@@ -70,7 +71,7 @@ def test_configuration_replace_resolves_the_new_names():
 
 
 def test_name_table_is_outside_equality_and_hash():
-    cfg = corpus.verify_example("enriques-k1").stages[0]
+    cfg = corpus.verify_example(documents.BASE).stages[0]
     fresh = cfg._replace()
     cfg.index_of("S1")
     assert cfg == fresh and hash(cfg) == hash(fresh)
@@ -79,7 +80,7 @@ def test_name_table_is_outside_equality_and_hash():
 
 @pytest.mark.parametrize("first", ["index_of", "has_curve"])
 def test_unknown_curve_raises_whichever_lookup_runs_first(first):
-    cfg = corpus.verify_example("enriques-k1").stages[0]
+    cfg = corpus.verify_example(documents.BASE).stages[0]
     if first == "has_curve":
         assert not cfg.has_curve("Z")
     with pytest.raises(UnknownCurveError, match="^Z$"):
