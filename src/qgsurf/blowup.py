@@ -51,15 +51,16 @@ def blow_up(config: Configuration, step: BlowupStep) -> Configuration:
     breaks the point rules (``qgsurf.config.point_violations``) raises
     ValidationError with the violations."""
     label = _step_label(config, step)
-    violations = point_violations(config, [PointSpec(label, step.branches)])
+    violations = point_violations(config, [PointSpec(label, step.branches)],
+                                  "the blown-up point accounts for")
     if violations:
         raise ValidationError(violations)
-    if config.has_curve(label):
+    position = config.position
+    if label in position:
         raise SchemaError(f"exceptional curve label {label!r} already in use")
 
     n = len(config.curves)
-    index_of = config.index_of  # bound by point_violations above
-    ids = [index_of(cname) for cname, _ in step.branches]
+    ids = [position[cname] for cname, _ in step.branches]
     new_curves = list(config.curves)
     rows = list(map(add, config.pairing, repeat((0,))))  # each row gains C.E = 0
     exceptional = [0] * n + [-1]

@@ -15,6 +15,7 @@ field's rule is written once.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
@@ -127,49 +128,35 @@ class Configuration(_ConfigurationFields):
     """A surface's named curves with their pairing, points and fibration.
 
     The fields are the named tuple ``_ConfigurationFields``; the curve-name
-    table lives in the instance ``__dict__``, outside equality and hashing.
-    The first ``index_of`` or ``has_curve`` call builds it and binds its
-    lookups on the instance, shadowing both methods, so each later call is
-    one dict lookup.  ``_replace`` returns a new instance, which builds its
-    own table from its own curves; a blow-up stage made by ``_child`` starts
+    table ``position`` lives in the instance ``__dict__``, outside equality
+    and hashing.  ``_replace`` returns a new instance, which builds its own
+    table from its own curves; a blow-up stage made by ``_child`` starts
     with a copy of its parent's table.
     """
 
-    def _bind(self, table: _NameTable) -> _NameTable:
-        self._table = table
-        self.index_of, self.has_curve = table.__getitem__, table.__contains__
-        return table
-
-    def _name_table(self) -> _NameTable:
-        """The curve-name table, built and bound on first use."""
-        table = self.__dict__.get("_table")
-        if table is None:
-            table = self._bind(_NameTable((c.name, i) for i, c in enumerate(self.curves)))
-        return table
+    @cached_property
+    def position(self) -> _NameTable:
+        """Curve name -> index in ``curves``: a missing name raises
+        UnknownCurveError, and ``.get`` returns None."""
+        return _NameTable((c.name, i) for i, c in enumerate(self.curves))
 
     def _child(self, label: str, curves: tuple[CurveClass, ...],
                pairing: tuple[tuple[int, ...], ...], points: tuple[PointSpec, ...]
                ) -> Configuration:
         """The stage after one blow-up: the given fields, one more blow-up,
         and this stage's name table plus ``label``, the last of ``curves``."""
-        table = _NameTable(self._name_table())
+        table = _NameTable(self.position)
         table[label] = len(self.curves)
         child = self._make((self.surface, curves, pairing, points, self.fibration,
                             self.blowup_count + 1))
-        child._bind(table)
+        child.__dict__["position"] = table
         return child
 
-    def index_of(self, name: str) -> int:
-        return self._name_table()[name]
-
-    def has_curve(self, name: str) -> bool:
-        return name in self._name_table()
-
     def curve(self, name: str) -> CurveClass:
-        return self.curves[self.index_of(name)]
+        return self.curves[self.position[name]]
 
     def pairing_of(self, a: str, b: str) -> int:
-        return self.pairing[self.index_of(a)][self.index_of(b)]
+        return self.pairing[self.position[a]][self.position[b]]
 
     @property
     def ambient_K2(self) -> int:
@@ -680,15 +667,17 @@ def _pair_totals(resolved) -> dict[tuple[int, int], int]:
     return local
 
 
-def point_violations(config: Configuration, points: Sequence[PointSpec]) -> list[Violation]:
+def point_violations(config: Configuration, points: Sequence[PointSpec],
+                     accounting: str = "declared points account for") -> list[Violation]:
     """The point rules, as data: every branch curve exists, none repeats, each
     multiplicity m fits its curve's genus (genus >= m(m-1)/2), and on each
     pair of curves the local intersections m_a*m_b, summed over the points,
     stay within the pairing.  Declared points and blow-up steps are both
     checked here.  A pair's violation names the pair in sorted order and
-    compares with the pairing entry in that order."""
+    compares with the pairing entry in that order; its detail opens with
+    ``accounting``, which ``blow_up`` words for its step's own point."""
     out: list[Violation] = []
-    position = config._name_table().get
+    position = config.position.get
     curves, pairing = config.curves, config.pairing
     sound = []  # (ids, branches, count) of the points that pass the branch rules
     for p in points:
@@ -714,7 +703,7 @@ def point_violations(config: Configuration, points: Sequence[PointSpec]) -> list
                 i, j, a, b = j, i, b, a
             if total > pairing[i][j]:
                 out.append(Violation("point-pairing", f"{a}.{b}",
-                                     f"declared points account for {total} > pairing {pairing[i][j]}"))
+                                     f"{accounting} {total} > pairing {pairing[i][j]}"))
     return out
 
 
@@ -732,7 +721,7 @@ def independence_certificate(config: Configuration, candidates: Sequence[str]) -
     cand = tuple(candidates)
     if not cand:
         raise DomainError("independence certificate needs at least one candidate curve")
-    test_matrix = tuple(config.pairing[config.index_of(c)] for c in cand)
+    test_matrix = tuple(config.pairing[config.position[c]] for c in cand)
     witness = eliminate(test_matrix)
     return IndependenceCertificate(candidates=cand, columns=config.names,
                                    test_matrix=test_matrix,
@@ -750,8 +739,8 @@ def snc_certificate(config: Configuration, divisor: Sequence[str]) -> list[Viola
     MissingPointDataError (the data cannot decide the question).
     """
     names = list(divisor)
-    index_of, curves, pairing = config.index_of, config.curves, config.pairing
-    ids = list(map(index_of, names))
+    position, curves, pairing = config.position.__getitem__, config.curves, config.pairing
+    ids = list(map(position, names))
     out: list[Violation] = []
 
     for name, i in zip(names, ids):
@@ -774,7 +763,7 @@ def snc_certificate(config: Configuration, divisor: Sequence[str]) -> list[Viola
             out.append(Violation("snc-point", p.name,
                                  f"triple point ({len(p.branches)} branches)"))
         if len(inside) > 1:
-            on_divisor.append((list(map(index_of, map(_branch_curve, inside))), inside, p.count))
+            on_divisor.append((list(map(position, map(_branch_curve, inside))), inside, p.count))
     accounted = _pair_totals(on_divisor)
 
     for x, (a, i) in enumerate(zip(names, ids)):

@@ -184,7 +184,7 @@ class FibrationData(NamedTuple):
                    if c.name not in inside]
 
         def pairs(f, m):
-            at = [config.index_of(c) for c in f.components]
+            at = [config.position[c] for c in f.components]
             return [f.multiplicity * sum(map(mul, m, map(row.__getitem__, at)))
                     for _, row in outside]
 
@@ -207,13 +207,13 @@ class FibrationData(NamedTuple):
         repeat, so the subject is the component pair and the detail names
         both fibers.  A component shared by two fibers is reported above."""
         out = []
-        index_of, pairing = config.index_of, config.pairing
+        position, pairing = config.position, config.pairing
         for k, f in enumerate(self.fibers):
             for g in self.fibers[k + 1:]:
                 for a in f.components:
-                    row = pairing[index_of(a)]
+                    row = pairing[position[a]]
                     for b in g.components:
-                        value = row[index_of(b)]
+                        value = row[position[b]]
                         if value and a != b:
                             out.append(Violation(
                                 "fibration", f"{a}.{b}",
@@ -229,7 +229,7 @@ def _multiplicities(config, f) -> Optional[tuple[int, ...]]:
     spans it."""
     if _fiber_numbers(f.type)[2] == 1:
         return (1,) * len(f.components)
-    at = [config.index_of(c) for c in f.components]
+    at = [config.position[c] for c in f.components]
     e = eliminate([[config.pairing[i][j] for j in at] for i in at])
     if e.rank == len(at) - 1 and min(e.relations[0]) > 0:
         return e.relations[0]
@@ -239,7 +239,7 @@ def _multiplicities(config, f) -> Optional[tuple[int, ...]]:
 def _not_kodaira(config, f, m) -> Optional[str]:
     """Why fully tracked fiber f, which repeats no component, is not Kodaira's
     (module docstring), or None; m is ``_multiplicities(config, f)``."""
-    at = [config.index_of(c) for c in f.components]
+    at = [config.position[c] for c in f.components]
     single = len(at) == 1  # I1 or II
     for i in at:
         c = config.curves[i]
@@ -307,12 +307,12 @@ def two_section_incidence_check(config) -> list:
         return []
     tracked = [(f, m) for f in fib.fibers if f.is_fully_tracked()
                for m in [_multiplicities(config, f)] if m is not None]
-    index_of = config.index_of
+    position = config.position
     out = []
     for s in fib.two_sections:
-        row = config.pairing[index_of(s)]
+        row = config.pairing[position[s]]
         for f, m in tracked:
-            total = sum([x * row[index_of(c)] for x, c in zip(m, f.components)])
+            total = sum([x * row[position[c]] for x, c in zip(m, f.components)])
             expected = 1 if f.multiplicity == 2 else 2
             if total != expected:
                 out.append(Violation(
@@ -321,17 +321,17 @@ def two_section_incidence_check(config) -> list:
     return out
 
 
-def i9_forces_i1_lint(fibration: Optional[FibrationData], surface_kind: str,
-                      chi: int | None = None) -> list[str]:
+def i9_forces_i1_lint(fibration: Optional[FibrationData], surface) -> list[str]:
     """Advisory: an I9 (or 2I9) fiber should come with three I1-type fibers.
 
-    Applies on Enriques surfaces and on E(1); an under-declared configuration
-    is flagged, not failed.
+    Applies on Enriques surfaces and on E(1), read from the surface's
+    ``SurfaceInvariants``; an under-declared configuration is flagged, not
+    failed.
     """
     if fibration is None:
         return []
-    rational_elliptic = surface_kind == "e" and chi == 1
-    if surface_kind != "enriques" and not rational_elliptic:
+    rational_elliptic = surface.kind == "e" and surface.chi == 1
+    if surface.kind != "enriques" and not rational_elliptic:
         return []
     has_i9 = any(f.type == "I9" for f in fibration.fibers)
     if not has_i9:

@@ -293,8 +293,9 @@ def scan_chains(max_len: int, max_entry: int):
     """Exhaustive bounded chain scan.
 
     Returns (total, class_t, negdef_failures, roundtrip_failures) where
-    class_t is the list of accepted chains in lexicographic order, which is
-    the order a depth-first walk discovers them in.  All four are plain
+    class_t is the list of accepted chains in lexicographic order.  The scan
+    tests the children of each tail together and finds them out of that
+    order, so the list is sorted before it is returned.  All four are plain
     Python values.
     """
     if max_len < 1:

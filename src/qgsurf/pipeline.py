@@ -97,7 +97,7 @@ def _smoothing_failures(stages: tuple[Configuration, ...], hypothesis: Smoothing
     failures of both certificates."""
     stage = stages[hypothesis.stage]
     for name in hypothesis.independent + hypothesis.snc:
-        if not stage.has_curve(name):
+        if name not in stage.position:
             raise UnknownCurveError(f"plan.smoothing references curve {name!r}, "
                                     f"absent after {hypothesis.stage} blow-up(s)")
     cert = independence_certificate(stage, hypothesis.independent)
@@ -154,8 +154,7 @@ def run(doc: Document) -> RunResult:
         if euler.deficit < 0:
             failures.append(Failure("fibration", euler.note))
         failures.extend(Failure("fibration", str(v)) for v in two_section_incidence_check(base))
-        advisories = tuple(i9_forces_i1_lint(base.fibration, base.surface.kind,
-                                             base.surface.chi))
+        advisories = tuple(i9_forces_i1_lint(base.fibration, base.surface))
 
     stages, report, independence = (), None, None
     if base_valid:

@@ -58,7 +58,7 @@ def _check_plan(config: Configuration, plan: ContractionPlan
     out: list[Violation] = []
     summaries: list[Optional[ChainSummary]] = []
     seen: dict[str, int] = {}
-    position = config._name_table().get
+    position = config.position.get
     curves, pairing = config.curves, config.pairing
     for ci, chain in enumerate(plan.chains):
         label = f"chain{ci}"
@@ -324,7 +324,7 @@ def build_report(config: Configuration, plan: ContractionPlan) -> SingularSurfac
         scale = denominator // s.m
         for name, x in zip(names, s.numerators):
             coefficients.append(scale * x)
-            rows.append(config.pairing[config.index_of(name)])
+            rows.append(config.pairing[config.position[name]])
     totals = ([sum(map(mul, coefficients, column)) for column in zip(*rows)] if rows
               else [0] * len(config.curves))
     contracted = {name for chain in plan.chains for name in chain}

@@ -42,7 +42,7 @@ def point_violations(config, points) -> list[Violation]:
     sound = []
     for p in points:
         branch_curves = [c for c, _ in p.branches]
-        unknown = [c for c in branch_curves if not config.has_curve(c)]
+        unknown = [c for c in branch_curves if c not in config.position]
         if unknown:
             out.append(Violation("point", p.name,
                                  f"branch references unknown curve {unknown[0]!r}"))
@@ -219,7 +219,7 @@ def two_section_incidence_check(config) -> list:
     if fib is None:
         return out
     for s in fib.two_sections:
-        if not config.has_curve(s):
+        if s not in config.position:
             raise UnknownCurveError(s)
         for f in fib.fibers:
             if not f.is_fully_tracked():
@@ -242,7 +242,7 @@ def not_i_n(config, names) -> Optional[str]:
     0 (a nodal rational curve), I_2 two smooth rational (-2)-curves that
     pair 2, and I_n for n >= 3 one connected cycle of n smooth rational
     (-2)-curves."""
-    at = [config.index_of(c) for c in names]
+    at = [config.position[c] for c in names]
     curves = [config.curves[i] for i in at]
     if len(names) == 1:
         c = curves[0]

@@ -512,6 +512,16 @@ def test_verify_blowup_at_unknown_curve_exits_two(tmp_path):
         2, "", f"error: step 0 ({label}): point[{label}]: branch references unknown curve 'Z'\n")
 
 
+def test_blowup_step_over_the_pairing_blames_its_own_point(tmp_path):
+    """S1 and S2 meet once, at P1, which step 0 blows up; a later step
+    through both finds them disjoint, and the excess is the step's own."""
+    doc = documents.base()
+    doc["blowups"].append({"label": "T", "branches": [["S1", 1], ["S2", 1]]})
+    assert documents.run(tmp_path, doc) == (
+        2, "", "error: step 10 (T): point-pairing[S1.S2]: "
+               "the blown-up point accounts for 1 > pairing 0\n")
+
+
 def test_unlabeled_blowup_at_unknown_curve_names_its_step_once(tmp_path):
     doc = documents.base()
     step = doc["blowups"][0]

@@ -85,8 +85,8 @@ def _one_sided_edit(cfg, data, rows, columns):
     reads the pairing in the other order then disagrees with its oracle."""
     if not rows or not columns or not data.draw(st.booleans()):
         return cfg
-    i = cfg.index_of(data.draw(st.sampled_from(rows)))
-    j = cfg.index_of(data.draw(st.sampled_from(columns)))
+    i = cfg.position[data.draw(st.sampled_from(rows))]
+    j = cfg.position[data.draw(st.sampled_from(columns))]
     return _edit(cfg, i, j, cfg.pairing[i][j] + data.draw(st.sampled_from([-1, 1])), both=False)
 
 
@@ -147,7 +147,7 @@ def i_n_fibers(draw):
         (fiber,) = [f for f in cfg.fibration.fibers if f.type == "I9"]
         a, b = draw(st.lists(st.sampled_from(fiber.components), min_size=2, max_size=2,
                              unique=True))
-        return _edit(cfg, cfg.index_of(a), cfg.index_of(b), draw(st.integers(0, 2))), fiber
+        return _edit(cfg, cfg.position[a], cfg.position[b], draw(st.integers(0, 2))), fiber
     n = draw(st.integers(1, 6))
     names = [f"C{i}" for i in range(n)]
     rational = draw(st.booleans())
@@ -215,7 +215,7 @@ def test_point_pairing_names_the_pair_in_sorted_order():
     # branches listed as (G2, G1), with G1.G2 made asymmetric: the subject is
     # G1.G2 and the entry compared is the one in that order
     cfg = _k4_final()
-    i, j = cfg.index_of("G1"), cfg.index_of("G2")
+    i, j = cfg.position["G1"], cfg.position["G2"]
     cfg = _with_point(_edit(cfg, i, j, 0, both=False), ("G2", 1), ("G1", 1))
     got = point_violations(cfg, cfg.points)
     assert got == oracle.point_violations(cfg, cfg.points)
@@ -269,12 +269,11 @@ def test_every_stage_resolves_exactly_its_own_curves(name):
     labels = [stage.curves[-1].name for stage in stages[1:]]
     for k, stage in enumerate(stages):
         table = {c.name: i for i, c in enumerate(stage.curves)}
-        for curve, i in table.items():
-            assert stage.index_of(curve) == i and stage.has_curve(curve)
+        assert stage.position == table
         rebuilt = stage._replace()  # builds its table from its own curves
-        assert all(rebuilt.index_of(curve) == i for curve, i in table.items())
+        assert rebuilt.position == table
         # the labels of later blow-ups are not curves of this stage
         for label in labels[k:] + [UNKNOWN]:
-            assert not stage.has_curve(label)
+            assert label not in stage.position
             with pytest.raises(UnknownCurveError):
-                stage.index_of(label)
+                stage.position[label]

@@ -13,6 +13,9 @@ from qgsurf.fibration import (
     two_section_incidence_check,
 )
 from qgsurf import config as config_mod
+from qgsurf.config import SurfaceInvariants
+
+ENRIQUES = SurfaceInvariants(kind="enriques", chi=1, K2=0, K_num_trivial=True)
 
 
 @pytest.mark.parametrize("tag, value", [
@@ -218,21 +221,23 @@ def test_corpus_incidence_clean(corpus_results):
 
 
 def test_i9_lint_three_nodal_fibers_fine():
-    assert i9_forces_i1_lint(fib("I9", "I1", "I1", "I1"), "enriques") == []
+    assert i9_forces_i1_lint(fib("I9", "I1", "I1", "I1"), ENRIQUES) == []
 
 
 def test_i9_lint_underdeclared():
-    out = i9_forces_i1_lint(fib("I9", "I1"), "enriques")
+    out = i9_forces_i1_lint(fib("I9", "I1"), ENRIQUES)
     assert len(out) == 1 and "three I1" in out[0]
 
 
 def test_i9_lint_vacuous_without_i9():
-    assert i9_forces_i1_lint(fib("I8", "I1"), "enriques") == []
+    assert i9_forces_i1_lint(fib("I8", "I1"), ENRIQUES) == []
 
 
 def test_i9_lint_only_for_enriques_or_rational():
-    assert i9_forces_i1_lint(fib("I9", "I1"), "k3") == []
-    assert i9_forces_i1_lint(fib("I9", "I1"), "e", chi=1) != []
+    k3 = SurfaceInvariants(kind="k3", chi=2, K2=0, K_num_trivial=True)
+    e1 = SurfaceInvariants(kind="e", chi=1, K2=0, K_num_trivial=False, n=1)
+    assert i9_forces_i1_lint(fib("I9", "I1"), k3) == []
+    assert i9_forces_i1_lint(fib("I9", "I1"), e1) != []
 
 
 def test_corpus_euler_deficit_zero(corpus_results):

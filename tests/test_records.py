@@ -1,8 +1,8 @@
 """The pipeline's records are frozen named tuples.
 
 Each record refuses field assignment and ``_replace`` keeps its type;
-``Configuration`` keeps its curve-name table beside the fields, and a
-``_replace`` never inherits a table built for other curves.
+``Configuration`` keeps its curve-name table ``position`` beside the
+fields, and a ``_replace`` never inherits a table built for other curves.
 """
 
 import pytest
@@ -60,31 +60,29 @@ def test_record_is_frozen_and_replace_keeps_its_type(instances, position):
 def test_configuration_replace_resolves_the_new_names():
     cfg = corpus.verify_example(documents.BASE).stages[0]
     s1 = cfg.names.index("S1")
-    assert cfg.index_of("S1") == s1 and cfg.has_curve("S1")  # builds the table
+    assert cfg.position["S1"] == s1 and "S1" in cfg.position  # builds the table
     renamed = cfg._replace(curves=tuple(c._replace(name=c.name + "'") for c in cfg.curves))
-    assert renamed.index_of("S1'") == s1
-    assert renamed.curve("G9'") == renamed.curves[cfg.index_of("G9")]
-    assert not renamed.has_curve("S1")
+    assert renamed.position["S1'"] == s1
+    assert renamed.curve("G9'") == renamed.curves[cfg.position["G9"]]
+    assert "S1" not in renamed.position
     with pytest.raises(UnknownCurveError):
-        renamed.index_of("S1")
-    assert cfg.index_of("S1") == s1 and not cfg.has_curve("S1'")
+        renamed.position["S1"]
+    assert cfg.position["S1"] == s1 and "S1'" not in cfg.position
 
 
-def test_name_table_is_outside_equality_and_hash():
+def test_position_is_outside_equality_and_hash():
     cfg = corpus.verify_example(documents.BASE).stages[0]
     fresh = cfg._replace()
-    cfg.index_of("S1")
+    assert cfg.position and "position" not in fresh.__dict__  # only cfg has a table
     assert cfg == fresh and hash(cfg) == hash(fresh)
     assert len(cfg) == len(cfg._fields)
 
 
-@pytest.mark.parametrize("first", ["index_of", "has_curve"])
-def test_unknown_curve_raises_whichever_lookup_runs_first(first):
+def test_unknown_curve_is_absent_and_raises():
     cfg = corpus.verify_example(documents.BASE).stages[0]
-    if first == "has_curve":
-        assert not cfg.has_curve("Z")
+    assert "Z" not in cfg.position and cfg.position.get("Z") is None
     with pytest.raises(UnknownCurveError, match="^Z$"):
-        cfg.index_of("Z")
+        cfg.position["Z"]
     with pytest.raises(UnknownCurveError):
         cfg.pairing_of("S1", "Z")
-    assert not cfg.has_curve("Z")
+    assert "Z" not in cfg.position
