@@ -78,11 +78,16 @@ def test_position_is_outside_equality_and_hash():
     assert len(cfg) == len(cfg._fields)
 
 
-def test_unknown_curve_is_absent_and_raises():
-    cfg = corpus.verify_example(documents.BASE).stages[0]
-    assert "Z" not in cfg.position and cfg.position.get("Z") is None
+# The ids name the two lookups: ``position[name]`` (index) and ``name in position``
+# (membership). A fresh copy has no table yet, so the first lookup builds it.
+@pytest.mark.parametrize("first", ["index_of", "has_curve"])
+def test_unknown_curve_raises_whichever_lookup_runs_first(first):
+    cfg = corpus.verify_example(documents.BASE).stages[0]._replace()
+    assert "position" not in cfg.__dict__
+    if first == "has_curve":
+        assert "Z" not in cfg.position
     with pytest.raises(UnknownCurveError, match="^Z$"):
         cfg.position["Z"]
     with pytest.raises(UnknownCurveError):
         cfg.pairing_of("S1", "Z")
-    assert "Z" not in cfg.position
+    assert "Z" not in cfg.position and cfg.position.get("Z") is None
