@@ -31,14 +31,14 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
-def _chain_report_lines(summary: ChainSummary, texts: dict | None = None) -> list[str]:
+def _chain_report_lines(summary: ChainSummary, texts: dict) -> list[str]:
     """The three report lines of one chain.
 
     ``texts`` maps m to {x: fraction_text(x, m)}; a listing passes one dict
     for all its chains, so each numerator over each m is formatted once.
     """
     chain, m, q, data, numerators, contribution = summary
-    memo = {} if texts is None else texts.setdefault(m, {})
+    memo = texts.setdefault(m, {})
     parts = []
     for x in numerators:
         text = memo.get(x)
@@ -96,7 +96,7 @@ def _cmd_chain(args, out) -> int:
     if args.output == "json":
         print(json.dumps(_chain_blob(summary), indent=1), file=out)
     else:
-        for line in _chain_report_lines(summary):
+        for line in _chain_report_lines(summary, {}):
             print(line, file=out)
     return EXIT_OK
 

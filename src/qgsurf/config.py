@@ -31,10 +31,27 @@ from .errors import (
 from .fibration import FiberSpec, FibrationData, parse_tag
 from .ratlin import Elimination, eliminate
 
-SURFACE_KINDS = ("enriques", "k3", "e", "other")
-
 # the curve name and the multiplicity of a (name, multiplicity) branch
 _branch_curve, _branch_multiplicity = itemgetter(0), itemgetter(1)
+
+
+class _Kind(NamedTuple):
+    """What an ambient kind fixes; "other" fixes nothing (Cossec-Dolgachev;
+    Barth-Hulek-Peters-Van de Ven V.12).  ``fixed``: (chi, K2, K_num_trivial).
+    ``h11`` = c2 - 2 - 2p_g = 10chi bounds the Picard number.  ``pi1`` = |pi_1|,
+    finite, so q = b1 / 2 = 0; the index criterion needs Z/2.  ``doubles`` bounds
+    the double fibers: K = (chi - 2)F + sum (m_i - 1)F_i, m_i F_i = F, gives two
+    where K = 0 and chi = 1, none where chi = 2, and none beside a section (E(n))."""
+
+    fixed: Optional[tuple[int, int, bool]]
+    h11: Optional[int]  # per unit of n on E(n)
+    pi1: Optional[int]
+    doubles: Optional[int]
+
+
+_KINDS = {"enriques": _Kind((1, 0, True), 10, 2, 2), "k3": _Kind((2, 0, True), 20, 1, 0),
+          "e": _Kind(None, 10, 1, 0), "other": _Kind(None, None, None, None)}
+SURFACE_KINDS = tuple(_KINDS)
 
 
 class SurfaceInvariants(NamedTuple):
@@ -43,6 +60,27 @@ class SurfaceInvariants(NamedTuple):
     K2: int
     K_num_trivial: bool
     n: Optional[int] = None  # declared for kind == "e"
+
+    @property
+    def rho_max(self) -> Optional[int]:
+        h11, n = _KINDS[self.kind].h11, self.n
+        return h11 if n is None else h11 * n if n >= 1 else None
+
+    @property
+    def q(self) -> Optional[int]:
+        return None if _KINDS[self.kind].pi1 is None else 0
+
+    @property
+    def max_double_fibers(self) -> Optional[int]:
+        return _KINDS[self.kind].doubles
+
+    @property
+    def pi1_criterion_applies(self) -> bool:
+        return _KINDS[self.kind].pi1 == 2
+
+    @property
+    def i9_lint_applies(self) -> bool:
+        return self.rho_max == 10 and self.chi == 1
 
 
 class CurveClass(NamedTuple):
@@ -602,9 +640,8 @@ def validate(config: Configuration) -> list[Violation]:
     """All mathematical consistency violations, as data (never raises)."""
     out: list[Violation] = []
     s = config.surface
-    expected = {"enriques": (1, 0, True), "k3": (2, 0, True)}
-    if s.kind in expected:
-        chi, k2, knt = expected[s.kind]
+    if _KINDS[s.kind].fixed is not None:
+        chi, k2, knt = _KINDS[s.kind].fixed
         if (s.chi, s.K2) != (chi, k2) or s.K_num_trivial is not knt:
             out.append(Violation("surface", s.kind,
                                  f"expected chi={chi}, K2={k2}, K_num_trivial={knt}"))

@@ -2,9 +2,9 @@
 
 Kodaira fiber tags, Euler-number accounting against 12*chi, the
 Shioda-Tate bound on fiber components, the configuration and the class of
-each fully tracked fiber, incidence of 2-sections with declared fibers, and
-the lint that an I9 fiber on a rational or Enriques elliptic surface comes
-with three I1 fibers.
+each fully tracked fiber, the number of double fibers, incidence of
+2-sections with declared fibers, and the lint that an I9 fiber comes with
+three I1 fibers.  What the surface kind fixes is read from the surface.
 
 One rule, from Zariski's lemma, checks a fully tracked fiber of any type.
 Give its components C_i Kodaira's multiplicities m_i (``_multiplicities``).
@@ -142,27 +142,20 @@ class FibrationData(NamedTuple):
                     weighted.append((f, m))
             out.extend(self._one_class(config, weighted))
         out.extend(self._shioda_tate(config.surface))
-        if config.surface.kind == "enriques":
-            doubles = sum(1 for f in self.fibers if f.multiplicity == 2)
-            if doubles > 2:
-                out.append(Violation("fibration", "multiple-fibers",
-                                     f"{doubles} multiplicity-2 fibers declared; at most two exist"))
+        doubles = sum(1 for f in self.fibers if f.multiplicity == 2)
+        bound = config.surface.max_double_fibers
+        if bound is not None and doubles > bound:
+            out.append(Violation("fibration", "multiple-fibers", f"{doubles} multiplicity-2 "
+                                 f"fibers declared; {'at most two' if bound else 'none'} exist"))
         return out
 
     def _shioda_tate(self, surface) -> list:
         """Shioda-Tate: the components of each fiber but one span a negative
-        definite sublattice of F^perp / F, which has rank rho - 2.  So the
-        sum over the fibers of (components of the type - 1) is at most
-        rho_max - 2, where rho_max = h^{1,1} is 10 on an Enriques surface,
-        20 on a K3 surface and 10n on E(n); kind ``other`` has no bound."""
-        if surface.kind == "e":
-            rho_max = 10 * surface.n if surface.n >= 1 else None
-        else:
-            rho_max = {"enriques": 10, "k3": 20}.get(surface.kind)
-        if rho_max is None:
-            return []
+        definite sublattice of F^perp / F, of rank rho - 2, so the sum over
+        the fibers of (components of the type - 1) is at most rho_max - 2."""
+        rho_max = surface.rho_max
         excess = sum(_fiber_numbers(f.type)[1] - 1 for f in self.fibers)
-        if excess <= rho_max - 2:
+        if rho_max is None or excess <= rho_max - 2:
             return []
         return [Violation("fibration", "shioda-tate",
                           f"sum of (components - 1) over the fibers is {excess}, "
@@ -324,19 +317,14 @@ def two_section_incidence_check(config) -> list:
 def i9_forces_i1_lint(fibration: Optional[FibrationData], surface) -> list[str]:
     """Advisory: an I9 (or 2I9) fiber should come with three I1-type fibers.
 
-    Applies on Enriques surfaces and on E(1), read from the surface's
-    ``SurfaceInvariants``; an under-declared configuration is flagged, not
-    failed.
+    Applies where the surface's ``i9_lint_applies`` (rho_max = 10, chi = 1):
+    the I9 fills rho_max - 2 and leaves Euler number 3 to irreducible fibers.
+    An under-declared configuration is flagged, not failed.
     """
-    if fibration is None:
+    if fibration is None or not surface.i9_lint_applies:
         return []
-    rational_elliptic = surface.kind == "e" and surface.chi == 1
-    if surface.kind != "enriques" and not rational_elliptic:
+    types = [f.type for f in fibration.fibers]
+    n_i1 = types.count("I1")
+    if "I9" not in types or n_i1 >= 3:
         return []
-    has_i9 = any(f.type == "I9" for f in fibration.fibers)
-    if not has_i9:
-        return []
-    n_i1 = sum(1 for f in fibration.fibers if f.type == "I1")
-    if n_i1 < 3:
-        return [f"an I9 fiber implies three I1-type fibers; only {n_i1} declared"]
-    return []
+    return [f"an I9 fiber implies three I1-type fibers; only {n_i1} declared"]

@@ -35,9 +35,6 @@ from .wahl import ChainSummary, summarize
 PI1_SATISFIED = "criterion-satisfied"
 PI1_INCONCLUSIVE = "inconclusive"
 
-# ambient kinds with irregularity q = 0; only "other" keeps its declared q
-_REGULAR_KINDS = ("enriques", "k3", "e")
-
 
 def validate_plan(config: Configuration, plan: ContractionPlan) -> list[Violation]:
     """All violations of the contraction plan against the configuration.
@@ -45,8 +42,8 @@ def validate_plan(config: Configuration, plan: ContractionPlan) -> list[Violatio
     Checks: names resolve, chains are pairwise disjoint curve sets, every
     chain is a genuine linear chain of rational curves with entries <= -2
     (consecutive pairing 1, nonconsecutive 0), each chain is accepted by
-    the smoothability recognizer, the declared q is 0 unless the surface
-    kind is "other", and p_g = chi - 1 + q is not negative.
+    the smoothability recognizer, the declared q is the surface's ``q``
+    where that is not None, and p_g = chi - 1 + q is not negative.
     """
     return _check_plan(config, plan)[0]
 
@@ -99,11 +96,10 @@ def _check_plan(config: Configuration, plan: ContractionPlan
                 out.append(Violation("plan-smoothability", label,
                                      f"chain {list(summary.chain)} is not smoothable"))
         summaries.append(summary)
-    kind = config.surface.kind
-    if kind in _REGULAR_KINDS and plan.declared_q != 0:
+    if config.surface.q is not None and plan.declared_q != config.surface.q:
         # q(X_t) <= q(Y) by semicontinuity, as the singularities are rational
-        out.append(Violation("plan-q", "plan.q",
-                             f"declared q = {plan.declared_q}, but kind {kind!r} has q = 0"))
+        out.append(Violation("plan-q", "plan.q", f"declared q = {plan.declared_q}, but kind "
+                             f"{config.surface.kind!r} has q = {config.surface.q}"))
     chi = config.surface.chi
     if chi - 1 + plan.declared_q < 0:
         # p_g = h^0(K) >= 0, so no surface has chi - 1 + q < 0
@@ -150,9 +146,9 @@ class Pi1Criterion(NamedTuple):
 def pi1_criterion(config: Configuration, plan: ContractionPlan) -> Pi1Criterion:
     """Index-coprimality criterion for the fundamental group.
 
-    On an Enriques ambient, coprime singularity indices (gcd 1 over the
-    multiset) certify the criterion; anything else is inconclusive and left
-    to non-computational arguments.
+    Where the surface's ``pi1_criterion_applies`` holds, coprime singularity
+    indices (gcd 1 over the multiset) certify the criterion; anything else
+    is inconclusive and left to non-computational arguments.
     """
     report = build_report(config, plan)
     return Pi1Criterion(indices=report.indices, gcd=report.gcd_indices,
@@ -314,8 +310,7 @@ def build_report(config: Configuration, plan: ContractionPlan) -> SingularSurfac
     chi = config.surface.chi
     indices = tuple(s.class_t.index for s in summaries)
     g = gcd(*indices)
-    pi1 = (PI1_SATISFIED if g == 1 and config.surface.kind == "enriques"
-           else PI1_INCONCLUSIVE)
+    pi1 = PI1_SATISFIED if g == 1 and config.surface.pi1_criterion_applies else PI1_INCONCLUSIVE
 
     # (f* K_X).C = K.C - sum over chain curves E of a_E (E.C), a_E = x_E / m:
     # M times the sum is the integer sum of (M / m) x_E (E.C)

@@ -361,6 +361,32 @@ def test_validate_surface_kind_consistency():
     assert any(v.kind == "surface" for v in validate(cfg))
 
 
+@pytest.mark.parametrize("kind, n, chi", [
+    ("enriques", None, 1), ("k3", None, 2), ("e", 1, 1), ("e", 3, 3), ("e", 0, 0),
+    ("other", None, 1),
+], ids=["enriques", "k3", "e1", "e3", "e0", "other"])
+def test_each_kind_fixes_its_facts(kind, n, chi):
+    surface = config_mod.SurfaceInvariants(kind, chi, 0, kind in ("enriques", "k3"), n)
+    # "other" is any surface, so it fixes nothing
+    known = kind != "other"
+    # pi_1 is Z/2 on an Enriques surface and trivial on K3 and E(n): finite,
+    # so b1 = 2q = 0
+    assert surface.q == (0 if known else None)
+    # Noether with K^2 = 0 gives c2 = 12chi; b1 = 0 gives b2 = c2 - 2 and
+    # p_g = chi - 1; h^{1,1} = b2 - 2p_g.  E(n) exists for n >= 1 only
+    h11 = 12 * chi - 2 - 2 * (chi - 1) if known and (n is None or n >= 1) else None
+    assert surface.rho_max == h11
+    # K = (chi - 2)F + sum (m_i - 1)F_i with F_i = F / m_i: where K = 0 the
+    # double fibers give sum 1/2 = 2 - chi; a section (E(n)) meets F once,
+    # so no fiber is multiple
+    doubles = {"enriques": 2 * (2 - chi), "k3": 2 * (2 - chi), "e": 0}.get(kind)
+    assert surface.max_double_fibers == doubles
+    # the index-gcd criterion certifies pi_1 = Z/2 from an ambient pi_1 = Z/2
+    assert surface.pi1_criterion_applies is (kind == "enriques")
+    # an I9 fills rho_max - 2 = 8 and leaves 3 of the Euler sum 12chi = 12
+    assert surface.i9_lint_applies is (h11 == 10 and 12 * chi == 12)
+
+
 def test_validate_point_multiplicity_exceeds_genus():
     bad = doc_with(points=[{"name": "P", "branches": [["G1", 2]]}])
     cfg = config_mod.parse_unvalidated(bad).configuration

@@ -322,6 +322,26 @@ def test_fibration_validate_too_many_multiple_fibers():
     assert any("at most two" in v.detail for v in validate(cfg))
 
 
+@pytest.mark.parametrize("surface", [
+    {"kind": "e", "n": 1, "chi": 1, "K2": 0, "K_num_trivial": False},
+    {"kind": "e", "n": 3, "chi": 3, "K2": 0, "K_num_trivial": False},
+    {"kind": "k3", "chi": 2, "K2": 0, "K_num_trivial": True},
+], ids=["e1", "e3", "k3"])
+def test_verify_rejects_a_multiple_fiber_on_k3_and_e_n(surface, tmp_path):
+    """K = (chi - 2)F + sum (m_i - 1)F_i leaves no multiple fiber where
+    K = 0 and chi = 2, and E(n) has a section, which meets every fiber once.
+    Before the rule each of these printed status=pass."""
+    doc = {"surface": surface, "curves": [_NODAL],
+           "fibration": {"fibers": [{"type": "2I1", "components": ["N"]}]}}
+    code, out, _ = documents.run(tmp_path, doc)
+    assert code == 1
+    lines = out.splitlines()
+    assert [x for x in lines if x.startswith("violation=")] == [
+        "violation=base: fibration[multiple-fibers]: 1 multiplicity-2 fibers declared; "
+        "none exist"]
+    assert lines[-1] == "status=fail"
+
+
 @pytest.mark.parametrize("bad", ["I0", "2I0", "I00", " I0 "])
 def test_smooth_fiber_tag_rejected(bad):
     with pytest.raises(UnknownTagError):

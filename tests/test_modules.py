@@ -125,6 +125,42 @@ def test_no_module_imports_dataclasses():
                 assert node.module != "dataclasses", path.name
 
 
+def _is_surface_kind(node: ast.AST) -> bool:
+    """``surface.kind`` or ``<anything>.surface.kind``."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "kind"):
+        return False
+    owner = node.value
+    return (isinstance(owner, ast.Name) and owner.id == "surface"
+            or isinstance(owner, ast.Attribute) and owner.attr == "surface")
+
+
+def _surface_kind_comparisons(tree: ast.Module) -> list[int]:
+    """Lines comparing a surface kind, directly or through a name bound to one."""
+    bound = {target.id for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and _is_surface_kind(node.value)
+             for target in node.targets if isinstance(target, ast.Name)}
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  and any(_is_surface_kind(operand) or isinstance(operand, ast.Name)
+                          and operand.id in bound for operand in [node.left, *node.comparators]))
+
+
+def test_only_config_compares_surface_kinds():
+    # what a kind fixes is read from config.SurfaceInvariants, so a rule
+    # elsewhere reads a fact, never the kind
+    found = {path.name: _surface_kind_comparisons(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "config.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_surface_kind_comparisons_are_found():
+    tree = ast.parse("kind = config.surface.kind\n"
+                     "a = kind in KINDS\n"
+                     "b = surface.kind == 'e'\n"
+                     "c = 'k3' != self.surface.kind\n"
+                     "d = violation.kind == 'surface'\n")
+    assert _surface_kind_comparisons(tree) == [2, 3, 4]
+
+
 def test_importing_the_package_loads_no_module(fresh_env):
     # the package binds no public name; ``from qgsurf import`` loads the
     # named submodules and what they import
