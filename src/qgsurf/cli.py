@@ -9,10 +9,19 @@ are the broken ``expect`` values.  All three print each failure as
 ``STAGE: MESSAGE``.
 Output is deterministic; --output json mirrors the report structures.
 
+This module holds the argument parser, the dispatch and the chain
+commands.  The other reports are rendered beside the records they render:
+``verify``'s by ``pipeline.RunResult``, ``example``'s and ``verify-all``'s
+by ``corpus``; a handler prints the whole output once, so an output that
+cannot be rendered prints nothing.
+
 Only the chain analytics (``wahl``) are imported with this module.  The
 handlers that need ``config``, ``pipeline`` or ``corpus`` import them when
 they run, so ``chain`` and ``enumerate-classT`` never load the document
-pipeline and ``verify`` never loads the corpus.
+pipeline and ``verify`` never loads the corpus.  ``json`` is imported only
+to print JSON, and the chain reports format through ``wahl.fraction_text``,
+so ``chain`` and ``enumerate-classT`` in text load neither ``json`` nor
+``fractions``.
 """
 
 from __future__ import annotations
@@ -20,7 +29,6 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
-import json
 import sys
 
 from .errors import QgsurfError
@@ -87,6 +95,13 @@ def _chain_entries(text: str) -> list[int]:
     return [int(x) for x in entries]
 
 
+def _print_json(value, out, indent=1) -> None:
+    # json is imported here, so the text reports of chain and
+    # enumerate-classT never load it
+    import json
+    print(json.dumps(value, indent=indent), file=out)
+
+
 def _cmd_chain(args, out) -> int:
     try:
         summary = summarize(_chain_entries(args.entries))
@@ -94,10 +109,9 @@ def _cmd_chain(args, out) -> int:
         print(f"error: chain: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.output == "json":
-        print(json.dumps(_chain_blob(summary), indent=1), file=out)
+        _print_json(_chain_blob(summary), out)
     else:
-        for line in _chain_report_lines(summary, {}):
-            print(line, file=out)
+        print("\n".join(_chain_report_lines(summary, {})), file=out)
     return EXIT_OK
 
 
@@ -108,7 +122,7 @@ def _cmd_enumerate(args, out) -> int:
         print(f"error: enumerate-classT: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.output == "json":
-        print(json.dumps([list(c) for c in chains]), file=out)
+        _print_json([list(c) for c in chains], out, indent=None)
         return EXIT_OK
     texts = {}
     lines = [" ".join(_chain_report_lines(summarize(chain), texts)) for chain in chains]
@@ -117,117 +131,26 @@ def _cmd_enumerate(args, out) -> int:
     return EXIT_OK
 
 
-def _load_document(path: str):
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise QgsurfError(f"cannot read {path}: {exc.strerror}") from None
-    return importlib.import_module(".config", __package__).parse_unvalidated(data)
-
-
 def _cmd_verify(args, out) -> int:
     # input errors, blow-up steps that cannot be applied and smoothing
     # hypotheses that cannot be checked included, exit 2 in run()
+    config = importlib.import_module(".config", __package__)
     pipeline = importlib.import_module(".pipeline", __package__)
-    result = pipeline.run(_load_document(args.path))
-    lint_lines = []
-    euler = result.euler
-    if euler is not None:
-        lint_lines.append(
-            f"euler_sum={euler.total} target={euler.target} deficit={euler.deficit}"
-            + (f" note={euler.note}" if euler.note else ""))
-    lint_lines.extend(f"advisory={a}" for a in result.advisories)
-    failures = _failure_texts(result)
-    status = "pass" if result.passed else "fail"
-
+    result = pipeline.run(config.load_document(args.path))
     if args.output == "json":
-        blob = {
-            "violations": failures,
-            "lints": lint_lines,
-            **_witness_fields(result.independence),
-            "report": None if result.report is None else result.report.to_json(),
-            "status": status,
-        }
-        print(json.dumps(blob, indent=1), file=out)
+        _print_json(result.to_json(), out)
     else:
-        for line in lint_lines + _witness_lines(result.independence):
-            print(line, file=out)
-        if result.report is not None:
-            print(result.report.to_text(), file=out)
-        for f in failures:
-            print(f"violation={f}", file=out)
-        print(f"status={status}", file=out)
+        print(result.to_text(), file=out)
     return EXIT_OK if result.passed else EXIT_FAIL
-
-
-def _failure_texts(result) -> list[str]:
-    """Each failure of a run as ``STAGE: MESSAGE``."""
-    return [f"{f.stage}: {f}" for f in result.failures]
-
-
-def _witness_fields(cert) -> dict:
-    """The independence certificate's rank and witness, rows and columns named
-    by curve; every field is None without a certificate."""
-    if cert is None:
-        return dict.fromkeys(("independence_rank", "independence_pivots",
-                              "independence_minor", "independence_relation"))
-    w = cert.witness
-    return {
-        "independence_rank": cert.rank,
-        "independence_pivots": {"rows": [cert.candidates[i] for i in w.pivot_rows],
-                                "columns": [cert.columns[j] for j in w.pivot_cols]},
-        "independence_minor": w.minor,
-        "independence_relation": [
-            {name: c for name, c in zip(cert.candidates, relation) if c}
-            for relation in w.relations],
-    }
-
-
-def _relation_text(coeffs: dict) -> str:
-    terms = "".join(("-" if c < 0 else "+") + ("" if abs(c) == 1 else f"{abs(c)}*") + name
-                    for name, c in coeffs.items())
-    return terms.removeprefix("+")
-
-
-def _witness_lines(cert) -> list[str]:
-    """The text form of ``_witness_fields``: no line without a certificate."""
-    if cert is None:
-        return []
-    fields = _witness_fields(cert)
-    pivots = fields["independence_pivots"]
-    return [f"independence_rank={cert.rank}",
-            f"independence_pivots={','.join(pivots['rows'])} x {','.join(pivots['columns'])}",
-            f"independence_minor={fields['independence_minor']}",
-            *(f"independence_relation={_relation_text(coeffs)}"
-              for coeffs in fields["independence_relation"])]
 
 
 def _cmd_example(args, out) -> int:
     corpus = importlib.import_module(".corpus", __package__)
     result = corpus.verify_example(args.name)
-    deficit = None if result.euler is None else result.euler.deficit
-    failures = _failure_texts(result)
     if args.output == "json":
-        blob = {
-            "example": args.name,
-            "passed": result.passed,
-            "failures": failures,
-            **_witness_fields(result.independence),
-            "euler_deficit": deficit,
-            "report": None if result.report is None else result.report.to_json(),
-        }
-        print(json.dumps(blob, indent=1), file=out)
+        _print_json(corpus.example_json(result), out)
     else:
-        for line in [f"example={args.name}"] + _witness_lines(result.independence):
-            print(line, file=out)
-        if deficit is not None:
-            print(f"euler_deficit={deficit}", file=out)
-        if result.report is not None:
-            print(result.report.to_text(), file=out)
-        for f in failures:
-            print(f"failure={f}", file=out)
-        print(f"status={'pass' if result.passed else 'fail'}", file=out)
+        print(corpus.example_text(result), file=out)
     return EXIT_OK if result.passed else EXIT_FAIL
 
 
@@ -235,25 +158,15 @@ def _cmd_verify_all(args, out) -> int:
     corpus = importlib.import_module(".corpus", __package__)
     results = corpus.verify_all()
     if args.output == "json":
-        blob = [
-            {"example": r.document.name, "passed": r.passed,
-             "failures": _failure_texts(r),
-             "K2": None if r.report is None else str(r.report.K2_X),
-             "indices": None if r.report is None else list(r.report.indices),
-             "gcd": None if r.report is None else r.report.gcd_indices,
-             "pi1": None if r.report is None else r.report.pi1_verdict}
-            for r in results
-        ]
-        print(json.dumps(blob, indent=1), file=out)
+        _print_json(corpus.results_json(results), out)
     else:
         print(corpus.results_table(results), file=out)
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 
 def _cmd_export_dot(args, out) -> int:
-    doc = _load_document(args.path)
     config = importlib.import_module(".config", __package__)
-    print(config.export_dot(doc.configuration), file=out, end="")
+    print(config.export_dot(config.load_document(args.path).configuration), file=out, end="")
     return EXIT_OK
 
 
@@ -261,10 +174,9 @@ def _cmd_info(args, out) -> int:
     fields = {"version": importlib.import_module(__package__).__version__,
               "kernel_backend": importlib.import_module(".kernel", __package__).BACKEND}
     if args.output == "json":
-        print(json.dumps(fields, indent=1), file=out)
+        _print_json(fields, out)
     else:
-        for key, value in fields.items():
-            print(f"{key}={value}", file=out)
+        print("\n".join(f"{key}={value}" for key, value in fields.items()), file=out)
     return EXIT_OK
 
 
@@ -310,6 +222,16 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _digit_limit(exc: ValueError) -> int | None:
+    """The interpreter's digit limit for integer-text conversion when ``exc``
+    is its refusal, else None; a Python without the limit has no refusal."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit is not None else 0
+    if limit and str(exc).startswith(f"Exceeds the limit ({limit} digits)"):
+        return limit
+    return None
+
+
 def run(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
     args = _parser().parse_args(argv)
@@ -317,6 +239,15 @@ def run(argv=None, out=None) -> int:
         return args.func(args, out)
     except QgsurfError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except ValueError as exc:
+        # a derived integer too long to print: each handler prints its whole
+        # output at once, so nothing has reached ``out``
+        limit = _digit_limit(exc)
+        if limit is None:
+            raise
+        print(f"error: an integer to print has more than {limit} digits, the interpreter's "
+              "limit for integer-to-text conversion", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -9,7 +9,9 @@ whole document format: ``parse_unvalidated`` reads every section and
 linear algebra is exact.
 
 Each record has one parser, which reads it once, field by field, and each
-field's rule is written once.
+field's rule is written once.  A location that names a record by its name,
+such as ``curve G1.self``, reaches the field checks as a template and its
+fields, and is formatted only when a check raises.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import (
     DomainError,
     MissingPointDataError,
+    QgsurfError,
     SchemaError,
     UnknownCurveError,
     ValidationError,
@@ -243,9 +246,14 @@ _SMOOTHING_KEYS = {"stage", "independent", "snc"}
 _EXPECT_KEYS = set(Expectation._fields)
 
 
-def _need(mapping: dict, key: str, where: str):
+def _at(where: str, fields: tuple) -> str:
+    """The location ``where``, its ``{}`` fields filled in from ``fields`` if any."""
+    return where.format(*fields) if fields else where
+
+
+def _need(mapping: dict, key: str, where: str, fields: tuple = ()):
     if key not in mapping:
-        raise SchemaError(f"{where}: missing required field '{key}'")
+        raise SchemaError(f"{_at(where, fields)}: missing required field '{key}'")
     return mapping[key]
 
 
@@ -258,15 +266,15 @@ def _no_extras(value, allowed: set, where: str) -> dict:
     return value
 
 
-def _array(value, where: str) -> list:
+def _array(value, where: str, fields: tuple = ()) -> list:
     if not isinstance(value, list):
-        raise SchemaError(f"{where}: expected an array, got {value!r}")
+        raise SchemaError(f"{_at(where, fields)}: expected an array, got {value!r}")
     return value
 
 
-def _as_int(value, where: str) -> int:
+def _as_int(value, where: str, fields: tuple = ()) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}: expected an integer, got {value!r}")
+        raise SchemaError(f"{_at(where, fields)}: expected an integer, got {value!r}")
     return value
 
 
@@ -288,11 +296,12 @@ def _ints(value, where: str) -> tuple[int, ...]:
     return tuple(_as_int(item, where) for item in _array(value, where))
 
 
-def _strings(value, where: str) -> tuple[str, ...]:
+def _strings(value, where: str, fields: tuple = ()) -> tuple[str, ...]:
     """An array of strings: curve names, tags, notes or assumptions."""
-    for item in _array(value, where):
+    for item in _array(value, where, fields):
         if not isinstance(item, str):
-            raise SchemaError(f"{where}: expected an array of strings, got element {item!r}")
+            raise SchemaError(
+                f"{_at(where, fields)}: expected an array of strings, got element {item!r}")
     return tuple(value)
 
 
@@ -303,10 +312,10 @@ def _distinct(names: tuple[str, ...], where: str) -> tuple[str, ...]:
     return names
 
 
-def _declared(names, known, where: str):
+def _declared(names, known, where: str, fields: tuple = ()):
     for name in names:
         if name not in known:
-            raise UnknownCurveError(f"{where} references undeclared curve {name!r}")
+            raise UnknownCurveError(f"{_at(where, fields)} references undeclared curve {name!r}")
     return names
 
 
@@ -340,21 +349,20 @@ def _parse_surface(obj) -> SurfaceInvariants:
     return SurfaceInvariants(kind=kind, chi=chi, K2=k2, K_num_trivial=knt, n=n)
 
 
-def _int_field(obj: dict, key: str, where: str) -> int:
-    """The required integer field ``key`` of the record ``obj`` at ``where``."""
-    return _as_int(_need(obj, key, where), f"{where}.{key}")
+def _int_field(obj: dict, key: str, name: str) -> int:
+    """The required integer field ``key`` of the record ``obj`` of the curve ``name``."""
+    return _as_int(_need(obj, key, "curve {}", (name,)), "curve {}.{}", (name, key))
 
 
 def _parse_curve(obj) -> CurveClass:
     obj = _no_extras(obj, _CURVE_KEYS, "curves[]")
     name = _name(_need(obj, "name", "curves[]"), "curves[].name")
-    where = f"curve {name}"
-    tags = _strings(obj.get("tags", []), f"{where}.tags")
+    tags = _strings(obj.get("tags", []), "curve {}.tags", (name,))
     return CurveClass(
         name=name,
-        self_int=_int_field(obj, "self", where),
-        genus=_int_field(obj, "genus", where),
-        K_deg=_int_field(obj, "Kdeg", where),
+        self_int=_int_field(obj, "self", name),
+        genus=_int_field(obj, "genus", name),
+        K_deg=_int_field(obj, "Kdeg", name),
         tags=frozenset(tags),
     )
 
@@ -371,33 +379,32 @@ def _parse_pairing(raw, curves: tuple[CurveClass, ...]) -> tuple[tuple[int, ...]
         a, b, value = item
         if not isinstance(a, str) or not isinstance(b, str):
             raise SchemaError(f"pairing: curve names must be strings, got {a!r}, {b!r}")
-        where = f"pairing {a}.{b}"
-        _as_int(value, where)
+        _as_int(value, "pairing {}.{}", (a, b))
         i, j = idx.get(a), idx.get(b)
         if i is None or j is None:
             _declared((a, b), idx, "pairing")
         if i == j:
-            raise SchemaError(f"{where}: self-intersections belong in the curve entry")
+            raise SchemaError(f"pairing {a}.{b}: self-intersections belong in the curve entry")
         key = (i, j) if i < j else (j, i)
         if key in seen_pairs:
-            raise SchemaError(f"{where}: duplicate pair")
+            raise SchemaError(f"pairing {a}.{b}: duplicate pair")
         seen_pairs.add(key)
         grid[i][j] = grid[j][i] = value
     return tuple(map(tuple, grid))
 
 
-def _parse_branches(raw, where: str) -> tuple[tuple[str, int], ...]:
-    """[curveName, multiplicity] pairs, shared by points and blow-up steps."""
+def _parse_branches(raw, record: str, name: str = "") -> tuple[tuple[str, int], ...]:
+    """[curveName, multiplicity] pairs, shared by points and blow-up steps;
+    ``record`` + ``name`` is the location, such as ``point P1`` or ``blowups[]``."""
     branches = []
-    mult_where = f"{where}: branch multiplicity"
-    for item in _array(raw, f"{where}.branches"):
+    for item in _array(raw, "{}{}.branches", (record, name)):
         if not isinstance(item, list) or len(item) != 2:
-            raise SchemaError(f"{where}: each branch is [curveName, multiplicity]")
+            raise SchemaError(f"{record}{name}: each branch is [curveName, multiplicity]")
         cname, mult = item
         if not isinstance(cname, str):
-            raise SchemaError(f"{where}: branch curve name must be a string")
-        if _as_int(mult, mult_where) < 1:
-            raise SchemaError(f"{where}: branch multiplicity must be >= 1")
+            raise SchemaError(f"{record}{name}: branch curve name must be a string")
+        if _as_int(mult, "{}{}: branch multiplicity", (record, name)) < 1:
+            raise SchemaError(f"{record}{name}: branch multiplicity must be >= 1")
         branches.append((cname, mult))
     return tuple(branches)
 
@@ -411,11 +418,10 @@ def _parse_points(raw, known: set[str]) -> tuple[PointSpec, ...]:
         if pname in point_names:
             raise SchemaError(f"points: duplicate point name {pname!r}")
         point_names.add(pname)
-        where = f"point {pname}"
-        branches = _parse_branches(_need(item, "branches", where), where)
+        branches = _parse_branches(_need(item, "branches", "point {}", (pname,)), "point ", pname)
         if not branches:
-            raise SchemaError(f"{where}: branches must be a nonempty list")
-        _declared(map(_branch_curve, branches), known, where)
+            raise SchemaError(f"point {pname}: branches must be a nonempty list")
+        _declared(map(_branch_curve, branches), known, "point {}", (pname,))
         points.append(PointSpec(name=pname, branches=branches))
     return tuple(points)
 
@@ -576,6 +582,17 @@ def parse_unvalidated(document) -> Document:
     expect = _parse_expect(document["expect"]) if "expect" in document else None
     return Document(configuration=configuration, blowups=blowups, plan=plan, name=name,
                     notes=notes, expect=expect)
+
+
+def load_document(path: str) -> Document:
+    """``parse_unvalidated`` of the file at ``path``; a file that cannot be
+    read is a QgsurfError naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise QgsurfError(f"cannot read {path}: {exc.strerror}") from None
+    return parse_unvalidated(data)
 
 
 def to_document(doc: Document) -> dict:

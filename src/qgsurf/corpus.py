@@ -10,7 +10,9 @@ its smoothing hypothesis) whose ``expect`` section holds the externally
 known values it must reproduce.  ``verify_example`` runs the verification
 pipeline (``qgsurf.pipeline``) on the packaged document, whose last stage,
 ``corpus``, checks that section, so an example passes or fails exactly as
-``verify`` of the same document does.
+``verify`` of the same document does.  ``example_text``/``example_json``
+and ``results_table``/``results_json`` render the results as ``example``
+and ``verify-all`` print them.
 """
 
 from __future__ import annotations
@@ -43,6 +45,43 @@ def verify_example(name: str) -> pipeline.RunResult:
 def verify_all() -> list[pipeline.RunResult]:
     """Verify every shipped example; results in canonical name order."""
     return [verify_example(name) for name in EXAMPLE_NAMES]
+
+
+def example_text(result: pipeline.RunResult) -> str:
+    """The ``example`` report: name, witness, Euler deficit, report, failures, status."""
+    lines = [f"example={result.document.name}", *pipeline.witness_lines(result.independence)]
+    if result.euler is not None:
+        lines.append(f"euler_deficit={result.euler.deficit}")
+    if result.report is not None:
+        lines.append(result.report.to_text())
+    lines.extend(f"failure={f}" for f in result.failure_texts())
+    lines.append(f"status={'pass' if result.passed else 'fail'}")
+    return "\n".join(lines)
+
+
+def example_json(result: pipeline.RunResult) -> dict:
+    """The JSON form of ``example_text``."""
+    return {
+        "example": result.document.name,
+        "passed": result.passed,
+        "failures": result.failure_texts(),
+        **pipeline.witness_fields(result.independence),
+        "euler_deficit": None if result.euler is None else result.euler.deficit,
+        "report": None if result.report is None else result.report.to_json(),
+    }
+
+
+def results_json(results) -> list[dict]:
+    """The JSON form of ``results_table``: one summary per example."""
+    return [
+        {"example": r.document.name, "passed": r.passed,
+         "failures": r.failure_texts(),
+         "K2": None if r.report is None else str(r.report.K2_X),
+         "indices": None if r.report is None else list(r.report.indices),
+         "gcd": None if r.report is None else r.report.gcd_indices,
+         "pi1": None if r.report is None else r.report.pi1_verdict}
+        for r in results
+    ]
 
 
 def results_table(results) -> str:

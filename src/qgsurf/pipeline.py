@@ -34,6 +34,10 @@ and the I9 advisory are reported, and fail only a document that declares
 configuration.  A blow-up step that cannot be applied, a hypothesis naming
 a curve absent at its stage and an SNC divisor whose crossings the points
 do not declare are input errors and raise.
+
+``RunResult.to_text`` and ``RunResult.to_json`` render a run as ``verify``
+prints it; ``witness_fields`` and ``witness_lines``, which render the
+independence certificate, are shared with ``example`` (``qgsurf.corpus``).
 """
 
 from __future__ import annotations
@@ -90,6 +94,78 @@ class RunResult(NamedTuple):
     @property
     def passed(self) -> bool:
         return not self.failures
+
+    def failure_texts(self) -> list[str]:
+        """Each failure as ``STAGE: MESSAGE``."""
+        return [f"{f.stage}: {f}" for f in self.failures]
+
+    def lint_lines(self) -> list[str]:
+        """The Euler-sum line, when there is a fibration, and one line per advisory."""
+        lines = []
+        euler = self.euler
+        if euler is not None:
+            lines.append(
+                f"euler_sum={euler.total} target={euler.target} deficit={euler.deficit}"
+                + (f" note={euler.note}" if euler.note else ""))
+        lines.extend(f"advisory={a}" for a in self.advisories)
+        return lines
+
+    def to_text(self) -> str:
+        """The ``verify`` report: lints, witness, report, failures, status."""
+        lines = self.lint_lines() + witness_lines(self.independence)
+        if self.report is not None:
+            lines.append(self.report.to_text())
+        lines.extend(f"violation={f}" for f in self.failure_texts())
+        lines.append(f"status={'pass' if self.passed else 'fail'}")
+        return "\n".join(lines)
+
+    def to_json(self) -> dict:
+        """The JSON form of ``to_text``."""
+        return {
+            "violations": self.failure_texts(),
+            "lints": self.lint_lines(),
+            **witness_fields(self.independence),
+            "report": None if self.report is None else self.report.to_json(),
+            "status": "pass" if self.passed else "fail",
+        }
+
+
+def witness_fields(cert: Optional[IndependenceCertificate]) -> dict:
+    """The independence certificate's rank and witness, rows and columns named
+    by curve; every field is None without a certificate."""
+    if cert is None:
+        return dict.fromkeys(("independence_rank", "independence_pivots",
+                              "independence_minor", "independence_relation"))
+    w = cert.witness
+    return {
+        "independence_rank": cert.rank,
+        "independence_pivots": {"rows": [cert.candidates[i] for i in w.pivot_rows],
+                                "columns": [cert.columns[j] for j in w.pivot_cols]},
+        "independence_minor": w.minor,
+        "independence_relation": [
+            {name: c for name, c in zip(cert.candidates, relation) if c}
+            for relation in w.relations],
+    }
+
+
+def relation_text(coeffs: dict) -> str:
+    """A relation {curve: coefficient} as text, such as ``3*S1-2*S2+G1``."""
+    terms = "".join(("-" if c < 0 else "+") + ("" if abs(c) == 1 else f"{abs(c)}*") + name
+                    for name, c in coeffs.items())
+    return terms.removeprefix("+")
+
+
+def witness_lines(cert: Optional[IndependenceCertificate]) -> list[str]:
+    """The text form of ``witness_fields``: no line without a certificate."""
+    if cert is None:
+        return []
+    fields = witness_fields(cert)
+    pivots = fields["independence_pivots"]
+    return [f"independence_rank={cert.rank}",
+            f"independence_pivots={','.join(pivots['rows'])} x {','.join(pivots['columns'])}",
+            f"independence_minor={fields['independence_minor']}",
+            *(f"independence_relation={relation_text(coeffs)}"
+              for coeffs in fields["independence_relation"])]
 
 
 def _smoothing_failures(stages: tuple[Configuration, ...], hypothesis: SmoothingHypothesis):

@@ -27,17 +27,23 @@ as it goes, so the summary holds both as integer fields.  ``hj_value``,
 over that summary.  The exact Gaussian solve of
 Gram . a = (b_i - 2) over Fractions is kept outside the package, as the
 tests' oracle for the discrepancy formula.
+
+A Fraction is built only where one is returned, by the summary's ``value``,
+``discrepancies`` and ``contribution``; the reports that format through
+``fraction_text`` never import ``fractions``.
 """
 
 from __future__ import annotations
 
 import importlib
-from fractions import Fraction
 from math import gcd
 from operator import index as _integer
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidFractionError, NotClassTError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Chain = tuple[int, ...]
 
@@ -114,14 +120,17 @@ class ChainSummary(NamedTuple):
 
     @property
     def value(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.m, self.q)
 
     @property
     def discrepancies(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
         return tuple(Fraction(x, self.m) for x in self.numerators)
 
     @property
     def contribution(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.contribution_numerator, self.m)
 
 

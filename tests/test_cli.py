@@ -67,6 +67,25 @@ def test_chain_entry_must_be_ascii_digits(entries, position, entry, capsys):
     assert capsys.readouterr().err == f"error: chain: entry {position} is not an integer: {entry!r}\n"
 
 
+# the interpreter refuses to turn an integer of more digits than this into
+# text (0: no limit, as on a Python 3.10 before 3.10.7)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_default_digit_limit = pytest.mark.skipif(
+    DIGIT_LIMIT != 4300, reason="the cases are sized for the default digit limit, 4300")
+DIGIT_LIMIT_MESSAGE = ("an integer to print has more than 4300 digits, the interpreter's "
+                       "limit for integer-to-text conversion")
+
+
+@needs_default_digit_limit
+@pytest.mark.parametrize("mode", ["text", "json"])
+def test_chain_too_long_to_print_is_an_input_error(mode, capsys):
+    # each entry has 2,001 digits and parses; m, the continuant of all
+    # three, has about 6,000
+    entries = ",".join([str(10**2000)] * 3)
+    assert invoke("--output", mode, "chain", entries) == (2, "")
+    assert capsys.readouterr().err == f"error: {DIGIT_LIMIT_MESSAGE}\n"
+
+
 def test_chain_entry_takes_a_sign_and_spaces():
     assert invoke("chain", " 4 ,+3\t") == invoke("chain", "4,3")
     assert invoke("chain", "4,-3")[0] == 2
@@ -114,12 +133,12 @@ def test_example_prints_the_independence_witness():
 def test_witness_relation_names_the_fiber_class(corpus_results):
     cfg = corpus_results["enriques-k1"].document.configuration
     cert = independence_certificate(cfg, [f"G{i}" for i in range(1, 10)] + ["F"])
-    fields = cli._witness_fields(cert)
+    fields = pipeline.witness_fields(cert)
     assert fields["independence_relation"] == [
         {**{f"G{i}": -1 for i in range(1, 10)}, "F": 1}]
-    assert [cli._relation_text(c) for c in fields["independence_relation"]] == [
+    assert [pipeline.relation_text(c) for c in fields["independence_relation"]] == [
         "-G1-G2-G3-G4-G5-G6-G7-G8-G9+F"]
-    assert cli._relation_text({"S1": 3, "S2": -2, "G1": 1}) == "3*S1-2*S2+G1"
+    assert pipeline.relation_text({"S1": 3, "S2": -2, "G1": 1}) == "3*S1-2*S2+G1"
 
 
 def test_repeated_runs_match_fresh_processes(capsys, fresh_env):
@@ -440,6 +459,13 @@ def _drop_expect_field(doc):
     del doc["expect"]["p_g"]
 
 
+def _set_surface_beyond_the_digit_limit(doc):
+    # K2 has 4,300 digits, which a JSON integer may have; the moduli
+    # dimension derived from it, 10*chi - 2*K2, has 4,301
+    doc["surface"] = {"kind": "other", "chi": 1, "K2": 9 * 10**4299, "K_num_trivial": False}
+    del doc["expect"]
+
+
 @pytest.mark.parametrize("edit, message", [
     (_set("pairing", 5), "pairing: expected an array, got 5"),
     (_set("pairing", "G1"), "pairing: expected an array, got 'G1'"),
@@ -467,6 +493,8 @@ def _drop_expect_field(doc):
     (_set_expect("gcd", True), "expect.gcd: expected an integer, got True"),
     (_set_expect("K2", "1"), "expect.K2: expected an integer, got '1'"),
     (_set_expect("chains", [None]), "expect.chains[]: expected an array, got None"),
+    pytest.param(_set_surface_beyond_the_digit_limit, DIGIT_LIMIT_MESSAGE,
+                 marks=needs_default_digit_limit),
 ], ids=["pairing-int", "pairing-string", "pairing-list-name", "notes-string",
         "name-int", "two-sections-string", "blowup-branches-int", "plan-q-negative",
         "class-known-present", "multiplicity-bool", "blowup-label-empty",
@@ -474,12 +502,16 @@ def _drop_expect_field(doc):
         "fiber-index-arabic-indic", "fiber-index-fullwidth", "multiple-fiber-index-arabic-indic",
         "two-sections-repeated", "disjoint-from-repeated",
         "point-name-empty", "expect-unknown-field", "expect-missing-field",
-        "expect-gcd-bool", "expect-K2-string", "expect-chains-null"])
+        "expect-gcd-bool", "expect-K2-string", "expect-chains-null",
+        "moduli-dim-beyond-the-digit-limit"])
 def test_verify_malformed_document_exits_two(tmp_path, edit, message):
     doc = documents.base()
     edit(doc)
-    for command in ("verify", "export-dot"):
-        assert documents.run(tmp_path, doc, command) == (2, "", f"error: {message}\n"), command
+    commands = [("verify",), ("--output", "json", "verify")]
+    if edit is not _set_surface_beyond_the_digit_limit:  # export-dot derives no integer
+        commands.append(("export-dot",))
+    for command in commands:
+        assert documents.run(tmp_path, doc, *command) == (2, "", f"error: {message}\n"), command
 
 
 @pytest.mark.parametrize("command", ["verify", "export-dot"])

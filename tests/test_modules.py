@@ -90,30 +90,37 @@ def test_config_reads_documents_without_blowup_or_smoothing(fresh_env):
 CHAIN_SET = ["cli", "errors", "wahl"]
 PIPELINE_SET = sorted(CHAIN_SET + ["blowup", "config", "fibration", "pipeline", "ratlin",
                                    "smoothing"])
+# the standard-library modules a subcommand may leave unused: ``fractions``
+# (which loads ``decimal``) for exact rationals, and ``json``
+STDLIB = ("fractions", "decimal", "json")
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["chain", "5,2"], CHAIN_SET),
-    (["--output", "json", "chain", "4,2,3,2"], CHAIN_SET),
-    (["enumerate-classT", "--max-len", "4", "--max-entry", "6"], CHAIN_SET),
-    (["info"], sorted(CHAIN_SET + ["kernel"])),
-    (["verify", str(DOCUMENT)], PIPELINE_SET),
-    (["export-dot", str(DOCUMENT)], sorted(CHAIN_SET + ["config", "fibration", "ratlin"])),
-    (["example", documents.BASE], sorted(PIPELINE_SET + ["corpus"])),
-    (["verify-all"], sorted(PIPELINE_SET + ["corpus"])),
+@pytest.mark.parametrize("argv, loaded, stdlib", [
+    (["chain", "5,2"], CHAIN_SET, []),
+    (["--output", "json", "chain", "4,2,3,2"], CHAIN_SET, ["json"]),
+    (["enumerate-classT", "--max-len", "4", "--max-entry", "6"], CHAIN_SET, []),
+    (["info"], sorted(CHAIN_SET + ["kernel"]), []),
+    (["verify", str(DOCUMENT)], PIPELINE_SET, list(STDLIB)),
+    (["export-dot", str(DOCUMENT)], sorted(CHAIN_SET + ["config", "fibration", "ratlin"]),
+     list(STDLIB)),
+    (["example", documents.BASE], sorted(PIPELINE_SET + ["corpus"]), list(STDLIB)),
+    (["verify-all"], sorted(PIPELINE_SET + ["corpus"]), list(STDLIB)),
 ], ids=["chain", "chain-json", "enumerate-classT", "info", "verify", "export-dot", "example",
         "verify-all"])
-def test_each_subcommand_loads_only_its_modules(fresh_env, argv, loaded):
+def test_each_subcommand_loads_only_its_modules(fresh_env, argv, loaded, stdlib):
     code = (
         "import io, sys\n"
         "from qgsurf import cli\n"
         "assert cli.run(sys.argv[1:], io.StringIO()) == 0\n"
-        "print(*(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')))\n" + LOADED)
-    flags, modules = _fresh(fresh_env, code, *argv).split("\n", 1)
+        "print(*(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')))\n"
+        f"print(*(m for m in {STDLIB!r} if m in sys.modules))\n" + LOADED)
+    flags, used, modules = _fresh(fresh_env, code, *argv).split("\n", 2)
     assert modules.split() == loaded
     # every record is a named tuple, so no subcommand loads dataclasses or
     # the inspect it imports
     assert flags.split() == ["False", "False", "False"]
+    # a chain report builds no Fraction and a text report needs no json
+    assert used.split() == stdlib
 
 
 def test_no_module_imports_dataclasses():
