@@ -31,7 +31,7 @@ import functools
 import importlib
 import sys
 
-from .errors import QgsurfError
+from .errors import QgsurfError, digit_limit
 from .wahl import ChainSummary, canonical_order, fraction_text, generate_class_T, summarize
 
 EXIT_OK = 0
@@ -81,10 +81,12 @@ def _chain_entries(text: str) -> list[int]:
     """The integers of a comma-separated chain.
 
     An entry is an optional sign and ASCII digits, with spaces around them.
-    Any other entry is an error naming its position: an empty one, and the
-    ones ``int`` would also read, such as ``3_0`` or a non-ASCII digit.
+    Any other entry is an error naming its position: an empty one, the
+    ones ``int`` would also read, such as ``3_0`` or a non-ASCII digit, and
+    one with more digits than the interpreter converts to an integer.
     """
     entries = text.split(",")
+    values = []
     for position, entry in enumerate(entries, 1):
         text = entry.strip()
         if not text:
@@ -92,7 +94,15 @@ def _chain_entries(text: str) -> list[int]:
         digits = text[1:] if text[0] in "+-" else text
         if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"entry {position} is not an integer: {entry!r}")
-    return [int(x) for x in entries]
+        try:
+            values.append(int(text))
+        except ValueError as exc:
+            limit = digit_limit(exc)
+            if limit is None:
+                raise
+            raise ValueError(f"entry {position} has more than {limit} digits, the "
+                             "interpreter's limit for text-to-integer conversion") from None
+    return values
 
 
 def _print_json(value, out, indent=1) -> None:
@@ -222,16 +232,6 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _digit_limit(exc: ValueError) -> int | None:
-    """The interpreter's digit limit for integer-text conversion when ``exc``
-    is its refusal, else None; a Python without the limit has no refusal."""
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    limit = get_limit() if get_limit is not None else 0
-    if limit and str(exc).startswith(f"Exceeds the limit ({limit} digits)"):
-        return limit
-    return None
-
-
 def run(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
     args = _parser().parse_args(argv)
@@ -243,7 +243,7 @@ def run(argv=None, out=None) -> int:
     except ValueError as exc:
         # a derived integer too long to print: each handler prints its whole
         # output at once, so nothing has reached ``out``
-        limit = _digit_limit(exc)
+        limit = digit_limit(exc)
         if limit is None:
             raise
         print(f"error: an integer to print has more than {limit} digits, the interpreter's "

@@ -30,6 +30,7 @@ from .errors import (
     UnknownCurveError,
     ValidationError,
     Violation,
+    digit_limit,
 )
 from .fibration import FiberSpec, FibrationData, parse_tag
 from .ratlin import Elimination, eliminate
@@ -529,7 +530,11 @@ def decode(data):
         text = data.decode("utf-8") if isinstance(data, bytes) else data
         return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from None
+        limit = digit_limit(exc)
+        detail = exc if limit is None else (
+            f"an integer literal has more than {limit} digits, the interpreter's limit "
+            "for text-to-integer conversion")
+        raise SchemaError(f"not valid JSON: {detail}") from None
 
 
 def parse(document) -> Document:

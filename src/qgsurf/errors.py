@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the package, and the violation record
-that validation errors carry."""
+"""Exception hierarchy shared across the package, the violation record
+that validation errors carry, and the recognition of the interpreter's
+digit limit."""
 
+import sys
 from typing import NamedTuple
 
 
@@ -63,3 +65,14 @@ class PlanInvalidError(ValidationError):
 
 class DomainError(QgsurfError):
     """Operation invoked outside its stated domain (e.g. chi != 1)."""
+
+
+def digit_limit(exc: Exception) -> int | None:
+    """The interpreter's digit limit for conversion between integers and
+    text when ``exc`` is its refusal to convert, either way, else None; a
+    Python without the limit (3.10 before 3.10.7) has no refusal."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit is not None else 0
+    if limit and str(exc).startswith(f"Exceeds the limit ({limit} digits)"):
+        return limit
+    return None

@@ -29,16 +29,25 @@ per tail, for all its children at once:
    tail round-trips, whatever b is;
  * definiteness: the determinant -b*det' - det'' is affine in b, so if the
    digits 2 and max_entry both give it the sign (-1)**l, every digit between
-   them does too; only a tail where an end digit fails is counted digit by
-   digit;
+   them does too.  A block passes when its largest end determinant is
+   negative (odd l) or its smallest positive (even l), one elementwise
+   extremum and one reduction; only otherwise is a tail where an end digit
+   fails counted digit by digit;
  * recognition prefilter: every accepted chain has m dividing (q + 1)**2
    (see ``_recognized``), and here (q + 1)**2 = (m' + 1)**2.  With entries
    >= 2 continuants strictly increase, so every tail has m' > 0 and q', p'
    in [0, m') (the empty chain has m' = 1, q' = p' = 0).  Then m >= m' + 1,
    so the cofactor k = (m' + 1)**2 / m is at most m' + 1, and k*m = 1 with
    m = -q' and p'*q' = 1 (mod m') give k = -p' (mod m').  So k is m' - p'
-   or, only where that is 1, m' + 1: one modulo per tail finds its at most
-   two candidate digits, and only they take the exact gcd recognition.
+   or, only where that is 1, m' + 1: one modulo per tail finds the tails
+   with a candidate digit, at most two each.
+
+The prefilter's hits are few: 120 tails over the 16 blocks of a (6, 12)
+scan (exactly the accepted chains), 502 over 1,468 at (8, 12).  So a block
+only copies their states (m', q', p') and the index of its first tail;
+the candidate digits, their bound and the exact gcd recognition run once
+per scan over every hit together, and earlier whenever the next block's
+hits would take the collection past CHUNK.
 
 Chains of one length l are indexed by sum((bj - 2) * n**(l - j)),
 n = max_entry - 1, so digits decode from the index and index order is
@@ -58,23 +67,22 @@ lexicographic order.  The scan builds tables, then walks:
 Only the lengths below max_len are built, since only they are tails.  So
 every length tested in more than one block is tested in blocks of exactly
 n**base tails, n**base <= CHUNK < n**(base + 1), and no array the scan
-builds is longer than CHUNK, whatever the bounds.  That costs time where
-n**base falls far below CHUNK, since the walk then steps many small blocks.
-Measured against a walk that started from slabs of length base + 1 holding
-CHUNK/2 to CHUNK tails (medians of in-process scans in alternating order,
-two rounds, 2-vCPU Xeon, Python 3.11, numpy 2.4): at n = 11, which every
-scan the project runs but (6, 7) has, (6, 12) went from 6.1-6.5 ms to
-4.2-4.5 ms and (8, 12) stayed at 0.35-0.40 s; (6, 7), (7, 12) and (12, 4)
-moved by at most 7 % either way; (8, 8), (5, 30) and (3, 300), whose
-blocks hold 2401, 841 and 299 tails, went from 21-23 to 38-43 ms, 13-14 to
-63-69 ms and 3 to 17-18 ms.
+builds is longer than CHUNK, whatever the bounds.  Each block costs about
+twenty numpy calls whatever its size, a cost that dominates where n**base
+falls far below CHUNK and the walk steps many small blocks.  Medians of
+alternated in-process scans (2-vCPU Xeon VM, Python 3.11, numpy 2.4):
+(6, 12) in 3.2 ms and (8, 12) in 0.24 s, in blocks of 14641 tails;
+(8, 8), (5, 30) and (3, 300), in 404, 873 and 301 blocks of 2401, 841 and
+299 tails, in 19, 25 and 9 ms.  In the same runs the earlier kernel, which
+recognized each block's hits in the block and settled the sign test with
+two comparisons, took 4.1 ms, 0.35 s, 31, 52 and 19 ms.
 
 Each scan allocates one workspace (``_Workspace``), n**base entries long,
 and writes the walk's arrays into it, with ``out=`` or in place: the
 scratch arrays of the per-tail tests and one state set per depth of the
-walk.  Besides the workspace, a scan allocates only its tables and per
-block the arrays sized by the block's hits (the indices that
-``flatnonzero`` finds, the candidate digits and the recognized chains).  A
+walk.  Besides the workspace, a scan allocates only its tables, the scratch
+arrays of each table below the last (each tested in one block), the
+copies of each block's hits and the arrays of the recognition pass.  A
 block of 2**14 int64 entries is just under 128 KiB, below glibc's default
 mmap threshold, so arrays freed after every block would leave the top of
 the heap free for glibc to trim and fault back in on the next block.  With
@@ -102,7 +110,8 @@ Xeon with 2 MB of L2 per core (Python 3.11, numpy 2.4; medians of 40 scans
 at (6, 12) and of 3 at (8, 12), two rounds in alternating order), 2**14,
 2**15 and 2**16 all give base 4 at n = 11 and scanned alike, in 4.4-4.5 ms
 and 0.32-0.37 s; 2**13 gives base 3, blocks of 1331 tails, and took
-12.7 ms and 1.2 s.
+12.7 ms and 1.2 s (all with the kernel that recognized each block's hits in
+the block).
 """
 
 _INT64_MAX = 2**63 - 1
@@ -129,12 +138,11 @@ def _roundtrips(np, tail, out, scratch):
     chain without its first entry, and whether the chain round-trips.  With
     b in front of a tail of value m'/q', the first step's remainder
     b*q - m = b*m' - (b*m' - q') is q' whatever b is, so the step holds iff
-    0 <= q' < m'.
+    0 <= q' < m' (which implies m' > 0).
     """
     m_t, q_t = tail[:2]
-    np.greater(m_t, 0, out=out)
+    np.greater_equal(q_t, 0, out=out)
     out &= tail[-1]
-    out &= np.greater_equal(q_t, 0, out=scratch)
     out &= np.less(q_t, m_t, out=scratch)
     return out
 
@@ -177,19 +185,24 @@ def _negdef_failures(np, length, det_t, det_tt, max_entry, work) -> int:
     digit 2..max_entry put in front of each tail (det_t, det_tt).
 
     The child's determinant -b*det_t - det_tt is affine in b, so when both
-    end digits pass, all digits between them pass too.
+    end digits pass, all digits between them pass too: in the usual case
+    with no failure, the largest end determinant is negative (odd length)
+    or the smallest is positive (even length), one elementwise extremum and
+    one reduction.  Only otherwise are the tails counted digit by digit.
     """
-    size = det_t.size
-    first, last = (a[:size] for a in work.ints[:2])
-    doubt, scratch = (a[:size] for a in work.masks)
+    first, last, end = work.ints
     np.multiply(det_t, -2, out=first)
     first -= det_tt
     np.multiply(det_t, max_entry - 2, out=last)
     np.subtract(first, last, out=last)
+    if length & 1:
+        if np.maximum(first, last, out=end).max() < 0:
+            return 0
+    elif np.minimum(first, last, out=end).min() > 0:
+        return 0
+    doubt, scratch = work.masks
     _indefinite(np, length, first, doubt)
     doubt |= _indefinite(np, length, last, scratch)
-    if not doubt.any():
-        return 0
     doubt = np.flatnonzero(doubt)
     det_t, det_tt = det_t[doubt], det_tt[doubt]
     child, fails = first[:doubt.size], scratch[:doubt.size]
@@ -201,25 +214,34 @@ def _negdef_failures(np, length, det_t, det_tt, max_entry, work) -> int:
     return count
 
 
-def _candidates(np, tail, max_entry, work):
-    """The children of tail whose m divides (q + 1)**2 = (m' + 1)**2.
-
-    Returns (at, b, m): the child with digit b[j] of tail chain at[j] has
-    value m[j]/m'.  Every tail is in the range the cofactor identity needs
-    (m' > 0 and q', p' in [0, m')), so each cofactor m' - p' is positive.
-    """
-    m_t, q_t, p_t = tail[:3]
-    size = m_t.size
-    square, k, rest = (a[:size] for a in work.ints)
+def _prefilter(np, tail, work):
+    """The indices of the tails with a child whose m divides
+    (q + 1)**2 = (m' + 1)**2: those whose first cofactor m' - p' divides
+    (m' + 1)**2.  The second cofactor only exists where the first is 1,
+    which divides every square."""
+    m_t, _, p_t = tail[:3]
+    square, k, rest = work.ints
     np.add(m_t, 1, out=square)
     square *= square
     np.subtract(m_t, p_t, out=k)
     np.remainder(square, k, out=rest)
-    at = np.flatnonzero(np.equal(rest, 0, out=work.masks[0][:size]))
-    k = k[at]
+    return np.flatnonzero(np.equal(rest, 0, out=work.masks[0]))
+
+
+def _candidates(np, hits, max_entry):
+    """The children of the tails hits = (m', q', p') whose m divides
+    (q + 1)**2 = (m' + 1)**2; the tails are those ``_prefilter`` found.
+
+    Returns (at, b, m): the child with digit b[j] of tail at[j] has value
+    m[j]/m'.  Every tail is in the range the cofactor identity needs
+    (m' > 0 and q', p' in [0, m')), so each cofactor m' - p' is positive.
+    """
+    m_t, q_t, p_t = hits
+    square = (m_t + 1) ** 2
+    k = m_t - p_t
     # the second cofactor 2*m' - p' is at most m' + 1 only where m' - p' == 1
-    two = at[k == 1]
-    at = np.concatenate((at, two))
+    two = np.flatnonzero(k == 1)
+    at = np.concatenate((np.arange(m_t.size), two))
     m = square[at] // np.concatenate((k, m_t[two] + 1))
     # m = -q' (mod m'), so b is exact; and b >= 2: a cofactor k <= m' gives
     # m > m' + 1, and p' = m' - 1 forces q' = m' - 1 (p'*q' = 1), so the
@@ -235,8 +257,9 @@ class _Workspace:
     Three int64 and two bool scratch arrays for the per-tail tests, one
     state set (m, p, det, ok) for each depth of the walk below the last
     table, and the round-trip mask of the last length, which is no tail and
-    so has no state set; each holds width entries, and a shorter tail uses a
-    prefix.
+    so has no state set; each holds width entries, the size of every block
+    of the walk.  A table below the last is shorter, and is tested with a
+    workspace of its own size.
     """
 
     def __init__(self, np, width, depths):
@@ -244,6 +267,7 @@ class _Workspace:
             return tuple(np.empty(width, dtype=t) for t in dtypes)
 
         i64 = np.int64
+        self.width = width
         self.ints = arrays(i64, i64, i64)
         self.masks = arrays(bool, bool)
         self.states = [arrays(i64, i64, i64, bool) for _ in range(depths)]
@@ -251,7 +275,13 @@ class _Workspace:
 
 
 class _Tally:
-    """The scan's tests over its arrays of chains, accumulated."""
+    """The scan's tests over its arrays of chains, accumulated.
+
+    Each block keeps its per-tail work: the count, the round-trip mask, the
+    sign test and the prefilter.  The few tails the prefilter finds are
+    collected as plain data and recognized together, at the end of the scan
+    or whenever more than CHUNK would be collected.
+    """
 
     def __init__(self, np, max_entry, work):
         self.np = np
@@ -260,24 +290,61 @@ class _Tally:
         self.total = 0
         self.negdef = 0
         self.roundtrip = 0
+        self.hits = []  # per block: (length, offset, at, m', q', p')
+        self.collected = 0
         self.accepted = []
 
-    def children(self, length, tail, ok, chain_at):
+    def children(self, length, tail, ok, offset):
         """Count and test the chains of the given length that put one digit
-        in front of a chain of tail, once per tail; chain_at(i, b) is the
-        child with digit b of tail chain i.  The children's round-trip mask,
-        one entry per tail chain, is written into ok for the caller to build
+        in front of a chain of tail, once per tail; offset is the index of
+        tail's first chain among the chains of its length, and tail's chains
+        are consecutive from there.  The children's round-trip mask, one
+        entry per tail chain, is written into ok for the caller to build
         them with."""
         np, top, work = self.np, self.max_entry, self.work
-        m_t, _, _, _, det_t, det_tt, _ = tail
+        m_t, q_t, p_t, _, det_t, det_tt, _ = tail
         size = m_t.size
         self.total += (top - 1) * size
-        _roundtrips(np, tail, ok, work.masks[0][:size])
+        if size != work.width:  # a table below the last, tested in one block
+            work = _Workspace(np, size, 0)
+        _roundtrips(np, tail, ok, work.masks[0])
         self.roundtrip += (top - 1) * (size - int(np.count_nonzero(ok)))
         self.negdef += _negdef_failures(np, length, det_t, det_tt, top, work)
-        at, b, m = _candidates(np, tail, top, work)
-        hit = _recognized(np, m, m_t[at] + 1)
-        self.accepted.extend(chain_at(int(i), int(d)) for i, d in zip(at[hit], b[hit]))
+        at = _prefilter(np, tail, work)
+        if at.size:
+            if self.collected + at.size > CHUNK:
+                self.recognize()
+            # the walk overwrites tail's states in place, so keep copies
+            self.hits.append((length, offset, at, m_t[at], q_t[at], p_t[at]))
+            self.collected += at.size
+
+    def recognize(self):
+        """Recognize the children of the collected tails, in one pass over
+        all of them, and add the accepted ones, as tuples of ints."""
+        if not self.hits:
+            return
+        np = self.np
+        lengths, offsets, at, *states = zip(*self.hits)
+        counts = [a.size for a in at]
+        states = tuple(np.concatenate(a) for a in states)
+        # each tail's index among the chains of its length, and the length of
+        # its children
+        index = np.concatenate(at) + np.repeat(offsets, counts)
+        lengths = np.repeat(lengths, counts)
+        at, b, m = _candidates(np, states, self.max_entry)
+        hit = _recognized(np, m, states[0][at] + 1)
+        at, b = at[hit], b[hit]
+        n = self.max_entry - 1
+        self.accepted.extend(
+            (d,) + _digits(i, length - 1, n)
+            for i, length, d in zip(index[at].tolist(), lengths[at].tolist(), b.tolist()))
+        self.hits.clear()
+        self.collected = 0
+
+    def finish(self) -> list:
+        """The accepted chains of the whole scan, in lexicographic order."""
+        self.recognize()
+        return sorted(self.accepted)
 
 
 def _digits(index: int, length: int, n: int) -> tuple:
@@ -322,23 +389,26 @@ def scan_chains(max_len: int, max_entry: int):
     for length in range(base):
         # the chains one longer than the table are its children
         ok = np.empty(table[0].size, dtype=bool)
-        tally.children(length + 1, table, ok, lambda i, b: (b,) + _digits(i, length, n))
+        tally.children(length + 1, table, ok, 0)
         table = _table(np, table, ok, max_entry)
 
-    def extend(tail, head):
+    def extend(tail, offset, depth):
         # every child of tail is tested once per tail; only the lengths below
         # max_len are built, since only they are tails themselves.  The
         # children are built in the state set of this depth, whose ok the
         # tally writes (at max_len, which has no state set, it writes
         # last_ok), and m, p and det step from digit b to b + 1 in place by
-        # adding m_tail and p_tail and subtracting det_tail
-        length = base + 1 + len(head)
+        # adding m_tail and p_tail and subtracting det_tail.  The chains of
+        # tail are the table's chains behind depth head digits, so they are
+        # consecutive from offset, and the child tail with digit b starts at
+        # (b - 2)*n**(length - 1) + offset
+        length = base + 1 + depth
         m_t, q_t, p_t, p_tt, det_t, det_tt, _ = tail
         if length == max_len:
-            ok = work.last_ok[:m_t.size]
+            ok = work.last_ok
         else:
-            m, p, det, ok = (a[:m_t.size] for a in work.states[len(head)])
-        tally.children(length, tail, ok, lambda i, b: (b,) + head + _digits(i, base, n))
+            m, p, det, ok = work.states[depth]
+        tally.children(length, tail, ok, offset)
         if length == max_len:
             return
         # the digit 1
@@ -346,11 +416,12 @@ def scan_chains(max_len: int, max_entry: int):
         np.subtract(p_t, p_tt, out=p)
         np.negative(det_t, out=det)
         det -= det_tt
+        stride = n ** (length - 1)
         for b in range(2, max_entry + 1):
             m += m_t
             p += p_t
             det -= det_t
-            extend((m, m_t, p, p_t, det, det_t, ok), (b,) + head)
+            extend((m, m_t, p, p_t, det, det_t, ok), (b - 2) * stride + offset, depth + 1)
 
-    extend(table, ())
-    return tally.total, sorted(tally.accepted), tally.negdef, tally.roundtrip
+    extend(table, 0, 0)
+    return tally.total, tally.finish(), tally.negdef, tally.roundtrip

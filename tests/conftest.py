@@ -31,7 +31,8 @@ def corpus_results():
 
 @pytest.fixture(scope="session")
 def full_scan():
-    return scan_full()[0]
+    """The (8, 12) scan's result and the seconds it took, as ``scan_full``."""
+    return scan_full()
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from test_blowup import _random_config, _random_step
 
+from qgsurf import kernel
 from qgsurf.blowup import blow_up
 from qgsurf.config import independence_certificate
 from qgsurf.corpus import EXAMPLE_NAMES
@@ -29,6 +30,11 @@ from qgsurf.wahl import (
 
 def _ok(line):
     print(f"PASS {line}")
+
+
+def _scan_rate(total, seconds):
+    """The kernel's own throughput on the one cached (8, 12) scan."""
+    return f"{kernel.BACKEND} scan {seconds:.2f}s, {total / seconds:.3g} chains/s"
 
 
 def test_criterion_01_corpus_k2_regression(corpus_results):
@@ -97,11 +103,11 @@ def test_criterion_05_oracle_equivalence():
     assert elapsed < 60, f"property suite took {elapsed:.1f}s"
     _ok(f"criterion 5: generator == recognizer-filtered scan at (8,12), "
         f"{len(generated)} chains, discrepancies in (-1,0), "
-        f"contribution = l+1-d ({elapsed:.1f}s < 60s)")
+        f"contribution = l+1-d ({elapsed:.1f}s < 60s; {_scan_rate(total, scan_s)})")
 
 
 def test_criterion_06_round_trip_exhaustive(full_scan):
-    total, accepted, _, roundtrip_fail = full_scan
+    (total, accepted, _, roundtrip_fail), scan_s = full_scan
     assert total == 235794768
     assert roundtrip_fail == 0
     # the Python-level pair agrees with the in-kernel expansion
@@ -115,7 +121,8 @@ def test_criterion_06_round_trip_exhaustive(full_scan):
         value = hj_value(chain)
         assert chain_from_fraction(value.numerator, value.denominator) == chain
     _ok("criterion 6: chain_from_fraction . hj_value = identity on all "
-        "235794768 chains with l <= 8, entries <= 12 (exhaustive, exact)")
+        "235794768 chains with l <= 8, entries <= 12 (exhaustive, exact; "
+        f"{_scan_rate(total, scan_s)})")
 
 
 def test_criterion_07_adjunction_conservation():

@@ -12,7 +12,7 @@ import pytest
 
 import documents
 import qgsurf
-from qgsurf import cli, kernel, pipeline
+from qgsurf import cli, errors, kernel, pipeline
 from qgsurf.cli import run
 from qgsurf.config import independence_certificate, parse, parse_unvalidated, to_document
 from qgsurf.corpus import builtin
@@ -84,6 +84,43 @@ def test_chain_too_long_to_print_is_an_input_error(mode, capsys):
     entries = ",".join([str(10**2000)] * 3)
     assert invoke("--output", mode, "chain", entries) == (2, "")
     assert capsys.readouterr().err == f"error: {DIGIT_LIMIT_MESSAGE}\n"
+
+
+@needs_default_digit_limit
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("entries, position", [
+    ("1" + "0" * 5000, 1), ("4, -" + "9" * 4301, 2)], ids=["first", "second-negative"])
+def test_chain_entry_beyond_the_digit_limit_is_an_input_error(mode, entries, position, capsys):
+    # the entry is ASCII digits, but more of them than int() reads
+    assert invoke("--output", mode, "chain", entries) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: chain: entry {position} has more than 4300 digits, the interpreter's "
+        "limit for text-to-integer conversion\n")
+
+
+@needs_default_digit_limit
+@pytest.mark.parametrize("command", [("verify",), ("--output", "json", "verify"), ("export-dot",)])
+def test_document_literal_beyond_the_digit_limit_is_an_input_error(tmp_path, command):
+    doc = documents.base()
+    doc["surface"]["K2"] = "K2"
+    text = json.dumps(doc).replace('"K2": "K2"', '"K2": ' + "1" * 5001)
+    assert documents.run(tmp_path, text, *command) == (2, "", (
+        "error: not valid JSON: an integer literal has more than 4300 digits, the "
+        "interpreter's limit for text-to-integer conversion\n"))
+
+
+def test_without_a_digit_limit_the_refusal_is_not_reworded(monkeypatch, capsys):
+    """A Python before 3.10.7 has no ``sys.get_int_max_str_digits`` and
+    converts integers of any length, so no refusal can come from the limit:
+    a ValueError that reads like one is passed on as it is."""
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    refusal = ValueError("Exceeds the limit (4300 digits) for integer string conversion")
+    assert errors.digit_limit(refusal) is None
+    if DIGIT_LIMIT == 4300:  # this interpreter still refuses, and nothing rewords it
+        with pytest.raises(ValueError, match=r"^Exceeds the limit \(4300 digits\)"):
+            invoke("chain", ",".join([str(10**2000)] * 3))
+        assert invoke("chain", "1" + "0" * 5000) == (2, "")
+        assert capsys.readouterr().err.startswith("error: chain: Exceeds the limit (")
 
 
 def test_chain_entry_takes_a_sign_and_spaces():

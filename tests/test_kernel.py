@@ -50,6 +50,40 @@ def test_backends_agree(max_len, max_entry, chunk, monkeypatch):
     assert kernel.scan_chains(max_len, max_entry) == _reference(max_len, max_entry)
 
 
+@pytest.mark.parametrize("max_len, max_entry, chunk", [(5, 7, 10), (6, 8, 100)])
+def test_hits_recognized_in_several_passes(max_len, max_entry, chunk, monkeypatch):
+    """The prefilter's hits are collected across blocks and recognized
+    together; a pass runs whenever the next block's hits would take the
+    collection past CHUNK, so no pass holds more, and the passes together
+    find what the reference finds."""
+    monkeypatch.setattr(kernel, "CHUNK", chunk)
+    recognize = kernel._Tally.recognize
+    passes = []
+
+    def counting(self):
+        if self.hits:
+            passes.append(self.collected)
+        return recognize(self)
+
+    monkeypatch.setattr(kernel._Tally, "recognize", counting)
+    assert kernel.scan_chains(max_len, max_entry) == _reference(max_len, max_entry)
+    assert len(passes) > 1
+    assert max(passes) <= chunk
+
+
+@pytest.mark.parametrize("max_len, max_entry", [(5, 30), (3, 300)])
+def test_wide_entry_scans_match_the_generator(max_len, max_entry):
+    """Shapes whose last table is small, walked in 873 and 301 blocks, at
+    full size: every chain counted, none failing a check, and the accepted
+    chains exactly the generated ones, sorted, as tuples of plain ints."""
+    total, accepted, negdef, roundtrip = kernel.scan_chains(max_len, max_entry)
+    assert total == sum((max_entry - 1) ** k for k in range(1, max_len + 1))
+    assert (negdef, roundtrip) == (0, 0)
+    assert accepted == sorted(generate_class_T(max_len, max_entry))
+    assert all(type(chain) is tuple and all(type(b) is int for b in chain)
+               for chain in accepted)
+
+
 def _block_sizes(monkeypatch, max_len, max_entry):
     """{length: [(chains, array length) of each block tested at that length]}
     of one scan.  Every block is a block of tails, tested once per tail for
@@ -218,10 +252,13 @@ _TAILS = [
 @pytest.mark.parametrize("tails, max_entry", _TAILS)
 def test_candidate_digits_are_the_divisors_of_the_square(tails, max_entry):
     """Per tail, the candidates are exactly the digits b whose child value
-    b*m' - q' divides (m' + 1)**2, with that value."""
+    b*m' - q' divides (m' + 1)**2, with that value: the prefilter finds
+    every tail that has one, and the candidates over those tails' states
+    are exactly those digits."""
     state = _states(tails)
-    at, b, m = kernel._candidates(np, state, max_entry, kernel._Workspace(np, len(tails), 0))
-    found = {(int(i), int(d)): int(v) for i, d, v in zip(at, b, m)}
+    tail = kernel._prefilter(np, state, kernel._Workspace(np, len(tails), 0))
+    at, b, m = kernel._candidates(np, tuple(a[tail] for a in state[:3]), max_entry)
+    found = {(int(i), int(d)): int(v) for i, d, v in zip(tail[at], b, m)}
     assert len(found) == at.size
     expected = {}
     for i in range(len(tails)):
@@ -259,6 +296,26 @@ def test_negdef_count_per_tail_equals_count_per_child(length, max_entry):
     work = kernel._Workspace(np, len(pairs), 0)
     assert kernel._negdef_failures(np, length, det_t, det_tt, max_entry, work) == expected
     assert 0 < expected < len(pairs) * (max_entry - 1)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_entry", [3, 12])
+def test_negdef_shortcut_counts_a_zero_at_either_end(length, max_entry):
+    """Real tails pass with every digit, which the no-failure shortcut
+    settles; a single child determinant of 0 at either end digit is a
+    failure the shortcut must not pass over."""
+    tails = list(itertools.product(range(2, max_entry + 1), repeat=length - 1))
+    det_t, det_tt = _states(tails)[4:6]
+    work = kernel._Workspace(np, len(tails), 0)
+    assert kernel._negdef_failures(np, length, det_t, det_tt, max_entry, work) == 0
+    for end in (2, max_entry):
+        broken = det_tt.copy()
+        broken[-1] = -end * det_t[-1]
+        expected = sum((d >= 0 if length & 1 else d <= 0)
+                       for a, c in zip(det_t.tolist(), broken.tolist())
+                       for d in (-b * a - c for b in range(2, max_entry + 1)))
+        assert expected >= 1
+        assert kernel._negdef_failures(np, length, det_t, broken, max_entry, work) == expected
 
 
 def test_scan_counts_all_chains():
