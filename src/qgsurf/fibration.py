@@ -25,7 +25,7 @@ from collections import Counter
 from operator import mul
 from typing import NamedTuple, Optional
 
-from .errors import UnknownTagError, Violation
+from .errors import UnknownTagError, Violation, digit_limit
 from .ratlin import eliminate
 
 # ASCII digits only: ``\d`` would also read "I٩" or "I９" as a second I9
@@ -61,9 +61,12 @@ def parse_tag(tag: str) -> tuple[str, int]:
     if index.isdigit():  # I_n or I_n*
         try:
             int(index)
-        except ValueError:  # more digits than int() reads, 4300 by default
-            raise UnknownTagError(f"fiber index has {len(index)} digits, "
-                                  f"more than int() reads") from None
+        except ValueError as exc:
+            limit = digit_limit(exc)
+            if limit is None:
+                raise
+            raise UnknownTagError(f"fiber index has more than {limit} digits, the "
+                                  "interpreter's limit for text-to-integer conversion") from None
     if _i_n(reduced) == 0:
         raise UnknownTagError(f"{tag!r} is a smooth fiber, not a singular Kodaira type")
     if mult == 2 and _i_n(reduced) is None:

@@ -5,34 +5,42 @@ and, per chain, in 64-bit integers:
 
  * evaluates the minus continued fraction b1 - 1/(b2 - 1/(...)) as m/q,
  * tests the cyclic-quotient recognition m = d*n^2, q = d*n*a - 1,
- * checks that the determinant of the chain's intersection matrix has the
-   sign (-1)**l (its leading principal minors are the determinants of the
-   chain's prefixes, which are scanned chains themselves), so the matrix is
-   negative definite,
  * re-expands m/q by ceiling division and compares digits (round trip).
 
-Chains grow by prepending.  Putting b in front of a tail of value m'/q' gives
-m = b*m' - q' and q = m'.  A chain also carries p, the continuant of the
-chain without its last entry, and p_tail, that of the chain without both
-ends, which step the same way: p = b*p' - p_tail' and p_tail = p'.  The
-step matrices [[b, -1], [1, 0]] are unimodular and their product is
-[[m, -p], [q, -p_tail]], so for any integer entries
+It also counts the chains whose intersection matrix (diagonal -bi, 1 beside
+it) has a determinant without the sign (-1)**l.  The leading principal
+minors of that matrix are the determinants of the chain's prefixes, which
+are scanned chains themselves, so by Sylvester's criterion no failure means
+every matrix is negative definite.  That count needs no chain's
+determinant but one per length (``_sign_failures``), by this lemma: while
+no shorter length fails, length l fails nowhere iff det([lo]*l), lo the
+least entry, has the sign (-1)**l.  Proof:
+
+ 1. expanding the tridiagonal determinant along row i makes it affine in
+    bi, with d det/d bi = -det(b1..b(i-1)) * det(b(i+1)..bl), the empty
+    chain's determinant being 1;
+ 2. both factors are shorter chains within the bounds, so they have the
+    signs (-1)**(i-1) and (-1)**(l-i), and (-1)**l * det grows with every
+    entry;
+ 3. so its least value over the bounds is at [lo]*l, a chain within them.
+
+Chains grow by prepending.  A chain's state is (m, q, p, p_tail, ok): its
+value m/q, p, the continuant of the chain without its last entry, p_tail,
+that of the chain without both ends, and whether it round-trips.  Putting b
+in front of a tail of value m'/q' gives m = b*m' - q' and q = m', and p
+steps the same way: p = b*p' - p_tail' and p_tail = p'.  The step matrices
+[[b, -1], [1, 0]] are unimodular and their product is [[m, -p], [q, -p_tail]],
+so for any integer entries
 
     p*q - m*p_tail = 1,   so   p*q = 1 (mod m).
 
 Every chain is tested once, as a child of its tail: the children of one
-tail differ only in b, so each of the three per-chain tests is decided once
-per tail, for all its children at once:
+tail differ only in b, so both per-chain tests are decided once per tail,
+for all its children at once:
 
  * round trip: the expansion's first digit is ceil(m/q) = b and its
    remainder is (m', q'), so a chain round-trips iff 0 <= q' < m' and its
    tail round-trips, whatever b is;
- * definiteness: the determinant -b*det' - det'' is affine in b, so if the
-   digits 2 and max_entry both give it the sign (-1)**l, every digit between
-   them does too.  A block passes when its largest end determinant is
-   negative (odd l) or its smallest positive (even l), one elementwise
-   extremum and one reduction; only otherwise is a tail where an end digit
-   fails counted digit by digit;
  * recognition prefilter: every accepted chain has m dividing (q + 1)**2
    (see ``_recognized``), and here (q + 1)**2 = (m' + 1)**2.  With entries
    >= 2 continuants strictly increase, so every tail has m' > 0 and q', p'
@@ -68,14 +76,16 @@ Only the lengths below max_len are built, since only they are tails.  So
 every length tested in more than one block is tested in blocks of exactly
 n**base tails, n**base <= CHUNK < n**(base + 1), and no array the scan
 builds is longer than CHUNK, whatever the bounds.  Each block costs about
-twenty numpy calls whatever its size, a cost that dominates where n**base
+a dozen numpy calls whatever its size, a cost that dominates where n**base
 falls far below CHUNK and the walk steps many small blocks.  Medians of
-alternated in-process scans (2-vCPU Xeon VM, Python 3.11, numpy 2.4):
-(6, 12) in 3.2 ms and (8, 12) in 0.24 s, in blocks of 14641 tails;
-(8, 8), (5, 30) and (3, 300), in 404, 873 and 301 blocks of 2401, 841 and
-299 tails, in 19, 25 and 9 ms.  In the same runs the earlier kernel, which
-recognized each block's hits in the block and settled the sign test with
-two comparisons, took 4.1 ms, 0.35 s, 31, 52 and 19 ms.
+alternated in-process scans (2-vCPU Xeon VM, Python 3.11, numpy 2.4; six
+processes per kernel, each the median of 300 scans at (6, 12), 5 at
+(8, 12), 40 at (8, 8) and (5, 30) and 100 at (3, 300)): (6, 12) in 1.8 ms
+and (8, 12) in 0.16 s, in blocks of 14641 tails; (8, 8), (5, 30) and
+(3, 300), in 404, 873 and 301 blocks of 2401, 841 and 299 tails, in 13, 14
+and 3.2 ms.  In the same runs the earlier kernel, which carried each
+chain's determinant and its tail's through the walk and tested their sign
+per tail, took 2.6 ms, 0.23 s, 16, 19 and 4.8 ms.
 
 Each scan allocates one workspace (``_Workspace``), n**base entries long,
 and writes the walk's arrays into it, with ``out=`` or in place: the
@@ -101,17 +111,17 @@ CHUNK = 1 << 14
 
 It picks base, the longest length built whole, and with it the size of
 every block of the walk: n**base tails, n = max_entry - 1, with
-n**base <= CHUNK < n**(base + 1).  A block of 2**14 chains keeps the dozen
-or so 128 KB int64 arrays it touches in one core's L2, so each elementwise
-pass of the scan reads from cache rather than from memory.  It bounds
-memory too: besides the tables, the workspace holds one state set per depth
-of the walk, so a scan peaks at a few MB whatever the bounds.  On a 2-vCPU
-Xeon with 2 MB of L2 per core (Python 3.11, numpy 2.4; medians of 40 scans
-at (6, 12) and of 3 at (8, 12), two rounds in alternating order), 2**14,
-2**15 and 2**16 all give base 4 at n = 11 and scanned alike, in 4.4-4.5 ms
-and 0.32-0.37 s; 2**13 gives base 3, blocks of 1331 tails, and took
-12.7 ms and 1.2 s (all with the kernel that recognized each block's hits in
-the block).
+n**base <= CHUNK < n**(base + 1).  A block of 2**14 chains keeps the nine
+128 KB int64 arrays it touches (the tail's state, the children's m and p
+and three scratch arrays) in one core's L2, so each elementwise pass of the
+scan reads from cache rather than from memory.  It bounds memory too:
+besides the tables, the workspace holds one state set per depth of the
+walk, so a scan peaks at a few MB whatever the bounds.  On a 2-vCPU Xeon
+with 2 MB of L2 per core (Python 3.11, numpy 2.4; medians of 300
+scans at (6, 12) and of 5 at (8, 12), four processes per value in
+alternating order), 2**14, 2**15 and 2**16 all give base 4 at n = 11 and
+scanned alike, in 1.7-2.1 ms and 0.14-0.18 s; 2**13 gives base 3, blocks
+of 1331 tails, and took 2.7-4.3 ms and 0.28-0.31 s.
 """
 
 _INT64_MAX = 2**63 - 1
@@ -121,7 +131,7 @@ def _max_numerator(max_len: int, max_entry: int) -> int:
     """Largest m within the bounds: the continuant of [max_entry] * max_len.
 
     A continuant is increasing in every entry >= 2 and in the length, so every
-    m, p, q and determinant the scan meets is at most this in absolute value.
+    m, p and q the scan meets is at most this in absolute value.
     """
     prev, cur = 1, max_entry
     for _ in range(max_len - 1):
@@ -133,10 +143,7 @@ def _roundtrips(np, tail, out, scratch):
     """Whether each chain of tail round-trips once any digit is put in front,
     written into out; scratch is a second bool array of the tail's size.
 
-    A state is (m, q, p, p_tail, det, det_tail, ok): the value m/q, p, the
-    determinant of the intersection matrix, p and the determinant of the
-    chain without its first entry, and whether the chain round-trips.  With
-    b in front of a tail of value m'/q', the first step's remainder
+    With b in front of a tail of value m'/q', the first step's remainder
     b*q - m = b*m' - (b*m' - q') is q' whatever b is, so the step holds iff
     0 <= q' < m' (which implies m' > 0).
     """
@@ -155,18 +162,38 @@ def _table(np, tail, ok, max_entry):
     at index i % S of tail, S = len(tail).  So each digit's row is tail with
     that digit in front, and the rows are one broadcast per state array.
     """
-    m_t, q_t, p_t, p_tt, det_t, det_tt, _ = tail
+    m_t, q_t, p_t, p_tt, _ = tail
     n = max_entry - 1
     b = np.arange(2, max_entry + 1, dtype=np.int64)[:, None]
     return ((b * m_t - q_t).ravel(), np.tile(m_t, n), (b * p_t - p_tt).ravel(),
-            np.tile(p_t, n), (-b * det_t - det_tt).ravel(), np.tile(det_t, n),
-            np.tile(ok, n))
+            np.tile(p_t, n), np.tile(ok, n))
 
 
-def _indefinite(np, length, det, out):
-    """Whether each determinant breaks the sign (-1)**length that a negative
-    definite matrix of that order has, written into out."""
-    return (np.greater_equal if length & 1 else np.less_equal)(det, 0, out=out)
+def _sign_failures(np, max_len, lo, max_entry) -> int:
+    """How many chains [b1..bl], 1 <= l <= max_len, lo <= bi <= max_entry,
+    have a determinant without the sign (-1)**l.
+
+    By the lemma in the module docstring, the determinants of [lo]*l decide
+    every length until one fails; they follow the recurrence
+    det_l = -lo*det_(l-1) - det_(l-2), so this costs O(max_len).  From the
+    first failing length on, the lemma no longer holds, and each chain's
+    determinant is computed and counted, tail by tail as ``_table`` builds
+    states.  With lo = 2 no length fails: det([2]*l) = (-1)**l * (l + 1).
+    """
+    det, det_tail = 1, 0  # the empty chain, and 0 for the tail it lacks
+    for length in range(1, max_len + 1):
+        det, det_tail = -lo * det - det_tail, det
+        if (det >= 0) if length & 1 else (det <= 0):
+            break
+    else:
+        return 0
+    digits = np.arange(lo, max_entry + 1, dtype=np.int64)[:, None]
+    det, det_tail = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    count = 0
+    for length in range(1, max_len + 1):
+        det, det_tail = (-digits * det - det_tail).ravel(), np.tile(det, digits.size)
+        count += int(np.count_nonzero(det >= 0 if length & 1 else det <= 0))
+    return count
 
 
 def _recognized(np, m, qq):
@@ -180,40 +207,6 @@ def _recognized(np, m, qq):
     return (n >= 2) & (qq // g < n) & (g % n == 0)
 
 
-def _negdef_failures(np, length, det_t, det_tt, max_entry, work) -> int:
-    """How many children of the given length fail the sign test, over every
-    digit 2..max_entry put in front of each tail (det_t, det_tt).
-
-    The child's determinant -b*det_t - det_tt is affine in b, so when both
-    end digits pass, all digits between them pass too: in the usual case
-    with no failure, the largest end determinant is negative (odd length)
-    or the smallest is positive (even length), one elementwise extremum and
-    one reduction.  Only otherwise are the tails counted digit by digit.
-    """
-    first, last, end = work.ints
-    np.multiply(det_t, -2, out=first)
-    first -= det_tt
-    np.multiply(det_t, max_entry - 2, out=last)
-    np.subtract(first, last, out=last)
-    if length & 1:
-        if np.maximum(first, last, out=end).max() < 0:
-            return 0
-    elif np.minimum(first, last, out=end).min() > 0:
-        return 0
-    doubt, scratch = work.masks
-    _indefinite(np, length, first, doubt)
-    doubt |= _indefinite(np, length, last, scratch)
-    doubt = np.flatnonzero(doubt)
-    det_t, det_tt = det_t[doubt], det_tt[doubt]
-    child, fails = first[:doubt.size], scratch[:doubt.size]
-    count = 0
-    for b in range(2, max_entry + 1):
-        np.multiply(det_t, -b, out=child)
-        child -= det_tt
-        count += int(np.count_nonzero(_indefinite(np, length, child, fails)))
-    return count
-
-
 def _prefilter(np, tail, work):
     """The indices of the tails with a child whose m divides
     (q + 1)**2 = (m' + 1)**2: those whose first cofactor m' - p' divides
@@ -225,7 +218,7 @@ def _prefilter(np, tail, work):
     square *= square
     np.subtract(m_t, p_t, out=k)
     np.remainder(square, k, out=rest)
-    return np.flatnonzero(np.equal(rest, 0, out=work.masks[0]))
+    return np.flatnonzero(np.equal(rest, 0, out=work.mask))
 
 
 def _candidates(np, hits, max_entry):
@@ -254,12 +247,13 @@ def _candidates(np, hits, max_entry):
 class _Workspace:
     """Every array of a scan's walk, allocated once.
 
-    Three int64 and two bool scratch arrays for the per-tail tests, one
-    state set (m, p, det, ok) for each depth of the walk below the last
-    table, and the round-trip mask of the last length, which is no tail and
-    so has no state set; each holds width entries, the size of every block
-    of the walk.  A table below the last is shorter, and is tested with a
-    workspace of its own size.
+    Three int64 and one bool scratch arrays for the per-tail tests, one
+    state set (m, p, ok) for each depth of the walk below the last table
+    (a state's q and p_tail are its tail's m and p, which the depth above
+    holds), and the round-trip mask of the last length, which is no tail
+    and so has no state set; each holds width entries, the size of every
+    block of the walk.  A table below the last is shorter, and is tested
+    with a workspace of its own size.
     """
 
     def __init__(self, np, width, depths):
@@ -269,18 +263,19 @@ class _Workspace:
         i64 = np.int64
         self.width = width
         self.ints = arrays(i64, i64, i64)
-        self.masks = arrays(bool, bool)
-        self.states = [arrays(i64, i64, i64, bool) for _ in range(depths)]
+        self.mask = np.empty(width, dtype=bool)
+        self.states = [arrays(i64, i64, bool) for _ in range(depths)]
         self.last_ok = np.empty(width, dtype=bool)
 
 
 class _Tally:
     """The scan's tests over its arrays of chains, accumulated.
 
-    Each block keeps its per-tail work: the count, the round-trip mask, the
-    sign test and the prefilter.  The few tails the prefilter finds are
-    collected as plain data and recognized together, at the end of the scan
-    or whenever more than CHUNK would be collected.
+    Each block keeps its per-tail work: the count, the round-trip mask and
+    the prefilter.  The few tails the prefilter finds are collected as
+    plain data and recognized together, at the end of the scan or whenever
+    more than CHUNK would be collected.  The sign test is no block's work:
+    ``_sign_failures`` settles it once per length.
     """
 
     def __init__(self, np, max_entry, work):
@@ -288,7 +283,6 @@ class _Tally:
         self.max_entry = max_entry
         self.work = work
         self.total = 0
-        self.negdef = 0
         self.roundtrip = 0
         self.hits = []  # per block: (length, offset, at, m', q', p')
         self.collected = 0
@@ -302,14 +296,13 @@ class _Tally:
         entry per tail chain, is written into ok for the caller to build
         them with."""
         np, top, work = self.np, self.max_entry, self.work
-        m_t, q_t, p_t, _, det_t, det_tt, _ = tail
+        m_t, q_t, p_t = tail[:3]
         size = m_t.size
         self.total += (top - 1) * size
         if size != work.width:  # a table below the last, tested in one block
             work = _Workspace(np, size, 0)
-        _roundtrips(np, tail, ok, work.masks[0])
+        _roundtrips(np, tail, ok, work.mask)
         self.roundtrip += (top - 1) * (size - int(np.count_nonzero(ok)))
-        self.negdef += _negdef_failures(np, length, det_t, det_tt, top, work)
         at = _prefilter(np, tail, work)
         if at.size:
             if self.collected + at.size > CHUNK:
@@ -384,7 +377,7 @@ def scan_chains(max_len: int, max_entry: int):
     one = np.ones(1, dtype=np.int64)
     zero = np.zeros(1, dtype=np.int64)
     # the empty chain: its step matrix product is the identity
-    table = (one, zero, zero, -one, one, zero, np.ones(1, dtype=bool))
+    table = (one, zero, zero, -one, np.ones(1, dtype=bool))
 
     for length in range(base):
         # the chains one longer than the table are its children
@@ -397,31 +390,29 @@ def scan_chains(max_len: int, max_entry: int):
         # max_len are built, since only they are tails themselves.  The
         # children are built in the state set of this depth, whose ok the
         # tally writes (at max_len, which has no state set, it writes
-        # last_ok), and m, p and det step from digit b to b + 1 in place by
-        # adding m_tail and p_tail and subtracting det_tail.  The chains of
-        # tail are the table's chains behind depth head digits, so they are
-        # consecutive from offset, and the child tail with digit b starts at
+        # last_ok), and m and p step from digit b to b + 1 in place by
+        # adding m_tail and p_tail.  The chains of tail are the table's
+        # chains behind depth head digits, so they are consecutive from
+        # offset, and the child tail with digit b starts at
         # (b - 2)*n**(length - 1) + offset
         length = base + 1 + depth
-        m_t, q_t, p_t, p_tt, det_t, det_tt, _ = tail
+        m_t, q_t, p_t, p_tt, _ = tail
         if length == max_len:
             ok = work.last_ok
         else:
-            m, p, det, ok = work.states[depth]
+            m, p, ok = work.states[depth]
         tally.children(length, tail, ok, offset)
         if length == max_len:
             return
         # the digit 1
         np.subtract(m_t, q_t, out=m)
         np.subtract(p_t, p_tt, out=p)
-        np.negative(det_t, out=det)
-        det -= det_tt
         stride = n ** (length - 1)
         for b in range(2, max_entry + 1):
             m += m_t
             p += p_t
-            det -= det_t
-            extend((m, m_t, p, p_t, det, det_t, ok), (b - 2) * stride + offset, depth + 1)
+            extend((m, m_t, p, p_t, ok), (b - 2) * stride + offset, depth + 1)
 
     extend(table, 0, 0)
-    return tally.total, tally.finish(), tally.negdef, tally.roundtrip
+    negdef = _sign_failures(np, max_len, 2, max_entry)
+    return tally.total, tally.finish(), negdef, tally.roundtrip

@@ -279,8 +279,14 @@ def exhaustive_scan(max_len: int, max_entry: int):
 
     Returns (total, accepted, negdef_failures, roundtrip_failures): the
     number of chains visited, the recognizer-accepted ones (lexicographic
-    order), and the counts of negative-definiteness / continued-fraction
-    round-trip failures (both 0 unless something is deeply wrong).  The
+    order), and the counts of chains whose determinant lacks the sign
+    (-1)**l of a negative definite matrix and of chains whose continued
+    fraction does not round-trip (both 0 unless something is deeply
+    wrong).  The first count takes one determinant per length, of the chain
+    [2]*l: raising an entry bi changes det by -det(b1..b(i-1)) *
+    det(b(i+1)..bl), so while every shorter chain passes, (-1)**l * det
+    grows with every entry and is least at [2]*l (``qgsurf.kernel`` gives
+    the proof).  The
     kernel is imported here, so the other subcommands never load it.
     """
     return importlib.import_module(".kernel", __package__).scan_chains(max_len, max_entry)

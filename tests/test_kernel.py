@@ -1,6 +1,7 @@
 """Parity between the numpy scan kernel and its pure-Python reference, the
-kernel's per-tail tests against per-child brute force, and the size of the
-blocks the kernel works in."""
+kernel's per-tail tests against per-child brute force, its per-length sign
+count against every chain's determinant, and the size of the blocks the
+kernel works in."""
 
 import functools
 import itertools
@@ -14,6 +15,7 @@ import pytest
 from qgsurf import kernel
 from qgsurf._kernel_py import scan_chains as py_scan
 from qgsurf.wahl import generate_class_T, recognize_class_T
+from ratlin_oracle import chain_gram, determinant
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,18 +216,16 @@ def test_scan_peak_memory_stays_small():
 
 
 def _states(chains):
-    """The kernel's state arrays (m, q, p, p_tail, det, det_tail, ok) of the
-    given chains, read off the product of their step matrices
-    [[b, -1], [1, 0]], which is [[m, -p], [q, -p_tail]]; the determinant of
-    the intersection matrix of a chain of length l is (-1)**l * m."""
+    """The kernel's state arrays (m, q, p, p_tail, ok) of the given chains,
+    read off the product of their step matrices [[b, -1], [1, 0]], which is
+    [[m, -p], [q, -p_tail]]."""
     rows = []
     for chain in chains:
         top, bottom = (1, 0), (0, 1)  # the empty product
         for b in reversed(chain):
             top, bottom = (b * top[0] - bottom[0], b * top[1] - bottom[1]), top
         (m, minus_p), (q, minus_p_tail) = top, bottom
-        sign = (-1) ** len(chain)
-        rows.append((m, q, -minus_p, -minus_p_tail, sign * m, -sign * q))
+        rows.append((m, q, -minus_p, -minus_p_tail))
     return tuple(np.array(c, dtype=np.int64) for c in zip(*rows)) + (
         np.ones(len(chains), dtype=bool),)
 
@@ -280,42 +280,66 @@ def test_states_satisfy_the_identity():
         assert ((0 <= q) & (q < m) & (0 <= p) & (p < m)).all(), tails.id
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, 4])
-@pytest.mark.parametrize("max_entry", [2, 3, 12])
-def test_negdef_count_per_tail_equals_count_per_child(length, max_entry):
-    rng = random.Random(length * 100 + max_entry)
-    pairs = [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(400)]
-    det_t = np.array([a for a, _ in pairs], dtype=np.int64)
-    det_tt = np.array([c for _, c in pairs], dtype=np.int64)
-
-    def indefinite(det):
-        return det >= 0 if length & 1 else det <= 0
-
-    expected = sum(indefinite(-b * a - c) for a, c in pairs
-                   for b in range(2, max_entry + 1))
-    work = kernel._Workspace(np, len(pairs), 0)
-    assert kernel._negdef_failures(np, length, det_t, det_tt, max_entry, work) == expected
-    assert 0 < expected < len(pairs) * (max_entry - 1)
+def _det(chain):
+    """The determinant of the chain's intersection matrix, by the oracle's
+    Fraction elimination; the empty chain's is 1."""
+    return determinant(chain_gram(chain)) if chain else 1
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, 4])
-@pytest.mark.parametrize("max_entry", [3, 12])
-def test_negdef_shortcut_counts_a_zero_at_either_end(length, max_entry):
-    """Real tails pass with every digit, which the no-failure shortcut
-    settles; a single child determinant of 0 at either end digit is a
-    failure the shortcut must not pass over."""
-    tails = list(itertools.product(range(2, max_entry + 1), repeat=length - 1))
-    det_t, det_tt = _states(tails)[4:6]
-    work = kernel._Workspace(np, len(tails), 0)
-    assert kernel._negdef_failures(np, length, det_t, det_tt, max_entry, work) == 0
-    for end in (2, max_entry):
-        broken = det_tt.copy()
-        broken[-1] = -end * det_t[-1]
-        expected = sum((d >= 0 if length & 1 else d <= 0)
-                       for a, c in zip(det_t.tolist(), broken.tolist())
-                       for d in (-b * a - c for b in range(2, max_entry + 1)))
-        assert expected >= 1
-        assert kernel._negdef_failures(np, length, det_t, broken, max_entry, work) == expected
+def test_determinant_steps_by_minus_prefix_times_suffix():
+    """The identity the kernel's sign count rests on, checked on the
+    oracle's determinants alone, entries below 2 included: raising entry i
+    by 1 changes the determinant by -det(b1..b(i-1)) * det(b(i+1)..bl)."""
+    rng = random.Random(5)
+    for _ in range(400):
+        chain = [rng.randint(-3, 6) for _ in range(rng.randint(1, 7))]
+        i = rng.randrange(len(chain))
+        raised = chain[:i] + [chain[i] + 1] + chain[i + 1:]
+        assert _det(raised) - _det(chain) == -_det(chain[:i]) * _det(chain[i + 1:]), (chain, i)
+
+
+@pytest.mark.parametrize("max_len, lo, max_entry", [
+    (4, -1, 2), (4, 0, 3), (2, 1, 3), (5, 1, 3), (7, 1, 2), (5, 1, 1), (5, 2, 4)])
+def test_sign_failures_equal_a_count_over_every_chain(max_len, lo, max_entry):
+    """Entries from lo, not 2: with lo <= 1 a length fails ([-1] and [0]
+    at length 1, [1, 1] with determinant 0 at length 2, the only failure of
+    the box (2, 1, 3)), and the count runs chain by chain from there; with
+    lo = 2 the lemma settles every length."""
+    expected = sum((d >= 0) if length & 1 else (d <= 0)
+                   for length in range(1, max_len + 1)
+                   for d in map(_det, itertools.product(range(lo, max_entry + 1),
+                                                        repeat=length)))
+    assert kernel._sign_failures(np, max_len, lo, max_entry) == expected
+    assert (expected > 0) == (lo < 2)
+
+
+def test_sign_failures_of_a_scan_take_one_determinant_per_length():
+    """With entries from 2 no length fails, so no array is built (the
+    helper is given no numpy), whatever the bounds."""
+    assert kernel._sign_failures(None, 10_000, 2, 10**6) == 0
+
+
+def test_scan_reports_the_sign_count_over_its_bounds(monkeypatch):
+    """Every real scan counts 0 sign failures, so stand in a count: the scan
+    asks for its own bounds, entries from 2, and reports what it gets."""
+    asked = []
+
+    def counting(np, *bounds):
+        asked.append(bounds)
+        return 7
+
+    monkeypatch.setattr(kernel, "_sign_failures", counting)
+    result = kernel.scan_chains(5, 7)
+    assert asked == [(5, 2, 7)]
+    reference = _reference(5, 7)
+    assert result == reference[:2] + (7,) + reference[3:]
+
+
+@pytest.mark.parametrize("max_len, max_entry", [(16, 3), (30, 2)])
+def test_narrow_boxes_agree_with_the_reference(max_len, max_entry):
+    """Long chains of few digits: the per-length sign count and the walk's
+    deep state sets against the per-chain reference."""
+    assert kernel.scan_chains(max_len, max_entry) == _reference(max_len, max_entry)
 
 
 def test_scan_counts_all_chains():

@@ -132,6 +132,47 @@ def test_no_module_imports_dataclasses():
                 assert node.module != "dataclasses", path.name
 
 
+def _package_imports(tree: ast.Module) -> list[int]:
+    """Lines importing from the package: relative, ``qgsurf``-rooted or
+    through ``importlib.import_module``."""
+    def in_package(name: str) -> bool:
+        return name.startswith(".") or name.split(".")[0] == "qgsurf"
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "import_module" and node.args
+              and isinstance(node.args[0], ast.Constant)):
+            names = [str(node.args[0].value)]
+        else:
+            continue
+        if any(map(in_package, names)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_kernel_oracle_imports_nothing_from_the_package():
+    # the kernel's sign count rests on a lemma, not on each chain's
+    # determinant, so the per-chain twin that checks it computes every
+    # value itself
+    assert _package_imports(ast.parse((PACKAGE_DIR / "_kernel_py.py").read_text())) == []
+
+
+def test_package_imports_are_found():
+    tree = ast.parse("from math import gcd\n"
+                     "from . import errors\n"
+                     "from .wahl import hj_value\n"
+                     "import qgsurf.kernel\n"
+                     "from qgsurf import ratlin\n"
+                     "importlib.import_module('.kernel', __package__)\n"
+                     "import numpy\n")
+    assert _package_imports(tree) == [2, 3, 4, 5, 6]
+
+
 def _is_surface_kind(node: ast.AST) -> bool:
     """``surface.kind`` or ``<anything>.surface.kind``."""
     if not (isinstance(node, ast.Attribute) and node.attr == "kind"):
